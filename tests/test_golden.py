@@ -1,0 +1,81 @@
+"""Byte-identity of toral output against a stored corpus.
+
+The files under ``tests/golden/`` hold the `mapping-torus` JSON for one
+hyperbolic automorphism in each dimension n = 2..6 and the fixed-point
+reports of three (A, k) with 10^2..10^3 points.  They were written before the
+toral kernels became integer-native; any byte that changes is a regression.
+Rewrite them only when an output change is intended:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from lefdist.cli import main
+from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
+from lefdist.linalg import IntMatrix
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# n -> (matrix, window); each matrix is a conjugated hyperbolic companion matrix
+MAPPING_TORUS = {
+    2: ([[1, -1], [-1, 0]], 10),
+    3: ([[1, -1, 1], [1, 0, 0], [1, 1, 0]], 8),
+    4: ([[0, -1, 0, -1], [1, 0, 0, 0], [3, 1, 3, 0], [3, 0, 4, -1]], 5),
+    5: ([[0, -1, 0, -1, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [2, 0, 3, 0, 2], [2, 0, 2, 1, 1]], 4),
+    6: (
+        [
+            [0, -1, 0, -1, 0, -1],
+            [1, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [2, 0, 3, 0, 2, 0],
+            [2, 0, 2, 1, 2, 0],
+            [0, 0, 0, 0, 1, -1],
+        ],
+        3,
+    ),
+}
+
+# name -> (matrix, k); every A^k - I has two or more Smith invariants > 1
+FIXED_POINTS = {
+    "n2_k4": ([[3, -2], [-1, 1]], 4),  # 192 points, invariants 8, 24
+    "n3_k12": ([[0, -1, 0], [2, 0, 1], [3, 1, 2]], 12),  # 875 points, 5, 5, 35
+    "n4_k10": ([[0, -1, 0, -1], [-1, 0, -2, 0], [0, 1, 0, 0], [0, 0, 1, -1]], 10),  # 768 points
+}
+
+
+def _mapping_torus_bytes(matrix, window) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["mapping-torus", "--matrix", json.dumps(matrix), "--window", str(window)])
+    assert rc == 0
+    return out.getvalue().encode("utf-8")
+
+
+def _fixed_points_bytes(matrix, k) -> bytes:
+    report = fixed_points_toral(ToralAutomorphism(IntMatrix(matrix)), k)
+    return (json.dumps(report.to_json_obj(), separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def cases():
+    for n, (matrix, window) in MAPPING_TORUS.items():
+        yield f"mapping_torus_n{n}.json", lambda m=matrix, w=window: _mapping_torus_bytes(m, w)
+    for name, (matrix, k) in FIXED_POINTS.items():
+        yield f"fixed_points_{name}.json", lambda m=matrix, k=k: _fixed_points_bytes(m, k)
+
+
+@pytest.mark.parametrize("name,produce", list(cases()), ids=[name for name, _ in cases()])
+def test_byte_identical(name, produce):
+    assert produce() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, produce in cases():
+        (GOLDEN / name).write_bytes(produce())
+        print(f"wrote {GOLDEN / name}")
