@@ -5,6 +5,10 @@ alternating trace over induced maps on cohomology, the determinant
 det(I - A^k), and the signed count of fixed points on the torus.  The first
 two are cross-checked inside :func:`toral_lefschetz` on every call; the
 third is exposed by :func:`fixed_points_toral` / :func:`verify_classical_lefschetz`.
+On the torus the trace path is the Berkowitz characteristic polynomial of
+A^k: its coefficients are (-1)^i tr Lambda^i A^k, so their sum is the
+alternating exterior-trace sum, but no Lambda^i matrix is built.  Both paths
+and the fixed-point enumeration stay in integers.
 
 Sign conventions: the classical fixed-point index is sign det(I - J); the
 epsilon convention used for foliation distributions is sign det(J - I).
@@ -15,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import EnumerationLimitError, InconsistencyError, NotSimpleError, PreconditionError
 from .linalg import (
     IntMatrix,
     RationalMatrix,
+    charpoly,
     determinant,
     exterior_power,
     matrix_power,
@@ -103,13 +109,16 @@ def lefschetz_number_graded(g: GradedMap) -> Fraction:
 
 
 def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
-    """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum."""
+    """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum.
+
+    The trace path sums the Berkowitz coefficients of A^k, which are the
+    signed exterior traces (-1)^i tr Lambda^i A^k.
+    """
     if k == 0:
         raise PreconditionError("k must be nonzero")
     ak = t.power(k)
-    n = t.dim
-    via_det = determinant(IntMatrix.identity(n) - ak)
-    via_traces = sum((-1) ** i * exterior_power(ak, i).trace() for i in range(n + 1))
+    via_det = determinant(IntMatrix.identity(t.dim) - ak)
+    via_traces = sum(charpoly(ak))
     if via_det != via_traces:
         raise InconsistencyError(
             f"determinant path gave {via_det}, exterior-trace path gave {via_traces}"
@@ -222,36 +231,31 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
             f"{total} fixed points exceed the enumeration cap {ENUMERATION_CAP}"
         )
     diag, c = _smith_with_colops([list(r) for r in b.entries])
-    assert all(diag) and abs(_prod(diag)) == total
-    points = []
-    counters = [0] * n
-    while True:
-        y = [Fraction(counters[i], abs(diag[i])) for i in range(n)]
-        x = tuple(
-            sum(Fraction(c[i][j]) * y[j] for j in range(n)) % 1 for i in range(n)
-        )
-        points.append(x)
-        for i in range(n - 1, -1, -1):
-            counters[i] += 1
-            if counters[i] < abs(diag[i]):
-                break
-            counters[i] = 0
-        else:
-            break
+    mods = [abs(d) for d in diag]
+    assert all(mods) and prod(mods) == total
+    # x = C y with y_j in (1/|d_j|) Z / Z; over the common denominator L the
+    # numerators are x_i L = sum_j c_ij y_j (L / |d_j|) mod L
+    denom = lcm(*mods)
+    points = [(0,) * n]
+    for j, d in enumerate(mods):
+        step = [c[i][j] * (denom // d) for i in range(n)]
+        shifts = [[y * s for s in step] for y in range(1, d)]
+        points += [
+            tuple((p + s) % denom for p, s in zip(point, shift))
+            for point in points
+            for shift in shifts
+        ]
     points.sort()
     assert len(points) == len(set(points)) == total
-    classical = 1 if determinant(IntMatrix.identity(n) - t.power(k)) > 0 else -1
-    epsilon = classical * (-1) ** n
+    frac = [Fraction(v, denom) for v in range(denom)]
+    epsilon = 1 if det_b > 0 else -1
+    classical = epsilon * (-1) ** n  # sign det(I - A^k) = (-1)^n sign det(A^k - I)
     return FixedPointReport(
-        total, tuple(points), (classical,) * total, (epsilon,) * total
+        total,
+        tuple(tuple(frac[v] for v in p) for p in points),
+        (classical,) * total,
+        (epsilon,) * total,
     )
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 @dataclass(frozen=True)

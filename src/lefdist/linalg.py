@@ -28,6 +28,7 @@ __all__ = [
     "smith_normal_form",
     "matrix_power",
     "exterior_power",
+    "charpoly",
 ]
 
 Rational = Fraction  # canonical form (positive denominator, reduced) is built in
@@ -144,6 +145,8 @@ class _Matrix:
 
     @classmethod
     def from_json_obj(cls, obj):
+        if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+            raise ValueError("a matrix must be a JSON array of arrays")
         return cls([[rat_from_str(str(e)) for e in row] for row in obj])
 
 
@@ -168,13 +171,13 @@ class IntMatrix(_Matrix):
         return RationalMatrix(self.entries)
 
 
-def _int_rows(m: _Matrix) -> tuple[list[list[int]], Fraction]:
+def _int_rows(m: _Matrix) -> tuple[list[list[int]], int]:
     """Scale each row to integers; return rows and the product of scalings."""
-    rows, scale = [], Fraction(1)
+    rows, scale = [], 1
     for row in m.entries:
-        mult = lcm(*(Fraction(e).denominator for e in row)) if row else 1
+        mult = lcm(*(e.denominator for e in row)) if row else 1
         scale *= mult
-        rows.append([int(Fraction(e) * mult) for e in row])
+        rows.append([e.numerator * (mult // e.denominator) for e in row])
     return rows, scale
 
 
@@ -222,13 +225,10 @@ def determinant(m: RationalMatrix | IntMatrix):
         return 1 if isinstance(m, IntMatrix) else Fraction(1)
     rows, scale = _int_rows(m)
     rows, pivots, sign = _bareiss_echelon(rows)
-    if len(pivots) < n:
-        det = Fraction(0)
-    else:
-        det = Fraction(sign * rows[n - 1][n - 1], 1) / scale
+    det = sign * rows[n - 1][n - 1] if len(pivots) == n else 0
     if isinstance(m, IntMatrix):
-        return int(det)
-    return det
+        return det
+    return Fraction(det, scale)
 
 
 def rank_kernel(m: RationalMatrix | IntMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
@@ -336,25 +336,24 @@ def _inverse(m: _Matrix) -> RationalMatrix:
 def matrix_power(m: RationalMatrix | IntMatrix, k: int):
     """Exact k-th power; k = 0 gives the identity, k < 0 inverts first.
 
-    An IntMatrix result is returned as IntMatrix whenever the entries stay
-    integral (always the case for k >= 0 and for unimodular matrices).
+    An IntMatrix stays in integers for k >= 0, and for k < 0 whenever its
+    inverse is integral (det = +-1); otherwise the result is a RationalMatrix.
     """
     if not m.is_square:
         raise PreconditionError("matrix_power requires a square matrix")
-    cls = type(m)
+    base = m
     if k < 0:
         base = _inverse(m)
+        if isinstance(m, IntMatrix) and all(e.denominator == 1 for r in base.entries for e in r):
+            base = IntMatrix(base.entries)
         k = -k
-    else:
-        base = m if isinstance(m, RationalMatrix) else m.to_rational()
-    result = RationalMatrix.identity(m.rows)
+    result = type(base).identity(m.rows)
     while k:
         if k & 1:
             result = result @ base
-        base = base @ base
         k >>= 1
-    if cls is IntMatrix and all(e.denominator == 1 for r in result.entries for e in r):
-        return IntMatrix(result.entries)
+        if k:
+            base = base @ base
     return result
 
 
@@ -380,3 +379,30 @@ def exterior_power(m: RationalMatrix | IntMatrix, i: int):
         out.append(out_row)
     assert len(subsets) == comb(n, i)
     return cls(out)
+
+
+def charpoly(m: RationalMatrix | IntMatrix) -> tuple:
+    """Coefficients (c_0, ..., c_n) of det(x I - m) = sum_i c_i x^(n-i).
+
+    Berkowitz's division-free algorithm (1984): the leading (r+1) x (r+1)
+    block [[M, col], [row, a]] multiplies the coefficients of M's polynomial
+    by the lower-triangular Toeplitz matrix with first column
+    (1, -a, -row.col, -row.M.col, ..., -row.M^(r-1).col).  Only ring operations
+    are used, so an IntMatrix gives ints.  c_0 = 1 and c_i = (-1)^i tr Lambda^i m,
+    so sum(charpoly(m)) = det(I - m) without building any exterior power.
+    """
+    if not m.is_square:
+        raise PreconditionError("charpoly requires a square matrix")
+    a = m.entries
+    one = m._coerce(1)
+    poly = [one]
+    for r in range(m.rows):
+        # zip against the length-r column keeps row and M to the leading block
+        col = [a[i][r] for i in range(r)]
+        toeplitz = [one, -a[r][r]]
+        for t in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(a[r], col)))
+            if t + 1 < r:
+                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return tuple(poly)

@@ -51,6 +51,19 @@ class TestMappingTorus:
         rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", "[[2,1],[1,")
         assert rc == 2
 
+    @pytest.mark.parametrize("matrix", ["5", "[5]"])
+    def test_matrix_not_array_of_arrays(self, capsys, matrix):
+        rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", matrix, "--window", "1")
+        assert rc == 2
+        assert err.startswith("input error:") and "array of arrays" in err
+
+    def test_input_matrix_not_array_of_arrays(self, capsys, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps({"matrix": 5}))
+        rc, _, err = run_cli(capsys, "mapping-torus", "--input", str(path), "--window", "1")
+        assert rc == 2
+        assert err.startswith("input error:") and "array of arrays" in err
+
 
 class TestFlow:
     def test_orbit_file(self, capsys, tmp_path):

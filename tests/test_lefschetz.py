@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lefdist.errors import NotSimpleError, PreconditionError
+from lefdist import lefschetz
+from lefdist.errors import InconsistencyError, NotSimpleError, PreconditionError
 from lefdist.lefschetz import (
     GradedMap,
     ToralAutomorphism,
@@ -14,6 +15,7 @@ from lefdist.lefschetz import (
     verify_classical_lefschetz,
 )
 from lefdist.linalg import IntMatrix, RationalMatrix, determinant
+from lefdist.verify import brute_force_fixed_point_count
 
 CAT = ToralAutomorphism(IntMatrix([[2, 1], [1, 1]]))
 MINUS_I = ToralAutomorphism(IntMatrix([[-1, 0], [0, -1]]))
@@ -86,6 +88,16 @@ class TestToralLefschetz:
 
     def test_cat_map_sequence(self):
         assert [toral_lefschetz(CAT, k) for k in range(1, 6)] == [-1, -5, -16, -45, -121]
+
+    @pytest.mark.parametrize(
+        "path,skew", [("determinant", lambda d: d + 1), ("charpoly", lambda c: c + (1,))]
+    )
+    def test_disagreeing_paths_raise(self, monkeypatch, path, skew):
+        t = ToralAutomorphism(IntMatrix([[0, -1, 0], [2, 0, 1], [3, 1, 2]]))
+        original = getattr(lefschetz, path)
+        monkeypatch.setattr(lefschetz, path, lambda m: skew(original(m)))
+        with pytest.raises(InconsistencyError):
+            toral_lefschetz(t, 2)
 
 
 class TestFixedPointIndex:
@@ -163,6 +175,26 @@ class TestFixedPoints:
             "epsilons": [-1],
         }
         assert fixed_points_toral(ToralAutomorphism(IntMatrix.identity(2)), 1).to_json_obj()["count"] == "infinite"
+
+    @pytest.mark.parametrize(
+        "matrix,ks",
+        [
+            ([[0, 0, 1], [1, 0, -1], [0, 1, -1]], range(1, 6)),
+            ([[0, -1, 0], [2, 0, 1], [3, 1, 2]], (-3, -2, -1, 1, 2, 3, 4)),
+            ([[0, 0, 0, 1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]], range(1, 5)),
+            ([[0, -1, 0, -1], [-1, 0, -2, 0], [0, 1, 0, 0], [0, 0, 1, -1]], (-2, -1, 1, 2, 4)),
+        ],
+    )
+    def test_hyperbolic_n3_n4_against_brute_force(self, matrix, ks):
+        t = ToralAutomorphism(IntMatrix(matrix))
+        for k in ks:
+            r = fixed_points_toral(t, k)
+            assert r.count == len(r.points) == brute_force_fixed_point_count(t, k)
+            b = (t.power(k) - IntMatrix.identity(t.dim)).entries
+            assert all(sum(x * y for x, y in zip(row, p)).denominator == 1 for p in r.points for row in b)
+            assert all(p < q for p, q in zip(r.points, r.points[1:]))
+            assert all(0 <= x < 1 for p in r.points for x in p)
+            assert sum(r.indices) == toral_lefschetz(t, k)
 
 
 class TestClassicalIdentity:

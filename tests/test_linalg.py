@@ -114,6 +114,15 @@ class TestMatrixPower:
         assert isinstance(m, RationalMatrix)
         assert m[0, 0] == Fraction(1, 2)
 
+    def test_unimodular_powers_stay_in_ints(self):
+        m = IntMatrix([[0, -1, 0], [2, 0, 1], [3, 1, 2]])
+        for k in (-5, -1, 0, 3, 8):
+            p = matrix_power(m, k)
+            assert isinstance(p, IntMatrix)
+            assert all(type(e) is int for row in p.entries for e in row)
+        assert matrix_power(m, -5) @ matrix_power(m, 5) == IntMatrix.identity(3)
+        assert type(determinant(m)) is int
+
 
 class TestExteriorPower:
     def test_degree_zero_and_top(self):
