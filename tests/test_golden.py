@@ -1,10 +1,15 @@
-"""Byte-identity of toral output against a stored corpus.
+"""Byte-identity of CLI and fixed-point output against a stored corpus.
 
 The files under ``tests/golden/`` hold the `mapping-torus` JSON for one
-hyperbolic automorphism in each dimension n = 2..6 and the fixed-point
-reports of three (A, k) with 10^2..10^3 points.  They were written before the
-toral kernels became integer-native; any byte that changes is a regression.
-Rewrite them only when an output change is intended:
+hyperbolic automorphism in each dimension n = 2..6, the fixed-point reports
+of three (A, k) with 10^2..10^3 points, `nilfoliation` on a catalog algebra
+and on a dense rational change of basis of heis3 + filiform4 (dim 7),
+`mapping-torus --input` with a rational graded map (negative powers invert),
+and the default `verify --suite all` report.  The toral files were written
+before the toral kernels became integer-native, the others before the exact
+elimination kernels were merged; any byte that changes is a regression.
+Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
+output change is intended:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -12,7 +17,9 @@ Rewrite them only when an output change is intended:
 import contextlib
 import io
 import json
+import os
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -21,6 +28,7 @@ from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
 from lefdist.linalg import IntMatrix
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 
 # n -> (matrix, window); each matrix is a conjugated hyperbolic companion matrix
 MAPPING_TORUS = {
@@ -49,12 +57,31 @@ FIXED_POINTS = {
 }
 
 
-def _mapping_torus_bytes(matrix, window) -> bytes:
+# name -> argv; every run reads its input from INPUTS or the catalog
+CLI = {
+    "nilfoliation_filiform6": ["nilfoliation", "--algebra", "filiform:6"],
+    "nilfoliation_scrambled_dim7": [
+        "nilfoliation", "--algebra", str(INPUTS / "scrambled_algebra_dim7.json")
+    ],
+    "mapping_torus_graded": [
+        "mapping-torus", "--input", str(INPUTS / "graded_map.json"), "--window", "4"
+    ],
+    "verify_all": ["verify", "--suite", "all"],
+}
+
+
+def _cli_bytes(argv) -> bytes:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = main(["mapping-torus", "--matrix", json.dumps(matrix), "--window", str(window)])
+    # the verify battery is seeded from LEFSCHETZ_SEED; the corpus holds the default
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out):
+        os.environ.pop("LEFSCHETZ_SEED", None)
+        rc = main(argv)
     assert rc == 0
     return out.getvalue().encode("utf-8")
+
+
+def _mapping_torus_bytes(matrix, window) -> bytes:
+    return _cli_bytes(["mapping-torus", "--matrix", json.dumps(matrix), "--window", str(window)])
 
 
 def _fixed_points_bytes(matrix, k) -> bytes:
@@ -67,6 +94,8 @@ def cases():
         yield f"mapping_torus_n{n}.json", lambda m=matrix, w=window: _mapping_torus_bytes(m, w)
     for name, (matrix, k) in FIXED_POINTS.items():
         yield f"fixed_points_{name}.json", lambda m=matrix, k=k: _fixed_points_bytes(m, k)
+    for name, argv in CLI.items():
+        yield f"{name}.json", lambda a=argv: _cli_bytes(a)
 
 
 @pytest.mark.parametrize("name,produce", list(cases()), ids=[name for name, _ in cases()])
