@@ -30,6 +30,7 @@ from .linalg import (
     exterior_power,
     matrix_power,
     rat_to_str,
+    smith_transform,
 )
 
 __all__ = [
@@ -164,54 +165,6 @@ class FixedPointReport:
         }
 
 
-def _smith_with_colops(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize by unimodular row/column ops, tracking only column ops.
-
-    Returns (diagonal entries, C) with D = R . A . C for some unimodular R,
-    so x = C y maps solutions of D y in Z^n to solutions of A x in Z^n.
-    """
-    n = len(rows)
-    a = [row[:] for row in rows]
-    c = [[int(i == j) for j in range(n)] for i in range(n)]
-    t = 0
-    while t < n:
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-            for row in c:
-                row[t], row[bj] = row[bj], row[t]
-        piv = a[t][t]
-        dirty = False
-        for i in range(t + 1, n):
-            q = a[i][t] // piv
-            if q:
-                for j in range(t, n):
-                    a[i][j] -= q * a[t][j]
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, n):
-            q = a[t][j] // piv
-            if q:
-                for i in range(t, n):
-                    a[i][j] -= q * a[i][t]
-                for i in range(n):
-                    c[i][j] -= q * c[i][t]
-            if a[t][j]:
-                dirty = True
-        if not dirty:
-            t += 1
-    return [a[i][i] for i in range(n)], c
-
-
 def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
     """All solutions of A^k x = x on the torus, with both index conventions.
 
@@ -230,15 +183,14 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
         raise EnumerationLimitError(
             f"{total} fixed points exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    diag, c = _smith_with_colops([list(r) for r in b.entries])
-    mods = [abs(d) for d in diag]
-    assert all(mods) and prod(mods) == total
-    # x = C y with y_j in (1/|d_j|) Z / Z; over the common denominator L the
-    # numerators are x_i L = sum_j c_ij y_j (L / |d_j|) mod L
+    mods, c = smith_transform(b)
+    assert len(mods) == n and prod(mods) == total
+    # x = C y with y_j in (1/d_j) Z / Z; over the common denominator L the
+    # numerators are x_i L = sum_j c_ij y_j (L / d_j) mod L
     denom = lcm(*mods)
     points = [(0,) * n]
     for j, d in enumerate(mods):
-        step = [c[i][j] * (denom // d) for i in range(n)]
+        step = [c[i, j] * (denom // d) for i in range(n)]
         shifts = [[y * s for s in step] for y in range(1, d)]
         points += [
             tuple((p + s) % denom for p, s in zip(point, shift))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InvalidLieAlgebraError, PreconditionError
-from .linalg import RationalMatrix, rank_kernel, rat_from_str, rat_to_str
+from .linalg import RationalMatrix, rank_kernel, rat_from_str, rat_to_str, row_space_basis
 
 __all__ = [
     "LieAlgebra",
@@ -193,24 +193,6 @@ class Nilpotency:
     step: int | None  # smallest s with g^(s+1) = 0; None when not nilpotent
 
 
-def _span_basis(vectors) -> list[tuple[Fraction, ...]]:
-    """Row-reduce a list of coordinate vectors to an RREF basis."""
-    rows = [list(v) for v in vectors if any(v)]
-    basis: list[list[Fraction]] = []
-    for row in rows:
-        for b in basis:
-            piv = next(i for i, x in enumerate(b) if x)
-            if row[piv]:
-                f = row[piv] / b[piv]
-                row = [x - f * y for x, y in zip(row, b)]
-        if any(row):
-            piv = next(i for i, x in enumerate(row) if x)
-            row = [x / row[piv] for x in row]
-            basis.append(row)
-    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return [tuple(b) for b in basis]
-
-
 def is_nilpotent(a: LieAlgebra) -> Nilpotency:
     """Lower central series test: g_1 = g, g_(m+1) = [g, g_m]."""
     n = a.dim
@@ -221,7 +203,8 @@ def is_nilpotent(a: LieAlgebra) -> Nilpotency:
     step = 0
     while current:
         step += 1
-        nxt = _span_basis([a.bracket(x, y) for x in full for y in current])
+        brackets = (a.bracket(x, y) for x in full for y in current)
+        nxt = row_space_basis(RationalMatrix([v for v in brackets if any(v)]))
         if len(nxt) == len(current):
             return Nilpotency(False, None)  # series stabilized above zero
         current = nxt

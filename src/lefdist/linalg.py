@@ -1,9 +1,11 @@
 """Exact rational and integer linear algebra.
 
 Everything here is arbitrary precision: matrices hold ``fractions.Fraction``
-or Python ``int`` entries, stored row-major in immutable tuples.  Determinants
-and ranks go through fraction-free (Bareiss) elimination on integer-scaled
-rows, which keeps intermediate entries at minor-determinant size.
+or Python ``int`` entries, stored row-major in immutable tuples.  One
+fraction-free (Bareiss) Gauss-Jordan elimination on integer-scaled rows
+serves determinants, rank and kernel, inverses and row-space bases; it keeps
+intermediate entries at minor-determinant size.  One Smith loop serves the
+Smith invariants and the column transform that parametrizes A x = 0 mod Z^n.
 
 Serialization: rationals as ``"p/q"`` strings (``"p"`` when q = 1), integers
 as decimal strings, matrices as JSON arrays-of-arrays of such strings.
@@ -26,6 +28,8 @@ __all__ = [
     "rank_kernel",
     "determinant",
     "smith_normal_form",
+    "smith_transform",
+    "row_space_basis",
     "matrix_power",
     "exterior_power",
     "charpoly",
@@ -171,22 +175,23 @@ class IntMatrix(_Matrix):
         return RationalMatrix(self.entries)
 
 
-def _int_rows(m: _Matrix) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; return rows and the product of scalings."""
+def _bareiss_echelon(entries) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+
+    Each row is first scaled to integers.  Each step then updates every other
+    row as (piv*x - f*y) // prev, above the pivot as well as below; the
+    divisions are exact by the Bareiss identity.  At the end pivot row r holds
+    the same entry d (the last pivot) in column pivots[r] and zero in every
+    other pivot column, and the rows past the rank are zero.
+
+    Returns (rows, pivot columns, sign of the row swaps, product of the row
+    scalings).
+    """
     rows, scale = [], 1
-    for row in m.entries:
+    for row in entries:
         mult = lcm(*(e.denominator for e in row)) if row else 1
         scale *= mult
         rows.append([e.numerator * (mult // e.denominator) for e in row])
-    return rows, scale
-
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free row echelon reduction (in place).
-
-    Returns (echelon rows, pivot column indices, sign of row swaps).  All
-    divisions are exact by the Bareiss identity.
-    """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots: list[int] = []
@@ -202,15 +207,16 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int],
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             sign = -sign
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                rows[i][j] = (piv * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
+        prow = rows[r]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and (f or piv != prev):
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
         prev = piv
         pivots.append(c)
         r += 1
-    return rows, pivots, sign
+    return rows, pivots, sign, scale
 
 
 def determinant(m: RationalMatrix | IntMatrix):
@@ -223,8 +229,7 @@ def determinant(m: RationalMatrix | IntMatrix):
     n = m.rows
     if n == 0:
         return 1 if isinstance(m, IntMatrix) else Fraction(1)
-    rows, scale = _int_rows(m)
-    rows, pivots, sign = _bareiss_echelon(rows)
+    rows, pivots, sign, scale = _bareiss_echelon(m.entries)
     det = sign * rows[n - 1][n - 1] if len(pivots) == n else 0
     if isinstance(m, IntMatrix):
         return det
@@ -235,36 +240,41 @@ def rank_kernel(m: RationalMatrix | IntMatrix) -> tuple[int, list[tuple[Fraction
     """Rank and an exact basis of the right kernel.
 
     Kernel vectors are normalized with each free variable set to 1, so
-    rank + len(basis) = cols.  Elimination is fraction-free; only the final
-    back substitution uses rational division.
+    rank + len(basis) = cols.  After the fraction-free Gauss-Jordan reduction
+    every pivot row reads d x_c + sum_f a_f x_f = 0 over the free columns f,
+    so each kernel entry is one ``Fraction(-a_f, d)``.
     """
-    rows, _ = _int_rows(m)
-    rows, pivots, _ = _bareiss_echelon(rows)
-    rank = len(pivots)
-    nc = m.cols
-    free = [c for c in range(nc) if c not in pivots]
+    rows, pivots, _, _ = _bareiss_echelon(m.entries)
+    free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * nc
+        v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
-        for r in range(rank - 1, -1, -1):
-            c = pivots[r]
-            s = sum(Fraction(rows[r][j]) * v[j] for j in range(c + 1, nc))
-            v[c] = -s / rows[r][c]
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
-    return rank, basis
+    return len(pivots), basis
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
-    """Diagonal invariants d1 | d2 | ... | dr of an integer matrix.
+def row_space_basis(m: RationalMatrix | IntMatrix) -> list[tuple[Fraction, ...]]:
+    """Reduced row echelon basis of the row space, ordered by pivot column."""
+    rows, pivots, _, _ = _bareiss_echelon(m.entries)
+    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]
 
-    Only the invariants are computed, no transform matrices.  Zero invariants
-    are dropped, so the chain length equals the rank.
+
+def smith_transform(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """Smith invariants d1 | d2 | ... | dr and a unimodular column transform C.
+
+    D = R . m . C is diagonal with entries +-d_j for some unimodular R (row
+    operations are not tracked), so column j of m . C is divisible by d_j and
+    zero past the rank.  Zero invariants are dropped, so the chain length
+    equals the rank.
     """
     if not isinstance(m, IntMatrix):
         raise PreconditionError("smith_normal_form requires an IntMatrix")
     a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
+    cols = [[int(i == j) for j in range(nc)] for i in range(nc)]
     invariants: list[int] = []
     t = 0
     while t < min(nr, nc):
@@ -278,7 +288,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
             break
         bi, bj = best
         a[t], a[bi] = a[bi], a[t]
-        for row in a:
+        for row in a + cols:
             row[t], row[bj] = row[bj], row[t]
         piv = a[t][t]
         dirty = False
@@ -294,6 +304,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
             if q:
                 for i in range(t, nr):
                     a[i][j] -= q * a[i][t]
+                for row in cols:
+                    row[j] -= q * row[t]
             if a[t][j]:
                 dirty = True
         if dirty:
@@ -312,25 +324,26 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     for d, e in zip(invariants, invariants[1:]):
         if e % d:
             raise AssertionError("SNF divisibility chain broken")
-    return tuple(invariants)
+    return tuple(invariants), IntMatrix(cols)
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """Diagonal invariants d1 | d2 | ... | dr of an integer matrix.
+
+    Zero invariants are dropped, so the chain length equals the rank.
+    """
+    return smith_transform(m)[0]
 
 
 def _inverse(m: _Matrix) -> RationalMatrix:
+    """Reduce [m | I]; the right-hand block over the common pivot d is m^-1."""
     n = m.rows
-    aug = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
-            raise PreconditionError("matrix is singular, cannot invert")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        piv = aug[c][c]
-        aug[c] = [e / piv for e in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[c])]
-    return RationalMatrix([row[n:] for row in aug])
+    rows, pivots, _, _ = _bareiss_echelon(
+        [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.entries)]
+    )
+    if pivots != list(range(n)):
+        raise PreconditionError("matrix is singular, cannot invert")
+    return RationalMatrix([[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)])
 
 
 def matrix_power(m: RationalMatrix | IntMatrix, k: int):

@@ -13,7 +13,9 @@ from lefdist.linalg import (
     rank_kernel,
     rat_from_str,
     rat_to_str,
+    row_space_basis,
     smith_normal_form,
+    smith_transform,
 )
 
 SEED = 20240817
@@ -36,6 +38,21 @@ class TestRankKernel:
         rank, kernel = rank_kernel(RationalMatrix([[1, 2], [2, 4]]))
         assert rank == 1
         assert kernel == [(Fraction(-2), Fraction(1))]
+
+    def test_last_column_pivot_stays_exact(self):
+        # a pivot in the last column has nothing to its right; its entry must still be a Fraction
+        for m, expected in (
+            (RationalMatrix([[0, 1]]), [(1, 0)]),
+            (IntMatrix([[1, 2, 0], [0, 0, 3]]), [(-2, 1, 0)]),
+        ):
+            rank, kernel = rank_kernel(m)
+            assert rank == m.rows and kernel == expected
+            assert all(type(x) is Fraction for v in kernel for x in v)
+
+    def test_row_space_basis_is_reduced(self):
+        m = RationalMatrix([[0, 0, 0], [2, 4, 1], [1, 2, Fraction(1, 3)], [3, 6, 1]])
+        assert row_space_basis(m) == [(1, 2, 0), (0, 0, 1)]
+        assert row_space_basis(RationalMatrix.zeros(2, 3)) == []
 
     def test_rank_nullity_battery(self):
         rng = random.Random(SEED)
@@ -74,6 +91,14 @@ class TestSmithNormalForm:
 
     def test_example(self):
         assert smith_normal_form(IntMatrix([[2, 4], [6, 8]])) == (2, 4)
+
+    def test_column_transform(self):
+        m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        invariants, c = smith_transform(m)
+        assert invariants == (2, 6, 12) == smith_normal_form(m)
+        assert abs(determinant(c)) == 1
+        mc = m @ c
+        assert all(mc[i, j] % d == 0 for j, d in enumerate(invariants) for i in range(3))
 
     def test_zero(self):
         assert smith_normal_form(IntMatrix.zeros(2, 2)) == ()
