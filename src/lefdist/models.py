@@ -20,8 +20,10 @@ from .distributions import (
     IDENTITY,
     AtomicDistribution,
     LatticePoint,
+    Number,
     OrbitTerm,
     RealPoint,
+    _coerce_number,
     make,
 )
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
@@ -45,13 +47,6 @@ __all__ = [
     "selberg_report",
     "corollary_checks",
 ]
-
-Number = Fraction | float
-
-
-def _coerce(x) -> Number:
-    return x if isinstance(x, float) else Fraction(x)
-
 
 # -- mapping tori ------------------------------------------------------------
 
@@ -99,7 +94,7 @@ class ClosedOrbitSpec:
     signs: dict[int, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "length", _coerce(self.length))
+        object.__setattr__(self, "length", _coerce_number(self.length))
         if self.length <= 0:
             raise PreconditionError("orbit length must be positive")
         if (self.return_map is None) == (self.signs is None):
@@ -145,7 +140,7 @@ def flow_distribution(
     Coincident multiples of commensurable orbits merge additively; exact and
     inexact lengths only merge under an explicit tolerance.
     """
-    window = _coerce(window)
+    window = _coerce_number(window)
     if window <= 0:
         raise PreconditionError("window must be positive")
     w = Fraction(window)
@@ -174,7 +169,7 @@ class SuspensionSpec:
     betti: GradedDims | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "vol_g", _coerce(self.vol_g))
+        object.__setattr__(self, "vol_g", _coerce_number(self.vol_g))
         if self.vol_g <= 0:
             raise PreconditionError("vol(G) must be positive")
         if self.betti is not None and self.betti.euler_characteristic != self.chi_x:
@@ -206,7 +201,7 @@ def surface_suspension_traces(genus: int, vol_g: Number = Fraction(1)) -> Surfac
     form.  The alternating sum of the emitted traces is recomputed and checked
     against the direct suspension formula rather than assumed.
     """
-    vol_g = _coerce(vol_g)
+    vol_g = _coerce_number(vol_g)
     if genus < 2:
         raise PreconditionError("genus must be >= 2 (hyperbolic leaf metric required)")
     if vol_g <= 0:
@@ -316,8 +311,8 @@ class ConjugacyClassData:
 
     def __post_init__(self):
         if not isinstance(self.lefschetz, (GradedMap, type(None))):
-            object.__setattr__(self, "lefschetz", _coerce(self.lefschetz))
-        object.__setattr__(self, "vol_centralizer", _coerce(self.vol_centralizer))
+            object.__setattr__(self, "lefschetz", _coerce_number(self.lefschetz))
+        object.__setattr__(self, "vol_centralizer", _coerce_number(self.vol_centralizer))
         if self.vol_centralizer <= 0:
             raise PreconditionError("centralizer volume must be positive")
 
@@ -341,7 +336,7 @@ class HomogeneousSpec:
     group_kind: str = "abstract"
 
     def __post_init__(self):
-        object.__setattr__(self, "vol_quotient", _coerce(self.vol_quotient))
+        object.__setattr__(self, "vol_quotient", _coerce_number(self.vol_quotient))
         object.__setattr__(self, "classes", tuple(self.classes))
         if self.vol_quotient <= 0:
             raise PreconditionError("vol(Gamma\\G) must be positive")
