@@ -64,7 +64,16 @@ def _parse_number(v):
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object")
+    return obj
+
+
+def _graded_from_json(maps) -> GradedMap:
+    if not isinstance(maps, list):
+        raise ValueError("'graded' must be a JSON array of matrices")
+    return GradedMap(tuple(RationalMatrix.from_json_obj(m) for m in maps))
 
 
 def _wrap(model: str, distribution: AtomicDistribution, metadata: dict, **extra) -> dict:
@@ -88,7 +97,7 @@ def _cmd_mapping_torus(args) -> dict:
             source = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"]))
             desc = "toral"
         elif "graded" in obj:
-            source = GradedMap(tuple(RationalMatrix.from_json_obj(m) for m in obj["graded"]))
+            source = _graded_from_json(obj["graded"])
             desc = "graded"
         else:
             raise KeyError("input JSON needs a 'matrix' or 'graded' field")
@@ -208,8 +217,7 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
         t = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"]))
         return ConjugacyClassData(label, GradedMap.from_toral(t, int(label)), vol)
     if "graded" in obj:
-        gm = GradedMap(tuple(RationalMatrix.from_json_obj(m) for m in obj["graded"]))
-        return ConjugacyClassData(label, gm, vol)
+        return ConjugacyClassData(label, _graded_from_json(obj["graded"]), vol)
     raise KeyError(f"class {label!r} needs 'lefschetz', 'matrix' or 'graded'")
 
 

@@ -64,6 +64,13 @@ class TestMappingTorus:
         assert rc == 2
         assert err.startswith("input error:") and "array of arrays" in err
 
+    def test_input_graded_not_array(self, capsys, tmp_path):
+        path = tmp_path / "graded.json"
+        path.write_text(json.dumps({"graded": 5}))
+        rc, _, err = run_cli(capsys, "mapping-torus", "--input", str(path), "--window", "1")
+        assert rc == 2
+        assert err.startswith("input error:") and "'graded'" in err
+
 
 class TestFlow:
     def test_orbit_file(self, capsys, tmp_path):
@@ -97,6 +104,13 @@ class TestFlow:
         assert rc == 0
         atoms = {a["at"]: a["coeff"] for a in json.loads(out)["distribution"]["atoms"]}
         assert atoms == {"-2": "-2", "2": "2"}
+
+    def test_input_top_level_list(self, capsys, tmp_path):
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps([{"length": "1", "signs": {"1": 1, "-1": 1}}]))
+        rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", "1")
+        assert rc == 2
+        assert err.startswith("input error:") and "JSON object" in err
 
 
 class TestSuspension:
@@ -207,6 +221,14 @@ class TestSelberg:
         d1 = json.dumps(json.loads(out1)["distribution"])
         d2 = json.dumps(json.loads(out2)["distribution"])
         assert d1 == d2
+
+    def test_graded_class_not_array(self, capsys, tmp_path):
+        classes = [{"label": "e", "is_identity": True}, {"label": "g", "graded": 5}]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "classes": classes}))
+        rc, _, err = run_cli(capsys, "selberg", "--input", str(path))
+        assert rc == 2
+        assert err.startswith("input error:") and "'graded'" in err
 
 
 class TestGaussBonnet:
