@@ -339,7 +339,7 @@ def _inverse(m: _Matrix) -> RationalMatrix:
     """Reduce [m | I]; the right-hand block over the common pivot d is m^-1."""
     n = m.rows
     rows, pivots, _, _ = _bareiss_echelon(
-        [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.entries)]
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
     )
     if pivots != list(range(n)):
         raise PreconditionError("matrix is singular, cannot invert")

@@ -21,6 +21,7 @@ from lefdist.linalg import (
     determinant,
     matrix_power,
     rank_kernel,
+    row_space_basis,
     smith_normal_form,
     smith_transform,
 )
@@ -67,12 +68,14 @@ def from_sympy(x) -> Fraction:
 class TestAgainstSympy:
     @settings(max_examples=150, deadline=None)
     @given(any_matrices())
-    def test_rank_kernel(self, m):
+    def test_rank_kernel_and_row_space(self, m):
         rank, kernel = rank_kernel(m)
         s = to_sympy(m)
         assert rank == s.rank()
         assert kernel == [tuple(from_sympy(x) for x in v) for v in s.nullspace()]
         assert all(type(x) is Fraction for v in kernel for x in v)
+        rref = s.rref()[0]
+        assert row_space_basis(m) == [tuple(from_sympy(x) for x in rref.row(i)) for i in range(rank)]
 
     @settings(max_examples=150, deadline=None)
     @given(any_matrices(square=True))
