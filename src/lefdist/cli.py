@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .curvature import (
     MetricGrid,
@@ -26,14 +25,15 @@ from .curvature import (
     gaussian_curvature,
     integrate_curvature,
     random_torus_metric,
+    require_resolution,
     sphere_grid,
     sphere_patch_grid,
 )
-from .distributions import AtomicDistribution, num_from_str, num_to_str
+from .distributions import AtomicDistribution, num_to_str, to_number
 from .errors import PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism
-from .lie_cohomology import LieAlgebra, abelian, filiform, heisenberg, sl2
-from .linalg import IntMatrix, RationalMatrix
+from .lie_cohomology import GradedDims, LieAlgebra, abelian, filiform, heisenberg, sl2
+from .linalg import IntMatrix, RationalMatrix, expect, read_int
 from .models import (
     ClosedOrbitSpec,
     ConjugacyClassData,
@@ -46,34 +46,18 @@ from .models import (
     surface_suspension_traces,
     suspension,
 )
-from .verify import battery_seed, run_suite
+from .verify import SUITES, battery_seed, run_suite
 
 SMOOTH_NOTE = "smooth constants are densities relative to the reference volume form, vol(G) = 1"
 
 
-def _parse_number(v):
-    """JSON number or string to an exact Fraction / inexact float."""
-    if isinstance(v, bool):
-        raise ValueError(f"expected a number, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return v
-    return num_from_str(str(v))
-
-
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: the top level must be a JSON object")
-    return obj
+        return expect(json.load(fh), dict, f"{path}: the top level")
 
 
 def _graded_from_json(maps) -> GradedMap:
-    if not isinstance(maps, list):
-        raise ValueError("'graded' must be a JSON array of matrices")
-    return GradedMap(tuple(RationalMatrix.from_json_obj(m) for m in maps))
+    return GradedMap(tuple(RationalMatrix.from_json_obj(m) for m in expect(maps, list, "'graded'")))
 
 
 def _wrap(model: str, distribution: AtomicDistribution, metadata: dict, **extra) -> dict:
@@ -111,19 +95,20 @@ def _cmd_mapping_torus(args) -> dict:
 
 
 def _orbit_from_json(obj: dict) -> ClosedOrbitSpec:
-    length = _parse_number(obj["length"])
+    length = to_number(obj["length"], "orbit 'length'")
     if "return_map" in obj:
         return ClosedOrbitSpec(length, return_map=RationalMatrix.from_json_obj(obj["return_map"]))
     if "signs" in obj:
-        signs = {int(k): int(v) for k, v in obj["signs"].items()}
+        signs = expect(obj["signs"], dict, "orbit 'signs'")
+        signs = {read_int(k, "orbit 'signs' key"): read_int(v, "orbit sign") for k, v in signs.items()}
         return ClosedOrbitSpec(length, signs=signs)
     raise KeyError("orbit needs a 'return_map' or 'signs' field")
 
 
 def _cmd_flow(args) -> dict:
     obj = _load_json(args.input)
-    orbits = [_orbit_from_json(o) for o in obj["orbits"]]
-    window = _parse_number(args.window)
+    orbits = [_orbit_from_json(o) for o in expect(obj["orbits"], list, "'orbits'", each=dict)]
+    window = to_number(args.window, "--window")
     d = flow_distribution(orbits, window, tolerance=args.tolerance)
     meta = {
         "orbits": len(orbits),
@@ -140,14 +125,12 @@ def _cmd_suspension(args) -> dict:
         obj = _load_json(args.input)
         betti = obj.get("betti")
         if betti is not None:
-            from .lie_cohomology import GradedDims
-
-            betti = GradedDims(tuple(int(b) for b in betti))
-        spec = SuspensionSpec(_parse_number(obj["vol_g"]), int(obj["chi_x"]), betti)
+            betti = GradedDims(tuple(read_int(b, "a 'betti' entry") for b in expect(betti, list, "'betti'")))
+        spec = SuspensionSpec(to_number(obj["vol_g"], "'vol_g'"), read_int(obj["chi_x"], "'chi_x'"), betti)
     else:
         if args.chi is None:
             raise ValueError("give --chi (and optionally --vol), or --input")
-        spec = SuspensionSpec(_parse_number(args.vol), args.chi)
+        spec = SuspensionSpec(to_number(args.vol, "--vol"), args.chi)
     d = suspension(spec)
     meta = {
         "vol_g": num_to_str(spec.vol_g),
@@ -159,7 +142,7 @@ def _cmd_suspension(args) -> dict:
 
 
 def _cmd_surface_suspension(args) -> dict:
-    s = surface_suspension_traces(args.genus, _parse_number(args.vol))
+    s = surface_suspension_traces(args.genus, to_number(args.vol, "--vol"))
     meta = {
         "genus": s.genus,
         "beta_lambda": [num_to_str(b) for b in s.betti_lambda],
@@ -208,14 +191,14 @@ def _cmd_nilfoliation(args) -> dict:
 
 def _class_from_json(obj: dict) -> ConjugacyClassData:
     label = str(obj["label"])
-    if obj.get("is_identity"):
+    if expect(obj.get("is_identity", False), bool, "class 'is_identity'"):
         return ConjugacyClassData(label, None, is_identity=True)
-    vol = _parse_number(obj.get("vol_centralizer", 1))
+    vol = to_number(obj.get("vol_centralizer", 1), "class 'vol_centralizer'")
     if "lefschetz" in obj:
-        return ConjugacyClassData(label, _parse_number(obj["lefschetz"]), vol)
+        return ConjugacyClassData(label, to_number(obj["lefschetz"], "class 'lefschetz'"), vol)
     if "matrix" in obj:
         t = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"]))
-        return ConjugacyClassData(label, GradedMap.from_toral(t, int(label)), vol)
+        return ConjugacyClassData(label, GradedMap.from_toral(t, read_int(label, "class 'label'")), vol)
     if "graded" in obj:
         return ConjugacyClassData(label, _graded_from_json(obj["graded"]), vol)
     raise KeyError(f"class {label!r} needs 'lefschetz', 'matrix' or 'graded'")
@@ -224,10 +207,10 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
 def _cmd_selberg(args) -> dict:
     obj = _load_json(args.input)
     spec = HomogeneousSpec(
-        _parse_number(obj["vol_quotient"]),
-        int(obj["chi_x"]),
-        tuple(_class_from_json(c) for c in obj["classes"]),
-        obj.get("group_kind", "abstract"),
+        to_number(obj["vol_quotient"], "'vol_quotient'"),
+        read_int(obj["chi_x"], "'chi_x'"),
+        tuple(_class_from_json(c) for c in expect(obj["classes"], list, "'classes'", each=dict)),
+        expect(obj.get("group_kind", "abstract"), str, "'group_kind'"),
     )
     d = selberg_report(spec)
     meta = {
@@ -258,6 +241,7 @@ def _cmd_gauss_bonnet(args) -> dict:
         import random as _random
 
         rng = _random.Random(battery_seed())
+        require_resolution(args.grid, args.grid)
         grid = _BUILTIN_GRIDS[args.builtin](args.grid, rng)
         source = f"builtin:{args.builtin}"
     k = gaussian_curvature(grid)
@@ -391,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=("all", "linalg", "lefschetz", "cohomology", "models", "curvature"),
+        choices=("all", *SUITES),
     )
     p.set_defaults(handler=_cmd_verify)
 
@@ -406,7 +390,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, ArithmeticError) as exc:  # e.g. 1/0, or too large for a float
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if args.emit_run_info:

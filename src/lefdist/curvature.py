@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import to_number
 from .errors import PreconditionError
+from .linalg import expect, read_int
 
 __all__ = [
     "MetricGrid",
@@ -56,12 +58,14 @@ class MetricGrid:
             raise PreconditionError(
                 f"topology must be one of {TOPOLOGIES} (closed surfaces only), got {self.topology!r}"
             )
-        if self.du <= 0 or self.dv <= 0:
-            raise PreconditionError("grid spacings must be positive")
+        if not (0 < self.du < math.inf and 0 < self.dv < math.inf):
+            raise PreconditionError("grid spacings must be positive and finite")
         for name in ("E", "F", "G"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.nu, self.nv):
                 raise PreconditionError(f"{name} must have shape (nu, nv) = {(self.nu, self.nv)}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite at every node")
             object.__setattr__(self, name, arr)
         if not np.all(self.E > 0) or not np.all(self.E * self.G - self.F**2 > 0):
             raise PreconditionError(
@@ -88,14 +92,12 @@ class MetricGrid:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MetricGrid":
         return cls(
-            int(obj["nu"]),
-            int(obj["nv"]),
-            float(obj["du"]),
-            float(obj["dv"]),
-            np.array(obj["E"], dtype=float),
-            np.array(obj["F"], dtype=float),
-            np.array(obj["G"], dtype=float),
-            str(obj["topology"]),
+            read_int(obj["nu"], "'nu'"),
+            read_int(obj["nv"], "'nv'"),
+            float(to_number(obj["du"], "'du'")),
+            float(to_number(obj["dv"], "'dv'")),
+            *(_node_array(obj[name], f"'{name}'") for name in ("E", "F", "G")),
+            expect(obj["topology"], str, "'topology'"),
         )
 
     def to_csv(self) -> str:
@@ -117,19 +119,32 @@ class MetricGrid:
         if not rows:
             raise ValueError("CSV contains no data rows")
         nu_s, nv_s, du_s, dv_s, topology = rows[0].split(",")
-        nu, nv = int(nu_s), int(nv_s)
-        e = np.empty((nu, nv))
-        f = np.empty((nu, nv))
-        g = np.empty((nu, nv))
+        nu, nv = read_int(nu_s, "CSV 'nu'"), read_int(nv_s, "CSV 'nv'")
+        du, dv = float(to_number(du_s, "CSV 'du'")), float(to_number(dv_s, "CSV 'dv'"))
+        if len(rows) - 1 != nu * nv:
+            raise ValueError(f"CSV has {len(rows) - 1} node rows, not nu*nv = {nu * nv}: rows missing or extra")
+        e, f, g = (np.empty((nu, nv)) for _ in "EFG")
         seen = np.zeros((nu, nv), dtype=bool)
         for ln in rows[1:]:
             i_s, j_s, ev, fv, gv = ln.split(",")
-            i, j = int(i_s), int(j_s)
+            i, j = read_int(i_s, "CSV node 'i'"), read_int(j_s, "CSV node 'j'")
+            if not (0 <= i < nu and 0 <= j < nv) or seen[i, j]:
+                raise ValueError(f"CSV node ({i},{j}) is outside {nu}x{nv} or repeated")
             e[i, j], f[i, j], g[i, j] = float(ev), float(fv), float(gv)
             seen[i, j] = True
-        if not seen.all():
-            raise ValueError("CSV is missing node rows")
-        return cls(nu, nv, float(du_s), float(dv_s), e, f, g, topology)
+        return cls(nu, nv, du, dv, e, f, g, topology)
+
+
+def _node_array(value, what: str) -> np.ndarray:
+    try:
+        return np.array(expect(value, list, what), dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must be an array of arrays of numbers") from None
+
+
+def require_resolution(nu: int, nv: int) -> None:
+    if nu < 8 or nv < 8:
+        raise PreconditionError("grid must satisfy nu, nv >= 8 for meaningful second differences")
 
 
 def _d_periodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -163,8 +178,7 @@ def gaussian_curvature(m: MetricGrid) -> np.ndarray:
     enter.  Second-order accurate everywhere, including the one-sided rows of
     a revolution grid.
     """
-    if m.nu < 8 or m.nv < 8:
-        raise PreconditionError("grid must satisfy nu, nv >= 8 for meaningful second differences")
+    require_resolution(m.nu, m.nv)
     periodic_u = m.topology == "torus"
     E, F, G = m.E, m.F, m.G
     Eu = _d_u(E, m.du, periodic_u)

@@ -13,12 +13,13 @@ atom.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import PreconditionError
-from .linalg import rat_from_str, rat_to_str
+from .linalg import expect, rat_from_str, rat_to_str, read_int
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -36,7 +37,7 @@ __all__ = [
     "real",
     "conj",
     "num_to_str",
-    "num_from_str",
+    "to_number",
 ]
 
 DEFAULT_TOLERANCE = 1e-9
@@ -44,10 +45,20 @@ DEFAULT_TOLERANCE = 1e-9
 Number = Fraction | float
 
 
-def _coerce_number(x) -> Number:
-    if isinstance(x, float):
+def to_number(x, what: str = "a number") -> Number:
+    """The one number reader: int, Fraction, float, "p/q" or "~<decimal>" to an exact
+    Fraction or a finite float; bool, NaN, +-inf and the rest raise ValueError naming ``what``."""
+    if isinstance(x, str):
+        s = x.strip()
+        try:
+            x = float(s[1:]) if s.startswith("~") else rat_from_str(s)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{what} must be 'p/q' or '~<decimal>', got {x!r:.40}") from None
+    if isinstance(x, Fraction) or isinstance(x, float) and math.isfinite(x):
         return x
-    return Fraction(x)
+    if type(x) is int:
+        return Fraction(x)
+    raise ValueError(f"{what} must be a finite number, got {x!r:.40}")
 
 
 def _is_exact(x) -> bool:
@@ -58,13 +69,6 @@ def num_to_str(x: Number) -> str:
     if isinstance(x, float):
         return f"~{x!r}"
     return rat_to_str(x)
-
-
-def num_from_str(s: str) -> Number:
-    s = s.strip()
-    if s.startswith("~"):
-        return float(s[1:])
-    return rat_from_str(s)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class RealPoint:
     x: Number
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _coerce_number(self.x))
+        object.__setattr__(self, "x", to_number(self.x))
 
     @property
     def exact(self) -> bool:
@@ -158,8 +162,8 @@ class OrbitTerm:
     note: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "lefschetz", _coerce_number(self.lefschetz))
-        object.__setattr__(self, "vol_centralizer", _coerce_number(self.vol_centralizer))
+        object.__setattr__(self, "lefschetz", to_number(self.lefschetz))
+        object.__setattr__(self, "vol_centralizer", to_number(self.vol_centralizer))
 
     @property
     def coefficient(self) -> Number:
@@ -179,12 +183,12 @@ class OrbitTerm:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "OrbitTerm":
-        f = obj["coeff_factors"]
+        f = expect(obj["coeff_factors"], dict, "'coeff_factors'")
         return cls(
-            obj["class"],
-            num_from_str(f["lefschetz"]),
-            num_from_str(f["vol_centralizer"]),
-            obj.get("note", ""),
+            expect(obj["class"], str, "orbit term 'class'"),
+            to_number(f["lefschetz"], "'lefschetz'"),
+            to_number(f["vol_centralizer"], "'vol_centralizer'"),
+            expect(obj.get("note", ""), str, "orbit term 'note'"),
         )
 
 
@@ -227,7 +231,7 @@ class AtomicDistribution:
         )
 
     def scale(self, c) -> "AtomicDistribution":
-        c = _coerce_number(c)
+        c = to_number(c)
         if self.orbit_terms:
             raise PreconditionError("cannot scale a distribution with symbolic orbit terms")
         sc = None if self.smooth_const is None else c * self.smooth_const
@@ -281,26 +285,26 @@ class AtomicDistribution:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AtomicDistribution":
-        group = obj.get("group", "abstract")
+        group = expect(obj.get("group", "abstract"), str, "'group'")
         atoms = []
-        for a in obj.get("atoms", []):
-            atoms.append((_parse_point(a["at"], group), num_from_str(a["coeff"])))
+        for a in expect(obj.get("atoms", []), list, "'atoms'", each=dict):
+            atoms.append((_parse_point(a["at"], group), to_number(a["coeff"], "atom 'coeff'")))
         smooth = obj.get("smooth_const")
-        terms = tuple(OrbitTerm.from_json_obj(t) for t in obj.get("orbit_terms", []))
+        terms = tuple(map(OrbitTerm.from_json_obj, expect(obj.get("orbit_terms", []), list, "'orbit_terms'", each=dict)))
         return make(
             atoms,
-            None if smooth is None else num_from_str(smooth),
+            None if smooth is None else to_number(smooth, "'smooth_const'"),
             terms,
             group=group,
         )
 
 
-def _parse_point(s: str, group: str) -> GroupPoint:
+def _parse_point(s, group: str) -> GroupPoint:
     if group == "Z":
-        return LatticePoint(int(s))
+        return LatticePoint(read_int(s, "atom 'at'"))
     if group == "R":
-        return RealPoint(num_from_str(s))
-    return ConjClass(s)
+        return RealPoint(to_number(s, "atom 'at'"))
+    return ConjClass(expect(s, str, "atom 'at'"))
 
 
 def _add_opt(a: Number | None, b: Number | None) -> Number | None:
@@ -333,7 +337,7 @@ def make(
         if not isinstance(p, (LatticePoint, RealPoint, ConjClass)):
             raise PreconditionError(f"atom location {p!r} is not a group point")
         variants.add(type(p))
-        norm.append((p, _coerce_number(c)))
+        norm.append((p, to_number(c)))
     if len(variants) > 1:
         names = sorted(v.__name__ for v in variants)
         raise PreconditionError(f"cannot mix group-point variants in one distribution: {names}")
@@ -362,7 +366,7 @@ def make(
     merged.sort(key=lambda pc: _sort_key(pc[0]))
 
     if smooth_const is not None:
-        smooth_const = _coerce_number(smooth_const)
+        smooth_const = to_number(smooth_const)
         if smooth_const == 0:
             smooth_const = None
 

@@ -22,9 +22,10 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InvalidLieAlgebraError, PreconditionError
-from .linalg import RationalMatrix, rank_kernel, rat_from_str, rat_to_str, row_space_basis
+from .linalg import RationalMatrix, expect, rank_kernel, rat_from_str, rat_to_str, read_int, row_space_basis
 
 __all__ = [
+    "MAX_ALGEBRA_DIM",
     "LieAlgebra",
     "GradedDims",
     "Violation",
@@ -40,6 +41,10 @@ __all__ = [
     "direct_sum",
     "nilpotent_battery",
 ]
+
+
+# dim**3 structure constants, 2**dim CE basis forms: 12 is the size the exact Betti numbers aim for.
+MAX_ALGEBRA_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,8 @@ class LieAlgebra:
     __slots__ = ("dim", "_c")
 
     def __init__(self, dim: int, brackets=None, check: bool = True):
-        if dim < 0:
-            raise PreconditionError("dimension must be nonnegative")
+        if not 0 <= dim <= MAX_ALGEBRA_DIM:
+            raise PreconditionError(f"dimension {dim} must lie in 0..MAX_ALGEBRA_DIM = {MAX_ALGEBRA_DIM}")
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         seen = set()
         for (i, j), out in (brackets or {}).items():
@@ -162,10 +167,11 @@ class LieAlgebra:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LieAlgebra":
         brackets = {}
-        for b in obj.get("brackets", []):
-            key = (int(b["i"]), int(b["j"]))
-            brackets[key] = {int(o["k"]): rat_from_str(str(o["c"])) for o in b["out"]}
-        return cls(int(obj["dim"]), brackets)
+        for b in expect(obj.get("brackets", []), list, "'brackets'", each=dict):
+            out = brackets[read_int(b["i"], "bracket 'i'"), read_int(b["j"], "bracket 'j'")] = {}
+            for o in expect(b["out"], list, "bracket 'out'", each=dict):
+                out[read_int(o["k"], "bracket output 'k'")] = rat_from_str(str(o["c"]))
+        return cls(read_int(obj["dim"], "'dim'"), brackets)
 
 
 def validate(a: LieAlgebra) -> Violation | None:

@@ -24,6 +24,8 @@ __all__ = [
     "RationalMatrix",
     "IntMatrix",
     "rat_from_str",
+    "read_int",
+    "expect",
     "rat_to_str",
     "rank_kernel",
     "determinant",
@@ -47,6 +49,23 @@ def rat_to_str(x: Fraction | int) -> str:
 
 def rat_from_str(s: str) -> Fraction:
     return Fraction(s.strip())
+
+
+def read_int(x, what: str) -> int:
+    """A JSON integer or an integer string; bool, null, 2.5 and "x" raise ValueError."""
+    if type(x) is int or isinstance(x, str) and x.strip().lstrip("+-").isdecimal():
+        return int(x)
+    raise ValueError(f"{what} must be an integer, got {x!r:.40}")
+
+
+def expect(value, kind: type, what: str, each: type | None = None):
+    """``value`` if it is a ``kind`` (list, dict, str or bool) whose elements are all ``each``
+    when that is given; otherwise a ValueError naming ``what``."""
+    if not isinstance(value, kind) or each and not all(isinstance(v, each) for v in value):
+        names = {list: "array", dict: "object", str: "string", bool: "boolean"}
+        shape = names[kind] + (f" of {names[each]}s" if each else "")
+        raise ValueError(f"{what} must be a JSON {shape}, got {value!r:.40}")
+    return value
 
 
 class _Matrix:
@@ -149,9 +168,7 @@ class _Matrix:
 
     @classmethod
     def from_json_obj(cls, obj):
-        if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-            raise ValueError("a matrix must be a JSON array of arrays")
-        return cls([[rat_from_str(str(e)) for e in row] for row in obj])
+        return cls([[rat_from_str(str(e)) for e in row] for row in expect(obj, list, "a matrix", each=list)])
 
 
 class RationalMatrix(_Matrix):

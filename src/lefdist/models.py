@@ -23,8 +23,8 @@ from .distributions import (
     Number,
     OrbitTerm,
     RealPoint,
-    _coerce_number,
     make,
+    to_number,
 )
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism, lefschetz_number_graded, toral_lefschetz
@@ -94,7 +94,7 @@ class ClosedOrbitSpec:
     signs: dict[int, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "length", _coerce_number(self.length))
+        object.__setattr__(self, "length", to_number(self.length))
         if self.length <= 0:
             raise PreconditionError("orbit length must be positive")
         if (self.return_map is None) == (self.signs is None):
@@ -140,7 +140,7 @@ def flow_distribution(
     Coincident multiples of commensurable orbits merge additively; exact and
     inexact lengths only merge under an explicit tolerance.
     """
-    window = _coerce_number(window)
+    window = to_number(window)
     if window <= 0:
         raise PreconditionError("window must be positive")
     w = Fraction(window)
@@ -169,7 +169,7 @@ class SuspensionSpec:
     betti: GradedDims | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "vol_g", _coerce_number(self.vol_g))
+        object.__setattr__(self, "vol_g", to_number(self.vol_g))
         if self.vol_g <= 0:
             raise PreconditionError("vol(G) must be positive")
         if self.betti is not None and self.betti.euler_characteristic != self.chi_x:
@@ -201,7 +201,7 @@ def surface_suspension_traces(genus: int, vol_g: Number = Fraction(1)) -> Surfac
     form.  The alternating sum of the emitted traces is recomputed and checked
     against the direct suspension formula rather than assumed.
     """
-    vol_g = _coerce_number(vol_g)
+    vol_g = to_number(vol_g)
     if genus < 2:
         raise PreconditionError("genus must be >= 2 (hyperbolic leaf metric required)")
     if vol_g <= 0:
@@ -311,8 +311,8 @@ class ConjugacyClassData:
 
     def __post_init__(self):
         if not isinstance(self.lefschetz, (GradedMap, type(None))):
-            object.__setattr__(self, "lefschetz", _coerce_number(self.lefschetz))
-        object.__setattr__(self, "vol_centralizer", _coerce_number(self.vol_centralizer))
+            object.__setattr__(self, "lefschetz", to_number(self.lefschetz))
+        object.__setattr__(self, "vol_centralizer", to_number(self.vol_centralizer))
         if self.vol_centralizer <= 0:
             raise PreconditionError("centralizer volume must be positive")
 
@@ -336,7 +336,7 @@ class HomogeneousSpec:
     group_kind: str = "abstract"
 
     def __post_init__(self):
-        object.__setattr__(self, "vol_quotient", _coerce_number(self.vol_quotient))
+        object.__setattr__(self, "vol_quotient", to_number(self.vol_quotient))
         object.__setattr__(self, "classes", tuple(self.classes))
         if self.vol_quotient <= 0:
             raise PreconditionError("vol(Gamma\\G) must be positive")
@@ -344,6 +344,9 @@ class HomogeneousSpec:
             raise PreconditionError("group_kind must be 'abstract' or 'R'")
         if sum(1 for c in self.classes if c.is_identity) != 1:
             raise PreconditionError("exactly one conjugacy class must be the identity")
+        labels = [c.label for c in self.classes]
+        if len(set(labels)) != len(labels):
+            raise PreconditionError(f"class labels must be distinct, got {labels}")
 
 
 def selberg_report(h: HomogeneousSpec) -> AtomicDistribution:

@@ -367,8 +367,8 @@ def run_suite(name: str, seed: int | None = None) -> list[Check]:
     """Run one named suite, or all of them in a fixed order."""
     if name == "all":
         out = []
-        for key in ("linalg", "lefschetz", "cohomology", "models", "curvature"):
-            out.extend(run_suite(key, seed))
+        for suite in SUITES.values():
+            out.extend(suite(seed))
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")

@@ -1,15 +1,26 @@
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lefdist.cli import main
 from lefdist.curvature import flat_torus_grid, sphere_grid
+from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
 
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def assert_input_error(rc, err, field):
+    assert rc == 2
+    assert err.startswith("input error:") and field in err and "Traceback" not in err
 
 
 class TestMappingTorus:
@@ -105,6 +116,29 @@ class TestFlow:
         atoms = {a["at"]: a["coeff"] for a in json.loads(out)["distribution"]["atoms"]}
         assert atoms == {"-2": "-2", "2": "2"}
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"orbits": 5}, "'orbits'"),
+            ({"orbits": [5]}, "'orbits'"),
+            ({"orbits": [{"length": "1", "signs": 5}]}, "'signs'"),
+            ({"orbits": [{"length": "1", "signs": {"1": True, "-1": 1}}]}, "sign"),
+            ({"orbits": [{"length": "~inf", "signs": {"1": 1, "-1": 1}}]}, "'length'"),
+        ],
+    )
+    def test_malformed_orbits(self, capsys, tmp_path, obj, field):
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps(obj))
+        rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", "1")
+        assert_input_error(rc, err, field)
+
+    @pytest.mark.parametrize("window", ["~inf", "~nan", "1/0", "x"])
+    def test_bad_window(self, capsys, tmp_path, window):
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": [{"length": "1", "signs": {"1": 1, "-1": 1}}]}))
+        rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", window)
+        assert_input_error(rc, err, "--window")
+
     def test_input_top_level_list(self, capsys, tmp_path):
         path = tmp_path / "orbits.json"
         path.write_text(json.dumps([{"length": "1", "signs": {"1": 1, "-1": 1}}]))
@@ -128,6 +162,27 @@ class TestSuspension:
         assert rc == 0
         assert json.loads(out)["distribution"]["atoms"] == [{"at": "e", "coeff": "4"}]
 
+    def test_non_finite_vol(self, capsys):
+        rc, _, err = run_cli(capsys, "suspension", "--chi", "2", "--vol", "~nan")
+        assert_input_error(rc, err, "--vol")
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"vol_g": "~nan", "chi_x": 2}, "'vol_g'"),
+            ({"vol_g": True, "chi_x": 2}, "'vol_g'"),
+            ({"vol_g": "1", "chi_x": 2.5}, "'chi_x'"),
+            ({"vol_g": "1", "chi_x": None}, "'chi_x'"),
+            ({"vol_g": "1", "chi_x": 2, "betti": 5}, "'betti'"),
+            ({"vol_g": "1", "chi_x": 2, "betti": [1, "x", 1]}, "'betti'"),
+        ],
+    )
+    def test_malformed_input(self, capsys, tmp_path, obj, field):
+        path = tmp_path / "susp.json"
+        path.write_text(json.dumps(obj))
+        rc, _, err = run_cli(capsys, "suspension", "--input", str(path))
+        assert_input_error(rc, err, field)
+
     def test_missing_chi(self, capsys):
         rc, _, err = run_cli(capsys, "suspension")
         assert rc == 2
@@ -142,6 +197,11 @@ class TestSurfaceSuspension:
         assert obj["traces"]["1"]["smooth_const"] == "2"
         assert obj["distribution"]["atoms"] == [{"at": "e", "coeff": "-2"}]
         assert obj["metadata"]["beta_lambda"] == ["0", "2", "0"]
+
+    @pytest.mark.parametrize("vol", ["~inf", "~-inf", "~nan"])
+    def test_non_finite_vol(self, capsys, vol):
+        rc, _, err = run_cli(capsys, "surface-suspension", "--genus", "2", "--vol", vol)
+        assert_input_error(rc, err, "--vol")
 
     def test_genus1_rejected(self, capsys):
         rc, _, err = run_cli(capsys, "surface-suspension", "--genus", "1")
@@ -178,6 +238,20 @@ class TestNilfoliation:
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", "no/such/file.json")
         assert rc == 2
+
+    @pytest.mark.parametrize("brackets", [5, [5]])
+    def test_malformed_brackets(self, capsys, tmp_path, brackets):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": brackets}))
+        rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", str(path))
+        assert_input_error(rc, err, "'brackets'")
+
+    def test_dimension_cap(self, capsys, tmp_path):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": MAX_ALGEBRA_DIM + 1, "brackets": []}))
+        rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", str(path))
+        assert rc == 1
+        assert err.startswith("error:") and "MAX_ALGEBRA_DIM" in err
 
 
 class TestSelberg:
@@ -222,6 +296,34 @@ class TestSelberg:
         d2 = json.dumps(json.loads(out2)["distribution"])
         assert d1 == d2
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"vol_quotient": "1", "chi_x": 0, "classes": 5}, "'classes'"),
+            ({"vol_quotient": "1", "chi_x": 0, "classes": ["e"]}, "'classes'"),
+            ({"vol_quotient": "~inf", "chi_x": 0, "classes": []}, "'vol_quotient'"),
+            ({"vol_quotient": "1", "chi_x": "2.5", "classes": []}, "'chi_x'"),
+            ({"vol_quotient": "1", "chi_x": 0, "classes": [{"label": "e", "is_identity": "no"}]}, "'is_identity'"),
+        ],
+    )
+    def test_malformed_input(self, capsys, tmp_path, obj, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(obj))
+        rc, _, err = run_cli(capsys, "selberg", "--input", str(path))
+        assert_input_error(rc, err, field)
+
+    def test_duplicate_labels_rejected(self, capsys, tmp_path):
+        classes = [
+            {"label": "e", "is_identity": True},
+            {"label": "g", "lefschetz": "1"},
+            {"label": "g", "lefschetz": "2"},
+        ]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "classes": classes}))
+        rc, _, err = run_cli(capsys, "selberg", "--input", str(path))
+        assert rc == 1
+        assert err.startswith("error:") and "distinct" in err
+
     def test_graded_class_not_array(self, capsys, tmp_path):
         classes = [{"label": "e", "is_identity": True}, {"label": "g", "graded": 5}]
         path = tmp_path / "spec.json"
@@ -261,6 +363,31 @@ class TestGaussBonnet:
         rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
         assert rc == 1
         assert "topology" in err
+
+
+    @pytest.mark.parametrize("field, value", [("nu", None), ("du", float("inf"))])
+    def test_malformed_json(self, capsys, tmp_path, field, value):
+        obj = flat_torus_grid(16).to_json_obj()
+        obj[field] = value
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(obj))  # writes the bare token Infinity, as json.load accepts
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
+        assert_input_error(rc, err, f"'{field}'")
+
+    @pytest.mark.parametrize("node", ["16,15,", "15,14,"])
+    def test_csv_node_outside_or_repeated(self, capsys, tmp_path, node):
+        lines = flat_torus_grid(16).to_csv().splitlines()
+        lines[-1] = lines[-1].replace("15,15,", node, 1)
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
+        assert_input_error(rc, err, "CSV node")
+
+    @pytest.mark.parametrize("n", ["0", "7"])
+    def test_builtin_grid_too_small(self, capsys, n):
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--builtin", "sphere", "--grid", n)
+        assert rc == 1
+        assert err.startswith("error:") and "nu, nv >= 8" in err
 
 
 class TestVerify:
@@ -310,3 +437,81 @@ class TestPlumbing:
         assert "run_info" not in json.loads(out)
         rc, out, _ = run_cli(capsys, "suspension", "--chi", "0", "--emit-run-info")
         assert "run_info" in json.loads(out)
+
+
+# -- loader fuzzing ------------------------------------------------------------
+
+TORUS = [["2", "1"], ["1", "1"]]
+GRADED = [[["1"]], TORUS, [["1"]]]
+
+# subcommand -> (a valid input file, the flag that names it, the other arguments)
+VALID_INPUTS = {
+    "mapping-torus": ({"matrix": TORUS}, "--input", ["--window", "2"]),
+    "flow": (
+        {"orbits": [{"length": "1", "return_map": [["2", "0"], ["0", "1/2"]]},
+                    {"length": "~1.5", "signs": {"1": 1, "-1": -1}}]},
+        "--input",
+        ["--window", "2"],
+    ),
+    "suspension": ({"vol_g": "3/2", "chi_x": 2, "betti": [1, 0, 1]}, "--input", []),
+    "nilfoliation": (
+        {"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": "1"}]}]},
+        "--algebra",
+        [],
+    ),
+    "selberg": (
+        {"vol_quotient": "1", "chi_x": 0, "group_kind": "R",
+         "classes": [{"label": "0", "is_identity": True},
+                     {"label": "1", "matrix": TORUS, "vol_centralizer": "1/2"},
+                     {"label": "-1", "lefschetz": "-1"},
+                     {"label": "2", "graded": GRADED}]},
+        "--input",
+        [],
+    ),
+    "gauss-bonnet": (flat_torus_grid(8).to_json_obj(), "--input", []),
+}
+
+# Small values only: a huge class label or a tiny flow length would make
+# unbounded work, which no cap bounds yet.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, 2, 0.5, -2.5]),
+    st.sampled_from(["", "x", "-3", "1/2", "1/0", "~1.5", "~nan", "~inf"]),
+)
+JSON_VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=2),
+    st.dictionaries(st.sampled_from(["a", "1", "length"]), SCALARS, max_size=2),
+)
+
+
+def _kind(v):
+    """The JSON kind: null, boolean, number, string, array or object."""
+    return "number" if type(v) in (int, float) else type(v)
+
+
+def _paths(obj, prefix=()):
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield prefix + (key,), child
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("command", sorted(VALID_INPUTS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loader_fuzz_exits_0_1_or_2(command, tmp_path, data):
+    valid, flag, rest = VALID_INPUTS[command]
+    path, old = data.draw(st.sampled_from(list(_paths(valid))))
+    new = data.draw(JSON_VALUES.filter(lambda v: _kind(v) is not _kind(old)))
+    obj = copy.deepcopy(valid)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(obj))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = main([command, flag, str(file), *rest])
+    assert rc in (0, 1, 2)

@@ -129,6 +129,39 @@ class TestSerialization:
         assert np.array_equal(back.G, m.G)
         assert (back.nu, back.nv, back.du, back.dv) == (m.nu, m.nv, m.du, m.dv)
 
+    @pytest.mark.parametrize("field, value", [("nu", None), ("nv", 2.5), ("du", math.inf),
+                                              ("dv", "~nan"), ("E", 5), ("F", [[{}]]), ("topology", 1)])
+    def test_json_malformed_names_the_field(self, field, value):
+        obj = flat_torus_grid(8).to_json_obj()
+        obj[field] = value
+        with pytest.raises(ValueError, match=f"'{field}'") as exc:
+            MetricGrid.from_json_obj(obj)
+        assert not isinstance(exc.value, PreconditionError)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None])
+    def test_json_non_finite_node_rejected(self, value):
+        obj = flat_torus_grid(8).to_json_obj()
+        obj["G"][3][4] = value
+        with pytest.raises(ValueError, match="G must be finite"):
+            MetricGrid.from_json_obj(obj)
+
+    def test_non_finite_spacing_rejected(self):
+        m = flat_torus_grid(8)
+        with pytest.raises(ValueError, match="finite"):
+            MetricGrid(8, 8, math.nan, m.dv, m.E, m.F, m.G, "torus")
+
+    @pytest.mark.parametrize("old, new", [("7,7,", "8,7,"), ("7,7,", "-1,7,"), ("7,7,", "7,6,")])
+    def test_csv_node_outside_grid_or_repeated(self, old, new):
+        lines = flat_torus_grid(8).to_csv().splitlines()
+        lines[-1] = lines[-1].replace(old, new, 1)
+        with pytest.raises(ValueError, match="outside 8x8 or repeated"):
+            MetricGrid.from_csv("\n".join(lines))
+
+    def test_csv_extra_row(self):
+        text = flat_torus_grid(8).to_csv()
+        with pytest.raises(ValueError, match="rows missing or extra"):
+            MetricGrid.from_csv(text + text.splitlines()[-1])
+
     def test_csv_missing_rows(self):
         m = flat_torus_grid(8)
         text = "\n".join(m.to_csv().splitlines()[:-2])

@@ -13,9 +13,11 @@ from lefdist.distributions import (
     add,
     conj,
     lattice,
+    RealPoint,
     make,
     real,
     scale,
+    to_number,
 )
 from lefdist.errors import PreconditionError
 
@@ -79,6 +81,39 @@ class TestMake:
         )
         again = make(d.atoms, d.smooth_const, d.orbit_terms, group=d.group)
         assert again == d
+
+
+    def test_nan_points_rejected_by_name(self):
+        with pytest.raises(ValueError, match="nan") as exc:
+            make([(RealPoint(float("nan")), 1), (RealPoint(float("nan")), 2)])
+        assert not isinstance(exc.value, PreconditionError)
+
+
+class TestToNumber:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (3, Fraction(3)),
+            (Fraction(1, 3), Fraction(1, 3)),
+            (1.5, 1.5),
+            ("-2/4", Fraction(-1, 2)),
+            (" 7 ", Fraction(7)),
+            ("~1.25", 1.25),
+        ],
+    )
+    def test_accepts(self, value, expected):
+        x = to_number(value)
+        assert x == expected and type(x) is type(expected)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, None, [1], {"a": 1}, float("nan"), float("inf"), -math.inf,
+         "~nan", "~inf", "~-inf", "1e999x", "x", "", "1/0", "~", "nan", "inf"],
+    )
+    def test_rejects_with_plain_value_error(self, value):
+        with pytest.raises(ValueError, match="'vol'") as exc:
+            to_number(value, "'vol'")
+        assert not isinstance(exc.value, PreconditionError)
 
 
 class TestPair:
@@ -184,3 +219,22 @@ class TestSerialization:
         d = make([(real(1.5), 2.5)])
         obj = d.to_json_obj()
         assert obj["atoms"] == [{"at": "~1.5", "coeff": "~2.5"}]
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"group": "Z", "atoms": 5}, "'atoms'"),
+            ({"group": "Z", "atoms": [5]}, "'atoms'"),
+            ({"group": "Z", "atoms": [{"at": "x", "coeff": "1"}]}, "'at'"),
+            ({"group": "Z", "atoms": [{"at": True, "coeff": "1"}]}, "'at'"),
+            ({"group": "R", "atoms": [{"at": "1", "coeff": "~nan"}]}, "'coeff'"),
+            ({"group": "abstract", "smooth_const": "~inf"}, "'smooth_const'"),
+            ({"group": "abstract", "orbit_terms": [5]}, "'orbit_terms'"),
+            ({"orbit_terms": [{"class": "g", "coeff_factors": 5}]}, "'coeff_factors'"),
+            ({"orbit_terms": [{"class": 1, "coeff_factors": {"lefschetz": "1", "vol_centralizer": "1"}}]}, "'class'"),
+        ],
+    )
+    def test_malformed_input_names_the_field(self, obj, field):
+        with pytest.raises(ValueError, match=field) as exc:
+            AtomicDistribution.from_json_obj(obj)
+        assert not isinstance(exc.value, PreconditionError)

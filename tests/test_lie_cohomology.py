@@ -4,6 +4,7 @@ import pytest
 
 from lefdist.errors import InvalidLieAlgebraError, PreconditionError
 from lefdist.lie_cohomology import (
+    MAX_ALGEBRA_DIM,
     GradedDims,
     LieAlgebra,
     abelian,
@@ -184,6 +185,36 @@ class TestSerialization:
             {"dim": 3, "brackets": [{"i": 2, "j": 1, "out": [{"k": 3, "c": "-1"}]}]}
         )
         assert a == heisenberg()
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"dim": 3, "brackets": 5}, "'brackets'"),
+            ({"dim": 3, "brackets": [5]}, "'brackets'"),
+            ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": 5}]}, "'out'"),
+            ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [[3, "1"]]}]}, "'out'"),
+            ({"dim": 3, "brackets": [{"i": True, "j": 2, "out": []}]}, "'i'"),
+            ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [{"k": 2.5, "c": "1"}]}]}, "'k'"),
+            ({"dim": None}, "'dim'"),
+            ({"dim": "3x"}, "'dim'"),
+        ],
+    )
+    def test_malformed_input_names_the_field(self, obj, field):
+        with pytest.raises(ValueError, match=field) as exc:
+            LieAlgebra.from_json_obj(obj)
+        assert not isinstance(exc.value, PreconditionError)
+
+
+class TestDimensionCap:
+    def test_cap_reaches_the_target_scale(self):
+        assert MAX_ALGEBRA_DIM >= 12
+        assert LieAlgebra(MAX_ALGEBRA_DIM).dim == MAX_ALGEBRA_DIM
+
+    def test_one_past_the_cap_is_rejected_by_name(self):
+        with pytest.raises(PreconditionError, match="MAX_ALGEBRA_DIM"):
+            LieAlgebra(MAX_ALGEBRA_DIM + 1)
+        with pytest.raises(PreconditionError, match="MAX_ALGEBRA_DIM"):
+            LieAlgebra.from_json_obj({"dim": MAX_ALGEBRA_DIM + 1, "brackets": []})
 
 
 class TestDirectSum:

@@ -13,6 +13,7 @@ from lefdist.linalg import (
     rank_kernel,
     rat_from_str,
     rat_to_str,
+    read_int,
     row_space_basis,
     smith_normal_form,
     smith_transform,
@@ -184,6 +185,20 @@ class TestSerialization:
         assert rat_to_str(Fraction(4, 2)) == "2"
         assert rat_from_str("-1/2") == Fraction(-1, 2)
         assert rat_from_str("7") == 7
+
+    @pytest.mark.parametrize("value, expected", [(7, 7), (-3, -3), ("12", 12), (" -4 ", -4), ("+2", 2)])
+    def test_read_int_accepts(self, value, expected):
+        assert read_int(value, "'n'") == expected
+
+    @pytest.mark.parametrize("value", [True, False, None, 2.5, 2.0, "x", "2.5", "", "1/1", [1], {"n": 1}])
+    def test_read_int_rejects(self, value):
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            read_int(value, "'n'")
+
+    @pytest.mark.parametrize("obj", [5, [5], [[1], 5], {"a": [1]}, None, "[[1]]"])
+    def test_matrix_loader_rejects_shape(self, obj):
+        with pytest.raises(ValueError, match="array of arrays"):
+            RationalMatrix.from_json_obj(obj)
 
     def test_matrix_roundtrip(self):
         m = RationalMatrix([[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])

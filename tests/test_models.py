@@ -283,6 +283,15 @@ class TestSelberg:
                 ),
             )
 
+    def test_duplicate_labels_rejected(self):
+        classes = (
+            ConjugacyClassData("e", None, is_identity=True),
+            ConjugacyClassData("g", 1),
+            ConjugacyClassData("g", 2),
+        )
+        with pytest.raises(PreconditionError, match="distinct"):
+            HomogeneousSpec(1, 0, classes)
+
     def test_graded_map_lefschetz_agrees_with_toral(self):
         c = ConjugacyClassData("3", GradedMap.from_toral(CAT, 3))
         assert c.lefschetz_value() == toral_lefschetz(CAT, 3)
