@@ -51,9 +51,18 @@ from .verify import SUITES, battery_seed, run_suite
 SMOOTH_NOTE = "smooth constants are densities relative to the reference volume form, vol(G) = 1"
 
 
+def _parse_json(text: str, what: str):
+    """``json.loads``; a document nested past the interpreter's recursion limit is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return expect(json.load(fh), dict, f"{path}: the top level")
+        text = fh.read()
+    return expect(_parse_json(text, path), dict, f"{path}: the top level")
 
 
 def _graded_from_json(maps) -> GradedMap:
@@ -73,7 +82,7 @@ def _wrap(model: str, distribution: AtomicDistribution, metadata: dict, **extra)
 
 def _cmd_mapping_torus(args) -> dict:
     if args.matrix is not None:
-        source = ToralAutomorphism(IntMatrix.from_json_obj(json.loads(args.matrix)))
+        source = ToralAutomorphism(IntMatrix.from_json_obj(_parse_json(args.matrix, "--matrix")))
         desc = "toral"
     else:
         obj = _load_json(args.input)
@@ -156,9 +165,9 @@ def _cmd_surface_suspension(args) -> dict:
 
 
 _CATALOG = {
-    "heisenberg": lambda arg: heisenberg(int(arg) if arg else 1),
-    "abelian": lambda arg: abelian(int(arg)),
-    "filiform": lambda arg: filiform(int(arg)),
+    "heisenberg": lambda arg: heisenberg(read_int(arg or "1", "the m of heisenberg:m")),
+    "abelian": lambda arg: abelian(read_int(arg, "the n of abelian:n")),
+    "filiform": lambda arg: filiform(read_int(arg, "the n of filiform:n")),
     "sl2": lambda arg: sl2(),
 }
 

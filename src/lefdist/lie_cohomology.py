@@ -5,24 +5,41 @@ c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k.  Basis vectors are
 numbered 1..dim on the public surface (constructor brackets, violation
 reports, JSON), matching the usual mathematical notation; storage is 0-based.
 
+The constants are stored once, as a sparse integer table: for each ordered
+pair (i, j) the nonzero outputs k with their integer numerators over one
+common denominator L, the lcm of the denominators of the constants.  The form
+is canonical, so equal algebras have equal tables.  The Jacobi check and the
+CE differential work in plain ints over the nonzero entries only.
+
 The differential on the dual exterior algebra is the standard one,
 
     (dw)(x_0, ..., x_i) =
         sum_{j<k} (-1)^(j+k) w([x_j, x_k], x_0, ..., ^x_j, ..., ^x_k, ...),
 
-realized as an exact rational matrix in the basis of lexicographically
-ordered index subsets.
+realized as an exact matrix in the basis of lexicographically ordered index
+subsets: integer rows scaled by L, whose rank gives the Betti numbers, and
+the same rows over L as a rational matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import InvalidLieAlgebraError, PreconditionError
-from .linalg import RationalMatrix, expect, rank_kernel, rat_from_str, rat_to_str, read_int, row_space_basis
+from .linalg import (
+    IntMatrix,
+    RationalMatrix,
+    expect,
+    rank_kernel,
+    rat_from_str,
+    rat_to_str,
+    read_int,
+    row_space_basis,
+)
 
 __all__ = [
     "MAX_ALGEBRA_DIM",
@@ -43,8 +60,14 @@ __all__ = [
 ]
 
 
-# dim**3 structure constants, 2**dim CE basis forms: 12 is the size the exact Betti numbers aim for.
+# The constant table is sparse, but the CE complex has 2**dim basis forms (at 12 the
+# largest differential is 924 x 792): 12 is the size the exact Betti numbers aim for.
 MAX_ALGEBRA_DIM = 12
+
+
+def _require_dim(dim: int) -> None:
+    if not 0 <= dim <= MAX_ALGEBRA_DIM:
+        raise PreconditionError(f"dimension {dim} must lie in 0..MAX_ALGEBRA_DIM = {MAX_ALGEBRA_DIM}")
 
 
 @dataclass(frozen=True)
@@ -91,28 +114,31 @@ class LieAlgebra:
     to build deliberately broken inputs for :func:`validate`).
     """
 
-    __slots__ = ("dim", "_c")
+    # _table[i][j]: ((k, numerator), ...) with k ascending and every numerator
+    # nonzero, so c[i][j][k] = numerator / _den (0-based indices)
+    __slots__ = ("dim", "_table", "_den")
 
     def __init__(self, dim: int, brackets=None, check: bool = True):
-        if not 0 <= dim <= MAX_ALGEBRA_DIM:
-            raise PreconditionError(f"dimension {dim} must lie in 0..MAX_ALGEBRA_DIM = {MAX_ALGEBRA_DIM}")
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        seen = set()
+        _require_dim(dim)
+        c: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), out in (brackets or {}).items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise PreconditionError(f"bracket index ({i},{j}) out of range 1..{dim}")
-            seen.add((i - 1, j - 1))
+            row = c.setdefault((i - 1, j - 1), {})
             for k, coeff in out.items():
                 if not 1 <= k <= dim:
                     raise PreconditionError(f"bracket output index {k} out of range 1..{dim}")
-                c[i - 1][j - 1][k - 1] = Fraction(coeff)
-        for i in range(dim):
-            for j in range(dim):
-                if (i, j) in seen and (j, i) not in seen:
-                    for k in range(dim):
-                        c[j][i][k] = -c[i][j][k]
+                row[k - 1] = Fraction(coeff)
+        for (i, j), row in list(c.items()):
+            if (j, i) not in c:
+                c[j, i] = {k: -v for k, v in row.items()}
+        den = lcm(*(v.denominator for row in c.values() for v in row.values()))
+        table = [[()] * dim for _ in range(dim)]
+        for (i, j), row in c.items():
+            table[i][j] = tuple((k, v.numerator * (den // v.denominator)) for k, v in sorted(row.items()) if v)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_c", tuple(tuple(tuple(row) for row in plane) for plane in c))
+        object.__setattr__(self, "_table", tuple(map(tuple, table)))
+        object.__setattr__(self, "_den", den)
         if check:
             v = validate(self)
             if v is not None:
@@ -123,7 +149,7 @@ class LieAlgebra:
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         """c[i][j][k] with 1-based indices."""
-        return self._c[i - 1][j - 1][k - 1]
+        return Fraction(dict(self._table[i - 1][j - 1]).get(k - 1, 0), self._den)
 
     def bracket(self, u, v) -> tuple[Fraction, ...]:
         """Bracket of two coordinate vectors (0-based tuples)."""
@@ -136,16 +162,17 @@ class LieAlgebra:
                 if not v[j]:
                     continue
                 uv = u[i] * v[j]
-                for k in range(n):
-                    if self._c[i][j][k]:
-                        out[k] += uv * self._c[i][j][k]
-        return tuple(out)
+                for k, num in self._table[i][j]:
+                    out[k] += uv * num
+        if self._den == 1:
+            return tuple(out)
+        return tuple(x / self._den if x else x for x in out)
 
     def __eq__(self, other):
-        return isinstance(other, LieAlgebra) and self._c == other._c and self.dim == other.dim
+        return isinstance(other, LieAlgebra) and self._table == other._table and self._den == other._den
 
     def __hash__(self):
-        return hash((self.dim, self._c))
+        return hash((self._den, self._table))
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
@@ -155,11 +182,7 @@ class LieAlgebra:
         brackets = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                out = [
-                    {"k": k + 1, "c": rat_to_str(self._c[i][j][k])}
-                    for k in range(self.dim)
-                    if self._c[i][j][k]
-                ]
+                out = [{"k": k + 1, "c": rat_to_str(Fraction(num, self._den))} for k, num in self._table[i][j]]
                 if out:
                     brackets.append({"i": i + 1, "j": j + 1, "out": out})
         return {"dim": self.dim, "brackets": brackets}
@@ -175,21 +198,29 @@ class LieAlgebra:
 
 
 def validate(a: LieAlgebra) -> Violation | None:
-    """Check antisymmetry then Jacobi; return the first violation, or None."""
-    n = a.dim
-    c = a._c
+    """Check antisymmetry then Jacobi; return the first violation, or None.
+
+    Antisymmetry is scanned over (i, j >= i, k), then Jacobi over
+    (i < j < k, output l); the first failure in that order is reported.  The
+    Jacobi sums run over the nonzero numerators, so they are L^2 times the
+    rational sums.
+    """
+    n, t = a.dim, a._table
     for i in range(n):
         for j in range(i, n):
-            for k in range(n):
-                if c[i][j][k] != -c[j][i][k]:
-                    return Violation("antisymmetry", (i + 1, j + 1, k + 1))
+            if t[i][j] != tuple((k, -num) for k, num in t[j][i]):
+                mine, mirror = dict(t[i][j]), dict(t[j][i])
+                k = min(k for k in mine.keys() | mirror.keys() if mine.get(k, 0) != -mirror.get(k, 0))
+                return Violation("antisymmetry", (i + 1, j + 1, k + 1))
     for i, j, k in itertools.combinations(range(n), 3):
-        for l in range(n):
-            s = Fraction(0)
-            for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                s += sum(c[y][z][m] * c[x][m][l] for m in range(n))
-            if s != 0:
-                return Violation("jacobi", (i + 1, j + 1, k + 1, l + 1))
+        s: dict[int, int] = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c_yz in t[y][z]:
+                for l, c_xm in t[x][m]:
+                    s[l] = s.get(l, 0) + c_yz * c_xm
+        bad = [l for l, total in s.items() if total]
+        if bad:
+            return Violation("jacobi", (i + 1, j + 1, k + 1, min(bad) + 1))
     return None
 
 
@@ -217,9 +248,31 @@ def is_nilpotent(a: LieAlgebra) -> Nilpotency:
     return Nilpotency(True, step)
 
 
-def _subset_index(n: int, degree: int):
-    subsets = list(itertools.combinations(range(n), degree))
-    return subsets, {s: i for i, s in enumerate(subsets)}
+def _ce_rows(a: LieAlgebra, i: int) -> list[list[int]]:
+    """L times the matrix of d: Lambda^i -> Lambda^(i+1), as integer rows.
+
+    Row T (an (i+1)-subset) collects, for each pair of positions pj < pk and
+    each nonzero [e_T[pj], e_T[pk]] output m outside the rest of T, the sign
+    (-1)^(pj+pk) times the sign of inserting m into that rest.
+    """
+    n, t = a.dim, a._table
+    cols = {s: c for c, s in enumerate(itertools.combinations(range(n), i))}
+    pairs = list(itertools.combinations(range(i + 1), 2))
+    out = []
+    for T in itertools.combinations(range(n), i + 1):
+        row = [0] * len(cols)
+        for pj, pk in pairs:
+            brk = t[T[pj]][T[pk]]
+            if not brk:
+                continue
+            rest = T[:pj] + T[pj + 1 : pk] + T[pk + 1 :]
+            for m, num in brk:
+                p = bisect_left(rest, m)
+                if p < len(rest) and rest[p] == m:
+                    continue
+                row[cols[rest[:p] + (m,) + rest[p:]]] += num if (pj + pk + p) % 2 == 0 else -num
+        out.append(row)
+    return out
 
 
 def ce_differential(a: LieAlgebra, i: int) -> RationalMatrix:
@@ -230,35 +283,21 @@ def ce_differential(a: LieAlgebra, i: int) -> RationalMatrix:
     n = a.dim
     if not 0 <= i <= n:
         raise PreconditionError(f"degree {i} out of range 0..{n}")
-    cols, col_of = _subset_index(n, i)
-    rows, row_of = _subset_index(n, i + 1)
-    m = [[Fraction(0)] * len(cols) for _ in rows]
-    for r, T in enumerate(rows):
-        for pj, pk in itertools.combinations(range(i + 1), 2):
-            rest = tuple(t for p, t in enumerate(T) if p not in (pj, pk))
-            rest_set = set(rest)
-            pair_sign = (-1) ** (pj + pk)
-            for mm in range(n):
-                coeff = a._c[T[pj]][T[pk]][mm]
-                if not coeff or mm in rest_set:
-                    continue
-                S = tuple(sorted((mm,) + rest))
-                if S not in col_of:
-                    continue
-                insert_sign = (-1) ** sum(1 for x in rest if x < mm)
-                m[r][col_of[S]] += pair_sign * insert_sign * coeff
-    return RationalMatrix(m)
+    return RationalMatrix([[Fraction(x, a._den) for x in row] for row in _ce_rows(a, i)])
 
 
 def cohomology_dims(a: LieAlgebra) -> GradedDims:
-    """Betti numbers b^i = dim ker d_i - rank d_(i-1) of the CE complex."""
+    """Betti numbers b^i = dim ker d_i - rank d_(i-1) of the CE complex.
+
+    The ranks are those of the integer rows, which are L times d_i.
+    """
     v = validate(a)
     if v is not None:
         raise InvalidLieAlgebraError(v)
     n = a.dim
     if n == 0:
         return GradedDims((1,))
-    ranks = [rank_kernel(ce_differential(a, i))[0] for i in range(n + 1)]
+    ranks = [rank_kernel(IntMatrix(_ce_rows(a, i)))[0] for i in range(n + 1)]
     dims = []
     for i in range(n + 1):
         below = ranks[i - 1] if i > 0 else 0
@@ -276,6 +315,7 @@ def abelian(n: int) -> LieAlgebra:
 def heisenberg(m: int = 1) -> LieAlgebra:
     """Heisenberg algebra of dimension 2m+1: [e_(2i-1), e_(2i)] = e_(2m+1)."""
     dim = 2 * m + 1
+    _require_dim(dim)
     return LieAlgebra(dim, {(2 * i - 1, 2 * i): {dim: 1} for i in range(1, m + 1)})
 
 
@@ -283,6 +323,7 @@ def filiform(n: int) -> LieAlgebra:
     """Standard filiform algebra L_n: [e_1, e_j] = e_(j+1), j = 2..n-1."""
     if n < 3:
         raise PreconditionError("filiform algebra needs dimension >= 3")
+    _require_dim(n)
     return LieAlgebra(n, {(1, j): {j + 1: 1} for j in range(2, n)})
 
 
@@ -292,21 +333,15 @@ def sl2() -> LieAlgebra:
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    n, m = a.dim, b.dim
     brackets = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = {k: a.structure_constant(i, j, k) for k in range(1, n + 1)
-                   if a.structure_constant(i, j, k)}
-            if out:
-                brackets[(i, j)] = out
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            out = {n + k: b.structure_constant(i, j, k) for k in range(1, m + 1)
-                   if b.structure_constant(i, j, k)}
-            if out:
-                brackets[(n + i, n + j)] = out
-    return LieAlgebra(n + m, brackets)
+    for shift, x in ((0, a), (a.dim, b)):
+        for i in range(x.dim):
+            for j in range(i + 1, x.dim):
+                if x._table[i][j]:
+                    brackets[shift + i + 1, shift + j + 1] = {
+                        shift + k + 1: Fraction(num, x._den) for k, num in x._table[i][j]
+                    }
+    return LieAlgebra(a.dim + b.dim, brackets)
 
 
 def nilpotent_battery() -> list[tuple[str, LieAlgebra]]:

@@ -23,6 +23,7 @@ __all__ = [
     "Rational",
     "RationalMatrix",
     "IntMatrix",
+    "MAX_DECIMAL_EXPONENT",
     "rat_from_str",
     "read_int",
     "expect",
@@ -47,8 +48,21 @@ def rat_to_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Fraction("1e999999999") would build 10**999999999; no float is above 1e309.
+MAX_DECIMAL_EXPONENT = 1000
+
+
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """``Fraction(s)``, with a decimal exponent of more than MAX_DECIMAL_EXPONENT
+    rejected as a ValueError before the power of ten is built."""
+    s = s.strip()
+    _, e, exp = s.lower().rpartition("e")
+    digits = exp.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (
+        len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+    ):
+        raise ValueError(f"the exponent of {s!r:.40} exceeds MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}")
+    return Fraction(s)
 
 
 def read_int(x, what: str) -> int:
@@ -182,6 +196,8 @@ class IntMatrix(_Matrix):
 
     @staticmethod
     def _coerce(x):
+        if type(x) is int:  # ahead of isinstance(x, Fraction), which is slow on an int
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise PreconditionError("IntMatrix entries must be integers")

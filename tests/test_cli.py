@@ -62,6 +62,14 @@ class TestMappingTorus:
         rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", "[[2,1],[1,")
         assert rc == 2
 
+    def test_deeply_nested_inline_json(self, capsys):
+        rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", "[" * 50_000 + "]" * 50_000)
+        assert_input_error(rc, err, "--matrix is nested too deeply")
+
+    def test_exponent_past_the_cap(self, capsys):
+        rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", '[["1e1001", "1"], ["1", "1"]]')
+        assert_input_error(rc, err, "MAX_DECIMAL_EXPONENT")
+
     @pytest.mark.parametrize("matrix", ["5", "[5]"])
     def test_matrix_not_array_of_arrays(self, capsys, matrix):
         rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", matrix, "--window", "1")
@@ -253,6 +261,20 @@ class TestNilfoliation:
         assert rc == 1
         assert err.startswith("error:") and "MAX_ALGEBRA_DIM" in err
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [("filiform:x", "filiform:n"), ("abelian:", "abelian:n"), ("heisenberg:2.5", "heisenberg:m")],
+    )
+    def test_catalog_argument_not_an_integer(self, capsys, spec, field):
+        rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", spec)
+        assert_input_error(rc, err, field)
+
+    @pytest.mark.parametrize("spec", ["filiform:100000", "heisenberg:100000"])
+    def test_catalog_dimension_cap(self, capsys, spec):
+        rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", spec)
+        assert rc == 1
+        assert err.startswith("error:") and "MAX_ALGEBRA_DIM" in err
+
 
 class TestSelberg:
     def test_abstract_classes(self, capsys, tmp_path):
@@ -437,6 +459,19 @@ class TestPlumbing:
         assert "run_info" not in json.loads(out)
         rc, out, _ = run_cli(capsys, "suspension", "--chi", "0", "--emit-run-info")
         assert "run_info" in json.loads(out)
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["nilfoliation", "--algebra"], '{"dim": 3, "brackets": %s}'),
+            (["flow", "--window", "1", "--input"], '{"orbits": %s}'),
+        ],
+    )
+    def test_deeply_nested_file(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text % ("[" * 50_000 + "]" * 50_000))
+        rc, _, err = run_cli(capsys, *argv, str(path))
+        assert_input_error(rc, err, "nested too deeply")
 
 
 # -- loader fuzzing ------------------------------------------------------------

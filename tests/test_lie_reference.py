@@ -1,0 +1,204 @@
+"""The sparse integer constant table against the dense Fraction loops it replaced.
+
+``dense_cube``, ``dense_validate`` and ``dense_ce_differential`` are copies of
+the constructor, the validator and the CE differential that stored every
+constant c[i][j][k] as a ``Fraction`` in a dim^3 cube.  They are kept here as
+the reference: the table must give the same constants, the same first
+``Violation`` (kind and indices) and the same differential matrices.  The
+Betti numbers are also checked against ``verify.ce_dims_reversed_basis``
+after rational changes of basis, which make the constants non-integer.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lefdist.lie_cohomology import (
+    LieAlgebra,
+    Violation,
+    ce_differential,
+    cohomology_dims,
+    direct_sum,
+    filiform,
+    heisenberg,
+    nilpotent_battery,
+    sl2,
+    validate,
+)
+from lefdist.linalg import RationalMatrix, matrix_power
+from lefdist.verify import ce_dims_reversed_basis
+
+BASES = nilpotent_battery() + [("sl2", sl2()), ("heis3+fil4", direct_sum(heisenberg(1), filiform(4)))]
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+# -- the dense reference ------------------------------------------------------
+
+
+def dense_cube(dim, brackets):
+    """c[i][j][k] as the dense constructor stored it (0-based, mirror pairs filled)."""
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = set()
+    for (i, j), out in brackets.items():
+        seen.add((i - 1, j - 1))
+        for k, coeff in out.items():
+            c[i - 1][j - 1][k - 1] = Fraction(coeff)
+    for i in range(dim):
+        for j in range(dim):
+            if (i, j) in seen and (j, i) not in seen:
+                for k in range(dim):
+                    c[j][i][k] = -c[i][j][k]
+    return c
+
+
+def dense_validate(c):
+    n = len(c)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                if c[i][j][k] != -c[j][i][k]:
+                    return Violation("antisymmetry", (i + 1, j + 1, k + 1))
+    for i, j, k in itertools.combinations(range(n), 3):
+        for l in range(n):
+            s = Fraction(0)
+            for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                s += sum(c[y][z][m] * c[x][m][l] for m in range(n))
+            if s != 0:
+                return Violation("jacobi", (i + 1, j + 1, k + 1, l + 1))
+    return None
+
+
+def dense_ce_differential(c, i):
+    n = len(c)
+    cols = list(itertools.combinations(range(n), i))
+    col_of = {s: idx for idx, s in enumerate(cols)}
+    rows = list(itertools.combinations(range(n), i + 1))
+    m = [[Fraction(0)] * len(cols) for _ in rows]
+    for r, T in enumerate(rows):
+        for pj, pk in itertools.combinations(range(i + 1), 2):
+            rest = tuple(t for p, t in enumerate(T) if p not in (pj, pk))
+            rest_set = set(rest)
+            pair_sign = (-1) ** (pj + pk)
+            for mm in range(n):
+                coeff = c[T[pj]][T[pk]][mm]
+                if not coeff or mm in rest_set:
+                    continue
+                S = tuple(sorted((mm,) + rest))
+                if S not in col_of:
+                    continue
+                insert_sign = (-1) ** sum(1 for x in rest if x < mm)
+                m[r][col_of[S]] += pair_sign * insert_sign * coeff
+    return RationalMatrix(m)
+
+
+# -- inputs -------------------------------------------------------------------
+
+
+def brackets_of(a):
+    """The i < j brackets of an algebra, as the constructor takes them."""
+    return {
+        (b["i"], b["j"]): {o["k"]: Fraction(o["c"]) for o in b["out"]}
+        for b in a.to_json_obj()["brackets"]
+    }
+
+
+def change_basis(dim, brackets, p):
+    """Brackets in the basis f_b = sum_a p[a][b] e_a, by dense arithmetic."""
+    c = dense_cube(dim, brackets)
+    q = matrix_power(RationalMatrix(p), -1).entries
+    out = {}
+    for a, b in itertools.combinations(range(dim), 2):
+        # [f_a, f_b] in e-coordinates, then in f-coordinates
+        e = [
+            sum(p[i][a] * p[j][b] * c[i][j][k] for i in range(dim) for j in range(dim))
+            for k in range(dim)
+        ]
+        f = {d + 1: sum(q[d][k] * e[k] for k in range(dim)) for d in range(dim)}
+        f = {d: v for d, v in f.items() if v}
+        if f:
+            out[a + 1, b + 1] = f
+    return out
+
+
+def random_basis(rng, dim):
+    """A rational upper-triangular matrix with nonzero diagonal times a lower one."""
+    vals = [Fraction(x, y) for x in range(-3, 4) for y in (1, 2, 3, 5)]
+    upper = [[rng.choice(vals) if i < j else Fraction(0) for j in range(dim)] for i in range(dim)]
+    lower = [[rng.choice(vals) if i > j else Fraction(0) for j in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        upper[i][i] = rng.choice([v for v in vals if v])
+        lower[i][i] = Fraction(1)
+    return (RationalMatrix(upper) @ RationalMatrix(lower)).entries
+
+
+@st.composite
+def algebras(draw, perturb=True):
+    """(dim, brackets) of a battery algebra, sl2 or heis3 + fil4, possibly after a
+    rational change of basis and a rational rescaling, then with up to four
+    constants overwritten (any ordered pair, diagonal included)."""
+    _, a = draw(st.sampled_from(BASES))
+    dim, brackets = a.dim, brackets_of(a)
+    if dim <= 6 and draw(st.booleans()):
+        brackets = change_basis(dim, brackets, random_basis(random.Random(draw(st.integers(0, 10**6))), dim))
+    scale = draw(RATIONALS.filter(bool))
+    brackets = {ij: {k: scale * v for k, v in out.items()} for ij, out in brackets.items()}
+    if perturb and dim:
+        index = st.integers(1, dim)
+        for _ in range(draw(st.integers(0, 4))):
+            i, j, k = draw(index), draw(index), draw(index)
+            brackets.setdefault((i, j), {})[k] = draw(RATIONALS)
+    return dim, brackets
+
+
+# -- properties -----------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebras(), st.data())
+def test_validate_matches_dense_loops(case, data):
+    dim, brackets = case
+    a = LieAlgebra(dim, brackets, check=False)
+    c = dense_cube(dim, brackets)
+    rng = range(1, dim + 1)
+    assert all(a.structure_constant(i, j, k) == c[i - 1][j - 1][k - 1] for i in rng for j in rng for k in rng)
+    u, v = (data.draw(st.lists(RATIONALS, min_size=dim, max_size=dim)) for _ in range(2))
+    dense = [sum(u[i] * v[j] * c[i][j][k] for i in range(dim) for j in range(dim)) for k in range(dim)]
+    assert a.bracket(u, v) == tuple(dense)
+    assert validate(a) == dense_validate(c)
+
+
+def test_validate_reports_each_kind_of_violation():
+    # one fixed case of each kind, whatever examples the property above draws
+    cases = {
+        "antisymmetry": (4, {(1, 2): {3: 1}, (2, 1): {3: -1, 4: Fraction(1, 2)}}),
+        "diagonal": (3, {(2, 2): {3: Fraction(2, 3)}}),
+        "jacobi": (4, {(1, 2): {3: Fraction(1, 2)}, (1, 3): {1: 1}, (2, 4): {4: 3}}),
+    }
+    for dim, brackets in cases.values():
+        v = validate(LieAlgebra(dim, brackets, check=False))
+        assert v is not None and v == dense_validate(dense_cube(dim, brackets))
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras(perturb=False))
+def test_ce_differential_matches_dense_reference(case):
+    dim, brackets = case
+    a = LieAlgebra(dim, brackets)
+    c = dense_cube(dim, brackets)
+    for i in range(dim + 1):
+        assert ce_differential(a, i) == dense_ce_differential(c, i), i
+
+
+def test_betti_numbers_survive_rational_changes_of_basis():
+    rng = random.Random(20070)
+    for name, a in BASES:
+        if a.dim == 0:
+            continue
+        b = LieAlgebra(a.dim, change_basis(a.dim, brackets_of(a), random_basis(rng, a.dim)))
+        if brackets_of(a):  # the change of basis made some constant non-integer
+            assert any(c.denominator > 1 for out in brackets_of(b).values() for c in out.values()), name
+        assert cohomology_dims(b) == cohomology_dims(a), name
+        assert cohomology_dims(b).dims == ce_dims_reversed_basis(b), name

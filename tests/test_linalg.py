@@ -5,6 +5,7 @@ import pytest
 
 from lefdist.errors import PreconditionError
 from lefdist.linalg import (
+    MAX_DECIMAL_EXPONENT,
     IntMatrix,
     RationalMatrix,
     determinant,
@@ -185,6 +186,20 @@ class TestSerialization:
         assert rat_to_str(Fraction(4, 2)) == "2"
         assert rat_from_str("-1/2") == Fraction(-1, 2)
         assert rat_from_str("7") == 7
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("1e3", 1000), ("2.5e-1", Fraction(1, 4)), ("-4E+2", -400), (f"1e{MAX_DECIMAL_EXPONENT}", 10**MAX_DECIMAL_EXPONENT)],
+    )
+    def test_exponent_strings_parse_exactly(self, text, expected):
+        assert rat_from_str(text) == expected
+
+    @pytest.mark.parametrize("exp", [f"{MAX_DECIMAL_EXPONENT + 1}", f"-{MAX_DECIMAL_EXPONENT + 1}", f"+000{MAX_DECIMAL_EXPONENT + 1}"])
+    def test_exponent_past_the_cap_is_rejected_before_the_power_is_built(self, exp):
+        with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
+            rat_from_str(f"1e{exp}")
+        with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
+            RationalMatrix.from_json_obj([[f"2.5E{exp}"]])
 
     @pytest.mark.parametrize("value, expected", [(7, 7), (-3, -3), ("12", 12), (" -4 ", -4), ("+2", 2)])
     def test_read_int_accepts(self, value, expected):
