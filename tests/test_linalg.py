@@ -189,13 +189,19 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text, expected",
-        [("1e3", 1000), ("2.5e-1", Fraction(1, 4)), ("-4E+2", -400), (f"1e{MAX_DECIMAL_EXPONENT}", 10**MAX_DECIMAL_EXPONENT)],
+        [
+            ("1e3", 1000),
+            ("2.5e-1", Fraction(1, 4)),
+            ("-4E+2", -400),
+            (f"1e{MAX_DECIMAL_EXPONENT}", 10**MAX_DECIMAL_EXPONENT),
+        ],
     )
     def test_exponent_strings_parse_exactly(self, text, expected):
         assert rat_from_str(text) == expected
 
-    @pytest.mark.parametrize("exp", [f"{MAX_DECIMAL_EXPONENT + 1}", f"-{MAX_DECIMAL_EXPONENT + 1}", f"+000{MAX_DECIMAL_EXPONENT + 1}"])
-    def test_exponent_past_the_cap_is_rejected_before_the_power_is_built(self, exp):
+    @pytest.mark.parametrize("sign", ["", "-", "+000"])
+    def test_exponent_past_the_cap_is_rejected(self, sign):
+        exp = f"{sign}{MAX_DECIMAL_EXPONENT + 1}"
         with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
             rat_from_str(f"1e{exp}")
         with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
