@@ -2,14 +2,16 @@
 
 The files under ``tests/golden/`` hold the `mapping-torus` JSON for one
 hyperbolic automorphism in each dimension n = 2..6, the fixed-point reports
-of three (A, k) with 10^2..10^3 points, `nilfoliation` on two catalog
-algebras (filiform6 and heisenberg:4, dim 9), on a dense rational change of
+of three (A, k) with 10^2..10^3 points, `nilfoliation` on three catalog
+algebras (filiform6, heisenberg:4, dim 9, and filiform:11), on heisenberg:5 +
+abelian:1 read from JSON (dim 12), on a dense rational change of
 basis of heis3 + filiform4 (dim 7) and on a rational change of basis of
 heis3 + filiform5 (dim 8) whose constants have denominators up to 8588343,
 `mapping-torus --input` with a rational graded map (negative powers invert),
 and the default `verify --suite all` report.  The toral files were written
 before the toral kernels became integer-native, the heisenberg:4 and dim-8
 files before the structure constants became a sparse integer table, the
+filiform:11 and dim-12 files before the CE ranks were taken per weight block, the
 others before the exact elimination kernels were merged; any byte that
 changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
@@ -65,6 +67,10 @@ FIXED_POINTS = {
 CLI = {
     "nilfoliation_filiform6": ["nilfoliation", "--algebra", "filiform:6"],
     "nilfoliation_heisenberg4": ["nilfoliation", "--algebra", "heisenberg:4"],
+    "nilfoliation_filiform11": ["nilfoliation", "--algebra", "filiform:11"],
+    "nilfoliation_heisenberg5_abelian1": [
+        "nilfoliation", "--algebra", str(INPUTS / "heisenberg5_abelian1_dim12.json")
+    ],
     "nilfoliation_rational_dim8": [
         "nilfoliation", "--algebra", str(INPUTS / "rational_algebra_dim8.json")
     ],
