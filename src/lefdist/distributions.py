@@ -52,7 +52,9 @@ def to_number(x, what: str = "a number") -> Number:
         s = x.strip()
         try:
             x = float(s[1:]) if s.startswith("~") else rat_from_str(s)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError) as exc:
+            if "MAX_DECIMAL_EXPONENT" in str(exc):  # well formed, but past the cap: say so
+                raise ValueError(f"{what}: {exc}") from None
             raise ValueError(f"{what} must be 'p/q' or '~<decimal>', got {x!r:.40}") from None
     if isinstance(x, Fraction) or isinstance(x, float) and math.isfinite(x):
         return x

@@ -17,8 +17,8 @@ The differential on the dual exterior algebra is the standard one,
         sum_{j<k} (-1)^(j+k) w([x_j, x_k], x_0, ..., ^x_j, ..., ^x_k, ...),
 
 realized as an exact matrix in the basis of lexicographically ordered index
-subsets: integer rows scaled by L, whose rank gives the Betti numbers, and
-the same rows over L as a rational matrix.
+subsets: integer rows scaled by L, ranked one weight block at a time for the
+Betti numbers, and the same rows over L as a rational matrix.
 """
 
 from __future__ import annotations
@@ -27,18 +27,19 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import InvalidLieAlgebraError, PreconditionError
 from .linalg import (
     IntMatrix,
     RationalMatrix,
+    _bareiss_echelon,
     expect,
+    rank,
     rank_kernel,
     rat_from_str,
     rat_to_str,
     read_int,
-    row_space_basis,
 )
 
 __all__ = [
@@ -231,36 +232,78 @@ class Nilpotency:
 
 
 def is_nilpotent(a: LieAlgebra) -> Nilpotency:
-    """Lower central series test: g_1 = g, g_(m+1) = [g, g_m]."""
-    n = a.dim
+    """Lower central series test: g_1 = g, g_(m+1) = [g, g_m].
+
+    Each g_m is spanned by integer rows (L times coordinate vectors): the
+    brackets [e_i, v] over the rows v of g_(m-1) are summed from the table,
+    and the nonzero rows of their forward-only Bareiss echelon, divided by
+    their content, span the next term.
+    """
+    n, t = a.dim, a._table
     if n == 0:
         return Nilpotency(True, 0)
-    full = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    current = full
+    current = [[int(i == j) for j in range(n)] for i in range(n)]
     step = 0
     while current:
         step += 1
-        brackets = (a.bracket(x, y) for x in full for y in current)
-        nxt = row_space_basis(RationalMatrix([v for v in brackets if any(v)]))
+        brackets = []
+        for ti in t:
+            for v in current:
+                out = [0] * n
+                for tij, vj in zip(ti, v):
+                    if vj:
+                        for k, num in tij:
+                            out[k] += vj * num
+                if any(out):
+                    brackets.append(out)
+        rows, pivots, _, _ = _bareiss_echelon(brackets, reduce_above=False)
+        nxt = [[x // g for x in row] for row in rows[: len(pivots)] for g in [gcd(*row)]]
         if len(nxt) == len(current):
             return Nilpotency(False, None)  # series stabilized above zero
         current = nxt
     return Nilpotency(True, step)
 
 
-def _ce_rows(a: LieAlgebra, i: int) -> list[list[int]]:
-    """L times the matrix of d: Lambda^i -> Lambda^(i+1), as integer rows.
+def _weight_basis(a: LieAlgebra) -> list[tuple[int, ...]]:
+    """A basis of the weights w in Q^dim with w_i + w_j = w_k for every nonzero
+    c_ij^k, each vector scaled to integers.
 
-    Row T (an (i+1)-subset) collects, for each pair of positions pj < pk and
-    each nonzero [e_T[pj], e_T[pk]] output m outside the rest of T, the sign
-    (-1)^(pj+pk) times the sign of inserting m into that rest.
+    Every algebra has w = 0; filiform:n has two independent weights,
+    heisenberg:m has m + 1, sl2 has (0, t, -t) and a dense change of basis
+    usually leaves only 0.
     """
     n, t = a.dim, a._table
-    cols = {s: c for c, s in enumerate(itertools.combinations(range(n), i))}
+    equations = {
+        tuple((x == i) + (x == j) - (x == k) for x in range(n))
+        for i, j in itertools.combinations(range(n), 2)
+        for k, _ in t[i][j]
+    }
+    if not equations:
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    basis = []
+    for v in rank_kernel(IntMatrix(sorted(equations)))[1]:
+        d = lcm(*(x.denominator for x in v))
+        basis.append(tuple(x.numerator * (d // x.denominator) for x in v))
+    return basis
+
+
+def _ce_rows(a: LieAlgebra, i: int, rows=None, cols=None) -> list[list[int]]:
+    """L times the matrix of d: Lambda^i -> Lambda^(i+1), as integer rows.
+
+    The rows are the (i+1)-subsets ``rows`` and the columns the i-subsets
+    ``cols``, by default all of them in lexicographic order; a block must hold
+    every column its rows reach.  Row T collects, for each pair of positions
+    pj < pk and each nonzero [e_T[pj], e_T[pk]] output m outside the rest of
+    T, the sign (-1)^(pj+pk) times the sign of inserting m into that rest.
+    """
+    n, t = a.dim, a._table
+    if rows is None:
+        rows, cols = itertools.combinations(range(n), i + 1), itertools.combinations(range(n), i)
+    col = {s: c for c, s in enumerate(cols)}
     pairs = list(itertools.combinations(range(i + 1), 2))
     out = []
-    for T in itertools.combinations(range(n), i + 1):
-        row = [0] * len(cols)
+    for T in rows:
+        row = [0] * len(col)
         for pj, pk in pairs:
             brk = t[T[pj]][T[pk]]
             if not brk:
@@ -270,7 +313,7 @@ def _ce_rows(a: LieAlgebra, i: int) -> list[list[int]]:
                 p = bisect_left(rest, m)
                 if p < len(rest) and rest[p] == m:
                     continue
-                row[cols[rest[:p] + (m,) + rest[p:]]] += num if (pj + pk + p) % 2 == 0 else -num
+                row[col[rest[:p] + (m,) + rest[p:]]] += num if (pj + pk + p) % 2 == 0 else -num
         out.append(row)
     return out
 
@@ -289,15 +332,36 @@ def ce_differential(a: LieAlgebra, i: int) -> RationalMatrix:
 def cohomology_dims(a: LieAlgebra) -> GradedDims:
     """Betti numbers b^i = dim ker d_i - rank d_(i-1) of the CE complex.
 
-    The ranks are those of the integer rows, which are L times d_i.
+    The ranks are taken one weight block at a time.  If w_i + w_j = w_k for
+    every nonzero c_ij^k, the entry of d_i in row T and column S is nonzero
+    only where S is T with two indices replaced by an output of their bracket
+    (see ``_ce_rows``), so T and S have the same total weight.  Each d_i is
+    then block-diagonal over the total weights, with no entry between blocks,
+    and its rank is exactly the sum of the block ranks.  The blocks are keyed
+    by the whole space of such weights (``_weight_basis``); when only w = 0
+    exists there is one block, the full matrix.  Each block is ranked from its
+    integer rows (L times d_i) by forward-only elimination.
     """
     v = validate(a)
     if v is not None:
         raise InvalidLieAlgebraError(v)
     n = a.dim
-    if n == 0:
-        return GradedDims((1,))
-    ranks = [rank_kernel(IntMatrix(_ce_rows(a, i)))[0] for i in range(n + 1)]
+    basis = _weight_basis(a)
+    # one int key per weight: its coordinates as digits in base 2*dim*max|w| + 1, since
+    # a sum of at most dim weights has every digit within +-dim*max|w|
+    base = 2 * n * max((abs(x) for b in basis for x in b), default=0) + 1
+    key = [sum(b[s] * base**p for p, b in enumerate(basis)) for s in range(n)]
+    blocks: list[dict[int, list[tuple[int, ...]]]] = []  # degree -> total weight -> subsets
+    for i in range(n + 1):
+        by_weight: dict[int, list[tuple[int, ...]]] = {}
+        for s in itertools.combinations(range(n), i):
+            by_weight.setdefault(sum(key[x] for x in s), []).append(s)
+        blocks.append(by_weight)
+    ranks = [0] * (n + 1)
+    for i in range(n):
+        for w, rows in blocks[i + 1].items():
+            if w in blocks[i]:
+                ranks[i] += rank(IntMatrix(_ce_rows(a, i, rows, blocks[i][w])))
     dims = []
     for i in range(n + 1):
         below = ranks[i - 1] if i > 0 else 0

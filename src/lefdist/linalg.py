@@ -2,10 +2,13 @@
 
 Everything here is arbitrary precision: matrices hold ``fractions.Fraction``
 or Python ``int`` entries, stored row-major in immutable tuples.  One
-fraction-free (Bareiss) Gauss-Jordan elimination on integer-scaled rows
-serves determinants, rank and kernel, inverses and row-space bases; it keeps
-intermediate entries at minor-determinant size.  One Smith loop serves the
-Smith invariants and the column transform that parametrizes A x = 0 mod Z^n.
+fraction-free (Bareiss) elimination loop on integer-scaled rows serves every
+exact solve, and keeps intermediate entries at minor-determinant size.  Its
+``reduce_above`` flag picks the pass: ``rank`` and ``determinant`` need only
+the echelon below each pivot (forward-only), while ``rank_kernel``,
+``row_space_basis`` and inverses also clear above it (Gauss-Jordan).  One
+Smith loop serves the Smith invariants and the column transform that
+parametrizes A x = 0 mod Z^n.
 
 Serialization: rationals as ``"p/q"`` strings (``"p"`` when q = 1), integers
 as decimal strings, matrices as JSON arrays-of-arrays of such strings.
@@ -28,6 +31,7 @@ __all__ = [
     "read_int",
     "expect",
     "rat_to_str",
+    "rank",
     "rank_kernel",
     "determinant",
     "smith_normal_form",
@@ -150,9 +154,6 @@ class _Matrix:
             ]
         )
 
-    def __neg__(self):
-        return type(self)([[-a for a in r] for r in self.entries])
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise PreconditionError("matrix product requires cols(A) = rows(B)")
@@ -163,9 +164,6 @@ class _Matrix:
 
     def scaled(self, c):
         return type(self)([[c * a for a in r] for r in self.entries])
-
-    def transpose(self):
-        return type(self)(list(zip(*self.entries)) if self.entries else [])
 
     def trace(self):
         if not self.is_square:
@@ -208,14 +206,19 @@ class IntMatrix(_Matrix):
         return RationalMatrix(self.entries)
 
 
-def _bareiss_echelon(entries) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+def _bareiss_echelon(entries, reduce_above: bool = True) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free (Bareiss) elimination of a rational matrix.
 
-    Each row is first scaled to integers.  Each step then updates every other
-    row as (piv*x - f*y) // prev, above the pivot as well as below; the
-    divisions are exact by the Bareiss identity.  At the end pivot row r holds
-    the same entry d (the last pivot) in column pivots[r] and zero in every
-    other pivot column, and the rows past the rank are zero.
+    Each row is first scaled to integers.  Each step then updates the rows
+    below the pivot, and with ``reduce_above`` the rows above it too, as
+    (piv*x - f*y) // prev; the divisions are exact by the Bareiss identity.
+    At the end the rows past the rank are zero, and pivot row r has its first
+    nonzero entry in column pivots[r].  Forward-only, that entry is the minor
+    of the scaled rows on pivot rows and columns 0..r, so the last one of a
+    nonsingular square matrix is its determinant up to the swap sign.  With
+    ``reduce_above`` (Gauss-Jordan) every pivot row instead holds the same
+    entry d (the last pivot) in its pivot column and zero in every other
+    pivot column.
 
     Returns (rows, pivot columns, sign of the row swaps, product of the row
     scalings).
@@ -242,10 +245,14 @@ def _bareiss_echelon(entries) -> tuple[list[list[int]], list[int], int, int]:
             sign = -sign
         prow = rows[r]
         piv = prow[c]
-        for i, row in enumerate(rows):
+        # below the pivot every column left of c is already zero
+        lo = 0 if reduce_above else c
+        tail = prow[lo:]
+        for i in range(0 if reduce_above else r + 1, nr):
+            row = rows[i]
             f = row[c]
             if i != r and (f or piv != prev):
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+                row[lo:] = [(piv * x - f * y) // prev for x, y in zip(row[lo:], tail)]
         prev = piv
         pivots.append(c)
         r += 1
@@ -253,7 +260,7 @@ def _bareiss_echelon(entries) -> tuple[list[list[int]], list[int], int, int]:
 
 
 def determinant(m: RationalMatrix | IntMatrix):
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant, the last pivot of the forward-only Bareiss elimination.
 
     Returns ``int`` for an IntMatrix, ``Fraction`` for a RationalMatrix.
     """
@@ -262,11 +269,16 @@ def determinant(m: RationalMatrix | IntMatrix):
     n = m.rows
     if n == 0:
         return 1 if isinstance(m, IntMatrix) else Fraction(1)
-    rows, pivots, sign, scale = _bareiss_echelon(m.entries)
+    rows, pivots, sign, scale = _bareiss_echelon(m.entries, reduce_above=False)
     det = sign * rows[n - 1][n - 1] if len(pivots) == n else 0
     if isinstance(m, IntMatrix):
         return det
     return Fraction(det, scale)
+
+
+def rank(m: RationalMatrix | IntMatrix) -> int:
+    """Rank, by the forward-only Bareiss elimination (no kernel is built)."""
+    return len(_bareiss_echelon(m.entries, reduce_above=False)[1])
 
 
 def rank_kernel(m: RationalMatrix | IntMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:

@@ -174,6 +174,11 @@ class TestSuspension:
         rc, _, err = run_cli(capsys, "suspension", "--chi", "2", "--vol", "~nan")
         assert_input_error(rc, err, "--vol")
 
+    def test_vol_exponent_past_the_cap(self, capsys):
+        rc, _, err = run_cli(capsys, "suspension", "--chi", "2", "--vol", "1e1001")
+        assert_input_error(rc, err, "--vol")
+        assert "MAX_DECIMAL_EXPONENT" in err
+
     @pytest.mark.parametrize(
         "obj, field",
         [

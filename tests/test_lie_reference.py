@@ -7,28 +7,41 @@ the reference: the table must give the same constants, the same first
 ``Violation`` (kind and indices) and the same differential matrices.  The
 Betti numbers are also checked against ``verify.ce_dims_reversed_basis``
 after rational changes of basis, which make the constants non-integer.
+
+``full_matrix_dims`` ranks the whole CE matrix of each degree with
+Gauss-Jordan (``rank_kernel``), as ``cohomology_dims`` did before it took the
+ranks one weight block at a time; ``dense_is_nilpotent`` is the lower central
+series over ``Fraction`` vectors that ``is_nilpotent`` replaced.
 """
 
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefdist.lie_cohomology import (
     LieAlgebra,
+    Nilpotency,
     Violation,
+    _ce_rows,
+    _weight_basis,
+    abelian,
     ce_differential,
     cohomology_dims,
     direct_sum,
     filiform,
     heisenberg,
+    is_nilpotent,
     nilpotent_battery,
     sl2,
     validate,
 )
-from lefdist.linalg import RationalMatrix, matrix_power
+from lefdist.linalg import IntMatrix, RationalMatrix, matrix_power, rank_kernel, row_space_basis
 from lefdist.verify import ce_dims_reversed_basis
 
 BASES = nilpotent_battery() + [("sl2", sl2()), ("heis3+fil4", direct_sum(heisenberg(1), filiform(4)))]
@@ -94,6 +107,29 @@ def dense_ce_differential(c, i):
     return RationalMatrix(m)
 
 
+def full_matrix_dims(a):
+    n = a.dim
+    ranks = [rank_kernel(IntMatrix(_ce_rows(a, i)))[0] for i in range(n + 1)]
+    return tuple(comb(n, i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(n + 1))
+
+
+def dense_is_nilpotent(a):
+    n = a.dim
+    if n == 0:
+        return Nilpotency(True, 0)
+    full = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    current = full
+    step = 0
+    while current:
+        step += 1
+        brackets = (a.bracket(x, y) for x in full for y in current)
+        nxt = row_space_basis(RationalMatrix([v for v in brackets if any(v)]))
+        if len(nxt) == len(current):
+            return Nilpotency(False, None)
+        current = nxt
+    return Nilpotency(True, step)
+
+
 # -- inputs -------------------------------------------------------------------
 
 
@@ -132,6 +168,13 @@ def random_basis(rng, dim):
         upper[i][i] = rng.choice([v for v in vals if v])
         lower[i][i] = Fraction(1)
     return (RationalMatrix(upper) @ RationalMatrix(lower)).entries
+
+
+def permute_and_rescale(rng, dim):
+    """f_b = d_b e_pi(b): a permutation times a rational diagonal, which keeps the grading."""
+    perm = rng.sample(range(dim), dim)
+    scales = [Fraction(x, y) for x in (-3, -2, -1, 1, 2, 3) for y in (1, 2, 5)]
+    return [[rng.choice(scales) if i == perm[j] else Fraction(0) for j in range(dim)] for i in range(dim)]
 
 
 @st.composite
@@ -198,7 +241,42 @@ def test_betti_numbers_survive_rational_changes_of_basis():
         if a.dim == 0:
             continue
         b = LieAlgebra(a.dim, change_basis(a.dim, brackets_of(a), random_basis(rng, a.dim)))
-        if brackets_of(a):  # the change of basis made some constant non-integer
+        if brackets_of(a):  # the change of basis made some constant non-integer and left one weight block
             assert any(c.denominator > 1 for out in brackets_of(b).values() for c in out.values()), name
+            assert _weight_basis(b) == [], name
         assert cohomology_dims(b) == cohomology_dims(a), name
-        assert cohomology_dims(b).dims == ce_dims_reversed_basis(b), name
+        assert cohomology_dims(b).dims == full_matrix_dims(b) == ce_dims_reversed_basis(b), name
+
+
+def test_weight_blocks_survive_permutation_and_rescaling():
+    rng = random.Random(2007)
+    for name, a in BASES:
+        if a.dim == 0:
+            continue
+        b = LieAlgebra(a.dim, change_basis(a.dim, brackets_of(a), permute_and_rescale(rng, a.dim)))
+        assert len(_weight_basis(b)) == len(_weight_basis(a)) > 0, name
+        assert cohomology_dims(b).dims == full_matrix_dims(b) == ce_dims_reversed_basis(b), name
+
+
+def test_weight_space_dimension():
+    scrambled = pathlib.Path(__file__).parent / "golden" / "inputs" / "scrambled_algebra_dim7.json"
+    for n in range(3, 13):
+        assert len(_weight_basis(filiform(n))) == 2, n
+    assert len(_weight_basis(heisenberg(5))) == 6
+    assert len(_weight_basis(abelian(4))) == 4
+    assert _weight_basis(sl2()) in ([(0, 1, -1)], [(0, -1, 1)])  # w = (0, t, -t)
+    assert _weight_basis(LieAlgebra.from_json_obj(json.loads(scrambled.read_text()))) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_is_nilpotent_matches_fraction_series(case):
+    a = LieAlgebra(*case, check=False)
+    assert is_nilpotent(a) == dense_is_nilpotent(a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras(perturb=False))
+def test_weight_blocks_match_the_full_matrix(case):
+    a = LieAlgebra(*case)
+    assert cohomology_dims(a).dims == full_matrix_dims(a)
