@@ -278,7 +278,7 @@ def _weight_basis(a: LieAlgebra) -> list[tuple[int, ...]]:
         for i, j in itertools.combinations(range(n), 2)
         for k, _ in t[i][j]
     }
-    if not equations:
+    if not equations:  # abelian: every weight (an IntMatrix without rows has no columns)
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     basis = []
     for v in rank_kernel(IntMatrix(sorted(equations)))[1]:
