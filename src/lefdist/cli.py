@@ -32,7 +32,7 @@ from .curvature import (
 from .distributions import AtomicDistribution, num_to_str, to_number
 from .errors import PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism
-from .lie_cohomology import GradedDims, LieAlgebra, abelian, filiform, heisenberg, sl2
+from .lie_cohomology import GradedDims, LieAlgebra, catalog_algebra
 from .linalg import IntMatrix, RationalMatrix, expect, read_int
 from .models import (
     ClosedOrbitSpec,
@@ -164,28 +164,12 @@ def _cmd_surface_suspension(args) -> dict:
     return out
 
 
-_CATALOG = {
-    "heisenberg": lambda arg: heisenberg(read_int(arg or "1", "the m of heisenberg:m")),
-    "abelian": lambda arg: abelian(read_int(arg, "the n of abelian:n")),
-    "filiform": lambda arg: filiform(read_int(arg, "the n of filiform:n")),
-    "sl2": lambda arg: sl2(),
-}
-
-
-def _resolve_algebra(spec: str) -> LieAlgebra:
-    if os.path.exists(spec):
-        return LieAlgebra.from_json_obj(_load_json(spec))
-    name, _, arg = spec.partition(":")
-    if name in _CATALOG:
-        return _CATALOG[name](arg)
-    raise FileNotFoundError(
-        f"algebra {spec!r} is neither a file nor a catalog name "
-        f"({', '.join(sorted(_CATALOG))}, with ':n' for a dimension argument)"
-    )
-
-
 def _cmd_nilfoliation(args) -> dict:
-    r = nil_foliation(_resolve_algebra(args.algebra))
+    if os.path.exists(args.algebra):
+        a = LieAlgebra.from_json_obj(_load_json(args.algebra))
+    else:
+        a = catalog_algebra(args.algebra)
+    r = nil_foliation(a)
     meta = {"interpretation": SMOOTH_NOTE}
     out = {"model": "nil_foliation", "dims": list(r.dims), "metadata": meta}
     out["traces"] = {str(i): t.to_json_obj() for i, t in enumerate(r.traces)}
@@ -365,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algebra",
         required=True,
-        help="Lie algebra JSON file, or catalog name (heisenberg, abelian:n, filiform:n, sl2)",
+        help="Lie algebra JSON file, or catalog spec (heisenberg:m, abelian:n, filiform:n, sl2; "
+        "'+' joins summands, e.g. heisenberg:1+abelian:2)",
     )
     p.set_defaults(handler=_cmd_nilfoliation)
 

@@ -31,11 +31,6 @@ __all__ = [
     "OrbitTerm",
     "AtomicDistribution",
     "make",
-    "add",
-    "scale",
-    "lattice",
-    "real",
-    "conj",
     "num_to_str",
     "to_number",
 ]
@@ -61,10 +56,6 @@ def to_number(x, what: str = "a number") -> Number:
     if type(x) is int:
         return Fraction(x)
     raise ValueError(f"{what} must be a finite number, got {x!r:.40}")
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, Fraction)
 
 
 def num_to_str(x: Number) -> str:
@@ -98,7 +89,7 @@ class RealPoint:
 
     @property
     def exact(self) -> bool:
-        return _is_exact(self.x)
+        return isinstance(self.x, Fraction)
 
     @property
     def value(self):
@@ -125,18 +116,6 @@ class ConjClass:
 GroupPoint = LatticePoint | RealPoint | ConjClass
 
 IDENTITY = ConjClass("e")
-
-
-def lattice(k: int) -> LatticePoint:
-    return LatticePoint(int(k))
-
-
-def real(x) -> RealPoint:
-    return RealPoint(x)
-
-
-def conj(label: str) -> ConjClass:
-    return ConjClass(str(label))
 
 
 _GROUP_OF_VARIANT = {LatticePoint: "Z", RealPoint: "R", ConjClass: "abstract"}
@@ -166,10 +145,6 @@ class OrbitTerm:
     def __post_init__(self):
         object.__setattr__(self, "lefschetz", to_number(self.lefschetz))
         object.__setattr__(self, "vol_centralizer", to_number(self.vol_centralizer))
-
-    @property
-    def coefficient(self) -> Number:
-        return self.lefschetz * self.vol_centralizer
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -211,12 +186,6 @@ class AtomicDistribution:
     def purely_smooth(self) -> bool:
         return not self.atoms and not self.orbit_terms
 
-    def coefficient_at(self, point: GroupPoint) -> Number:
-        for p, c in self.atoms:
-            if p == point:
-                return c
-        return Fraction(0)
-
     # -- linear structure ---------------------------------------------------
     def add(self, other: "AtomicDistribution", tolerance: float | None = None) -> "AtomicDistribution":
         if self.group != other.group:
@@ -246,9 +215,6 @@ class AtomicDistribution:
 
     def __sub__(self, other):
         return self.add(other.scale(-1))
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     # -- pairing --------------------------------------------------------
     def pair(self, f: Callable, integral_of_f=None):
@@ -405,11 +371,3 @@ def _merge_real_atoms(norm, tol: Fraction, explicit_tol: bool):
                 continue
         clusters.append([p, c, p.exact])
     return [(rep, acc) for rep, acc, _ in clusters]
-
-
-def add(d: AtomicDistribution, e: AtomicDistribution, tolerance: float | None = None) -> AtomicDistribution:
-    return d.add(e, tolerance=tolerance)
-
-
-def scale(d: AtomicDistribution, c) -> AtomicDistribution:
-    return d.scale(c)

@@ -218,10 +218,6 @@ class ClassicalCheck:
     lefschetz_number: int
     count: int
 
-    @property
-    def equal(self) -> bool:
-        return self.sum_of_indices == self.lefschetz_number
-
 
 def verify_classical_lefschetz(t: ToralAutomorphism, k: int) -> ClassicalCheck:
     """Assert sum of classical indices equals L(F^k); returns both sides."""

@@ -23,6 +23,7 @@ Betti numbers, and the same rows over L as a rational matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ __all__ = [
     "filiform",
     "sl2",
     "direct_sum",
+    "catalog_algebra",
     "nilpotent_battery",
 ]
 
@@ -111,15 +113,16 @@ class LieAlgebra:
 
     ``brackets`` maps 1-based pairs (i, j) to {k: coefficient}; missing
     mirror pairs are filled in by antisymmetry.  Construction validates both
-    antisymmetry and the Jacobi identity unless ``check=False`` (useful only
-    to build deliberately broken inputs for :func:`validate`).
+    antisymmetry and the Jacobi identity and raises
+    :class:`InvalidLieAlgebraError` with the first :class:`Violation`, so
+    every instance is a Lie algebra.
     """
 
     # _table[i][j]: ((k, numerator), ...) with k ascending and every numerator
     # nonzero, so c[i][j][k] = numerator / _den (0-based indices)
     __slots__ = ("dim", "_table", "_den")
 
-    def __init__(self, dim: int, brackets=None, check: bool = True):
+    def __init__(self, dim: int, brackets=None):
         _require_dim(dim)
         c: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), out in (brackets or {}).items():
@@ -140,10 +143,9 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_table", tuple(map(tuple, table)))
         object.__setattr__(self, "_den", den)
-        if check:
-            v = validate(self)
-            if v is not None:
-                raise InvalidLieAlgebraError(v)
+        v = validate(self)
+        if v is not None:
+            raise InvalidLieAlgebraError(v)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -153,7 +155,11 @@ class LieAlgebra:
         return Fraction(dict(self._table[i - 1][j - 1]).get(k - 1, 0), self._den)
 
     def bracket(self, u, v) -> tuple[Fraction, ...]:
-        """Bracket of two coordinate vectors (0-based tuples)."""
+        """Bracket of two coordinate vectors (0-based tuples).
+
+        The main paths read the integer table directly; this stays as the
+        public surface the reversed-basis oracle in ``verify`` is built on.
+        """
         n = self.dim
         out = [Fraction(0)] * n
         for i in range(n):
@@ -322,6 +328,8 @@ def ce_differential(a: LieAlgebra, i: int) -> RationalMatrix:
     """Matrix of d: Lambda^i -> Lambda^(i+1) in the lex subset bases.
 
     Shape C(n, i+1) x C(n, i); columns index i-subsets, rows (i+1)-subsets.
+    ``cohomology_dims`` ranks blocks of the integer rows instead; the full
+    rational matrix stays for the d.d = 0 check in ``verify``.
     """
     n = a.dim
     if not 0 <= i <= n:
@@ -342,9 +350,6 @@ def cohomology_dims(a: LieAlgebra) -> GradedDims:
     exists there is one block, the full matrix.  Each block is ranked from its
     integer rows (L times d_i) by forward-only elimination.
     """
-    v = validate(a)
-    if v is not None:
-        raise InvalidLieAlgebraError(v)
     n = a.dim
     basis = _weight_basis(a)
     # one int key per weight: its coordinates as digits in base 2*dim*max|w| + 1, since
@@ -408,18 +413,42 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(a.dim + b.dim, brackets)
 
 
-def nilpotent_battery() -> list[tuple[str, LieAlgebra]]:
-    """Named nilpotent algebras of dimension <= 6 used by the cross checks."""
-    return [
-        ("abelian1", abelian(1)),
-        ("abelian2", abelian(2)),
-        ("abelian3", abelian(3)),
-        ("heisenberg3", heisenberg(1)),
-        ("heisenberg5", heisenberg(2)),
-        ("filiform4", filiform(4)),
-        ("filiform5", filiform(5)),
-        ("filiform6", filiform(6)),
-        ("heis3+ab1", direct_sum(heisenberg(1), abelian(1))),
-        ("heis3+ab3", direct_sum(heisenberg(1), abelian(3))),
-        ("heis3+heis3", direct_sum(heisenberg(1), heisenberg(1))),
-    ]
+# name -> constructor of "name:arg" (arg is "" for a bare name)
+_CATALOG = {
+    "abelian": lambda arg: abelian(read_int(arg, "the n of abelian:n")),
+    "heisenberg": lambda arg: heisenberg(read_int(arg or "1", "the m of heisenberg:m")),
+    "filiform": lambda arg: filiform(read_int(arg, "the n of filiform:n")),
+    "sl2": lambda arg: sl2(),
+}
+
+
+def catalog_algebra(spec: str) -> LieAlgebra:
+    """The algebra named by ``spec``: ``name`` or ``name:n`` from _CATALOG, or
+    such summands joined by ``+`` for their direct sum, e.g. ``heisenberg:1+abelian:2``."""
+    summands = []
+    for part in spec.split("+"):
+        name, _, arg = part.strip().partition(":")
+        if name not in _CATALOG:
+            raise ValueError(
+                f"algebra {spec!r}: {name!r} is not a catalog name ({', '.join(sorted(_CATALOG))}; "
+                "':n' gives a dimension argument, '+' joins summands)"
+            )
+        summands.append(_CATALOG[name](arg))
+    return functools.reduce(direct_sum, summands)
+
+
+def nilpotent_battery() -> tuple[str, ...]:
+    """Catalog specs of the nilpotent algebras of dimension <= 6 used by the cross checks."""
+    return (
+        "abelian:1",
+        "abelian:2",
+        "abelian:3",
+        "heisenberg:1",
+        "heisenberg:2",
+        "filiform:4",
+        "filiform:5",
+        "filiform:6",
+        "heisenberg:1+abelian:1",
+        "heisenberg:1+abelian:3",
+        "heisenberg:1+heisenberg:1",
+    )

@@ -23,7 +23,6 @@ from math import comb, lcm
 from .errors import PreconditionError
 
 __all__ = [
-    "Rational",
     "RationalMatrix",
     "IntMatrix",
     "MAX_DECIMAL_EXPONENT",
@@ -41,9 +40,6 @@ __all__ = [
     "exterior_power",
     "charpoly",
 ]
-
-Rational = Fraction  # canonical form (positive denominator, reduced) is built in
-
 
 def rat_to_str(x: Fraction | int) -> str:
     x = Fraction(x)
@@ -122,9 +118,6 @@ class _Matrix:
         i, j = idx
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def __eq__(self, other):
         return type(self) is type(other) and self.entries == other.entries
 
@@ -136,17 +129,9 @@ class _Matrix:
         return f"{type(self).__name__}([{body}])"
 
     # -- arithmetic --------------------------------------------------------
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return type(self)(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
     def __sub__(self, other):
-        self._check_same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise PreconditionError("matrix shapes do not match")
         return type(self)(
             [
                 [a - b for a, b in zip(ra, rb)]
@@ -162,17 +147,10 @@ class _Matrix:
             [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
         )
 
-    def scaled(self, c):
-        return type(self)([[c * a for a in r] for r in self.entries])
-
     def trace(self):
         if not self.is_square:
             raise PreconditionError("trace requires a square matrix")
         return sum((self.entries[i][i] for i in range(self.rows)), self._coerce(0))
-
-    def _check_same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise PreconditionError("matrix shapes do not match")
 
     # -- serialization -----------------------------------------------------
     def to_json_obj(self):
@@ -194,13 +172,12 @@ class IntMatrix(_Matrix):
 
     @staticmethod
     def _coerce(x):
+        """An int (not a bool) or an integral Fraction; anything else raises, never truncates."""
         if type(x) is int:  # ahead of isinstance(x, Fraction), which is slow on an int
             return x
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise PreconditionError("IntMatrix entries must be integers")
+        if isinstance(x, Fraction) and x.denominator == 1:
             return x.numerator
-        return int(x)
+        raise PreconditionError(f"IntMatrix entries must be integers, got {x!r:.40}")
 
     def to_rational(self) -> RationalMatrix:
         return RationalMatrix(self.entries)
@@ -302,7 +279,11 @@ def rank_kernel(m: RationalMatrix | IntMatrix) -> tuple[int, list[tuple[Fraction
 
 
 def row_space_basis(m: RationalMatrix | IntMatrix) -> list[tuple[Fraction, ...]]:
-    """Reduced row echelon basis of the row space, ordered by pivot column."""
+    """Reduced row echelon basis of the row space, ordered by pivot column.
+
+    No main path calls it since ``is_nilpotent`` works on integer rows; it
+    stays as the reference the tests check the lower central series against.
+    """
     rows, pivots, _, _ = _bareiss_echelon(m.entries)
     return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]
 
@@ -375,7 +356,9 @@ def smith_transform(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     """Diagonal invariants d1 | d2 | ... | dr of an integer matrix.
 
-    Zero invariants are dropped, so the chain length equals the rank.
+    Zero invariants are dropped, so the chain length equals the rank.  The
+    main paths call ``smith_transform``; this wrapper stays for the verify
+    linalg suite and as a traced target of the benchmark.
     """
     return smith_transform(m)[0]
 
@@ -419,7 +402,10 @@ def exterior_power(m: RationalMatrix | IntMatrix, i: int):
     """Induced matrix on the i-th exterior power, C(n,i) x C(n,i).
 
     Basis: i-element subsets of row/column indices in lexicographic order;
-    entry (I, J) is the minor det m[I, J].
+    entry (I, J) is the minor det m[I, J].  The toral Lefschetz number no
+    longer uses it; it stays for ``GradedMap.from_toral``, whose exterior
+    powers keep the Selberg specialization independent of the mapping torus,
+    and for the verify linalg suite.
     """
     if not m.is_square:
         raise PreconditionError("exterior_power requires a square matrix")

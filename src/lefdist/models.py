@@ -32,6 +32,7 @@ from .lie_cohomology import GradedDims, LieAlgebra, cohomology_dims, is_nilpoten
 from .linalg import RationalMatrix, determinant, matrix_power
 
 __all__ = [
+    "MAX_FLOW_MULTIPLES",
     "ClosedOrbitSpec",
     "SuspensionSpec",
     "ConjugacyClassData",
@@ -102,10 +103,6 @@ class ClosedOrbitSpec:
         if self.return_map is not None and not self.return_map.is_square:
             raise PreconditionError("return map must be square")
 
-    @property
-    def unchecked(self) -> bool:
-        return self.signs is not None
-
     def sign(self, k: int, orbit_name: str = "orbit") -> int:
         """epsilon at the k-th multiple: sign det(P^k - I)."""
         if k == 0:
@@ -132,13 +129,19 @@ class ClosedOrbitSpec:
         return 1 if d > 0 else -1
 
 
+# Each multiple k of an orbit costs two powers P^k and two determinants (200 take
+# about 1 s for a 3x3 rational P); the test and benchmark flows have at most 10.
+MAX_FLOW_MULTIPLES = 200
+
+
 def flow_distribution(
     orbits, window, tolerance: float | None = None
 ) -> AtomicDistribution:
     """sum_c l(c) sum_{k != 0} epsilon_{k l(c)}(c) . delta_{k l(c)}, |k l(c)| <= window.
 
     Coincident multiples of commensurable orbits merge additively; exact and
-    inexact lengths only merge under an explicit tolerance.
+    inexact lengths only merge under an explicit tolerance.  An orbit with
+    more than MAX_FLOW_MULTIPLES multiples in the window is refused up front.
     """
     window = to_number(window)
     if window <= 0:
@@ -148,12 +151,15 @@ def flow_distribution(
     for idx, orbit in enumerate(orbits):
         name = f"orbit {idx} (length {orbit.length})"
         ell = orbit.length
-        k = 1
-        while Fraction(ell) * k <= w:
+        multiples = w // Fraction(ell)
+        if multiples > MAX_FLOW_MULTIPLES:
+            raise PreconditionError(
+                f"{name}: {multiples} multiples fit in the window, more than MAX_FLOW_MULTIPLES = {MAX_FLOW_MULTIPLES}"
+            )
+        for k in range(1, multiples + 1):
             for kk in (k, -k):
                 s = orbit.sign(kk, name)
                 atoms.append((RealPoint(ell * kk), ell * s))
-            k += 1
     return make(atoms, group="R", tolerance=tolerance)
 
 

@@ -21,7 +21,7 @@ from lefdist.curvature import (
 )
 from lefdist.distributions import make
 from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
-from lefdist.lie_cohomology import ce_differential, cohomology_dims, nilpotent_battery
+from lefdist.lie_cohomology import catalog_algebra, ce_differential, cohomology_dims, nilpotent_battery
 from lefdist.linalg import IntMatrix, RationalMatrix, determinant, exterior_power
 from lefdist.models import (
     ClosedOrbitSpec,
@@ -89,16 +89,17 @@ def test_criterion_2_fixed_point_counting_oracle(capsys):
 
 def test_criterion_3_heisenberg_and_nilpotent_battery(capsys):
     t0 = time.monotonic()
-    heis = dict(nilpotent_battery())["heisenberg3"]
-    dims = cohomology_dims(heis)
+    assert "heisenberg:1" in nilpotent_battery()
+    dims = cohomology_dims(catalog_algebra("heisenberg:1"))
     assert dims.dims == (1, 2, 2, 1)
     assert dims.euler_characteristic == 0
     assert dims.dims == dims.dims[::-1]
-    for name, a in nilpotent_battery():
+    for spec in nilpotent_battery():
+        a = catalog_algebra(spec)
         assert a.dim <= 6
         for i in range(a.dim - 1):
             prod = ce_differential(a, i + 1) @ ce_differential(a, i)
-            assert all(e == 0 for row in prod.entries for e in row), (name, i)
+            assert all(e == 0 for row in prod.entries for e in row), (spec, i)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     _report(capsys, 3, f"Heisenberg dims (1,2,2,1); d.d = 0 across the nilpotent battery ({elapsed:.2f}s)")
@@ -166,10 +167,10 @@ def test_criterion_6_gauss_bonnet(capsys):
 
 
 def test_criterion_7_corollary_vanishing(capsys):
-    for name, a in nilpotent_battery():
-        r = nil_foliation(a)
-        assert r.lefschetz.purely_smooth and r.lefschetz.is_zero, name
-        assert r.corollary.applicable and r.corollary.passed, name
+    for spec in nilpotent_battery():
+        r = nil_foliation(catalog_algebra(spec))
+        assert r.lefschetz.purely_smooth and r.lefschetz.is_zero, spec
+        assert r.corollary.applicable and r.corollary.passed, spec
     corrupted = corollary_checks(make([], smooth_const=3), codim=1)
     assert corrupted.applicable and not corrupted.passed
     _report(capsys, 7, "nilfoliation L outputs purely smooth and zero; corrupted density flagged")

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -147,6 +148,15 @@ class TestFlow:
         rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", window)
         assert_input_error(rc, err, "--window")
 
+    def test_multiples_past_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": [{"length": "1/100000000", "return_map": [["2"]]}]}))
+        t0 = time.monotonic()
+        rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", "1")
+        assert time.monotonic() - t0 < 1.0
+        assert rc == 1
+        assert err.startswith("error:") and "MAX_FLOW_MULTIPLES" in err
+
     def test_input_top_level_list(self, capsys, tmp_path):
         path = tmp_path / "orbits.json"
         path.write_text(json.dumps([{"length": "1", "signs": {"1": 1, "-1": 1}}]))
@@ -274,7 +284,18 @@ class TestNilfoliation:
         rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", spec)
         assert_input_error(rc, err, field)
 
-    @pytest.mark.parametrize("spec", ["filiform:100000", "heisenberg:100000"])
+    def test_catalog_direct_sum(self, capsys):
+        rc, out, _ = run_cli(capsys, "nilfoliation", "--algebra", "heisenberg:1+abelian:1")
+        assert rc == 0
+        assert json.loads(out)["dims"] == [1, 3, 4, 3, 1]
+
+    @pytest.mark.parametrize("spec", ["torus:3", "heisenberg:1+torus", "no/such/file.json"])
+    def test_unknown_catalog_name(self, capsys, spec):
+        rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", spec)
+        assert_input_error(rc, err, repr(spec))
+        assert "abelian, filiform, heisenberg, sl2" in err
+
+    @pytest.mark.parametrize("spec", ["filiform:100000", "heisenberg:100000", "filiform:12+abelian:1"])
     def test_catalog_dimension_cap(self, capsys, spec):
         rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", spec)
         assert rc == 1

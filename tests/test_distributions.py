@@ -10,13 +10,8 @@ from lefdist.distributions import (
     IDENTITY,
     LatticePoint,
     OrbitTerm,
-    add,
-    conj,
-    lattice,
     RealPoint,
     make,
-    real,
-    scale,
     to_number,
 )
 from lefdist.errors import PreconditionError
@@ -24,50 +19,50 @@ from lefdist.errors import PreconditionError
 
 class TestMake:
     def test_cancellation(self):
-        d = make([(lattice(0), 3), (lattice(0), -3)])
+        d = make([(LatticePoint(0), 3), (LatticePoint(0), -3)])
         assert d.is_zero and d.atoms == ()
 
     def test_ordering(self):
-        d = make([(lattice(2), -5), (lattice(1), -1)])
+        d = make([(LatticePoint(2), -5), (LatticePoint(1), -1)])
         assert d.atoms == ((LatticePoint(1), Fraction(-1)), (LatticePoint(2), Fraction(-5)))
 
     def test_inexact_points_kept_distinct(self):
-        d = make([(real(1.0), 1), (real(math.sqrt(2)), 1)])
+        d = make([(RealPoint(1.0), 1), (RealPoint(math.sqrt(2)), 1)])
         assert len(d.atoms) == 2
 
     def test_inexact_merge_within_tolerance(self):
-        d = make([(real(1.0), 1), (real(1.0 + 1e-12), 2)])
+        d = make([(RealPoint(1.0), 1), (RealPoint(1.0 + 1e-12), 2)])
         assert len(d.atoms) == 1
         assert d.atoms[0][1] == 3
 
     def test_exact_points_merge_only_on_equality(self):
-        d = make([(real(Fraction(1, 3)), 1), (real(Fraction(1, 3)), 1), (real(Fraction(1, 2)), 1)])
+        d = make([(RealPoint(Fraction(1, 3)), 1), (RealPoint(Fraction(1, 3)), 1), (RealPoint(Fraction(1, 2)), 1)])
         assert len(d.atoms) == 2
 
     def test_exact_inexact_collision_raises(self):
         with pytest.raises(PreconditionError):
-            make([(real(Fraction(1)), 1), (real(1.0), 1)])
+            make([(RealPoint(Fraction(1)), 1), (RealPoint(1.0), 1)])
 
     def test_exact_inexact_merge_with_explicit_tolerance(self):
-        d = make([(real(Fraction(1)), 1), (real(1.0), 2)], tolerance=1e-9)
+        d = make([(RealPoint(Fraction(1)), 1), (RealPoint(1.0), 2)], tolerance=1e-9)
         assert len(d.atoms) == 1
         p, c = d.atoms[0]
         assert not p.exact and c == 3
 
     def test_mixed_variants_rejected(self):
         with pytest.raises(PreconditionError):
-            make([(lattice(1), 1), (real(1.0), 1)])
+            make([(LatticePoint(1), 1), (RealPoint(1.0), 1)])
 
     def test_group_inference(self):
-        assert make([(lattice(1), 1)]).group == "Z"
-        assert make([(real(1), 1)]).group == "R"
-        assert make([(conj("g"), 1)]).group == "abstract"
+        assert make([(LatticePoint(1), 1)]).group == "Z"
+        assert make([(RealPoint(1), 1)]).group == "R"
+        assert make([(ConjClass("g"), 1)]).group == "abstract"
         assert make([]).group == "abstract"
         assert make([], group="Z").group == "Z"
 
     def test_group_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
-            make([(lattice(1), 1)], group="R")
+            make([(LatticePoint(1), 1)], group="R")
 
     def test_zero_smooth_normalized(self):
         assert make([], smooth_const=0).smooth_const is None
@@ -75,7 +70,7 @@ class TestMake:
 
     def test_idempotence(self):
         d = make(
-            [(real(1.5), 1), (real(Fraction(2)), Fraction(1, 3))],
+            [(RealPoint(1.5), 1), (RealPoint(Fraction(2)), Fraction(1, 3))],
             smooth_const=2,
             orbit_terms=(OrbitTerm("g1", -1, 1),),
         )
@@ -118,7 +113,7 @@ class TestToNumber:
 
 class TestPair:
     def test_atoms_only(self):
-        d = make([(lattice(1), -1), (lattice(2), -5)])
+        d = make([(LatticePoint(1), -1), (LatticePoint(2), -5)])
         got = d.pair(lambda x: {1: Fraction(1), 2: Fraction(1, 2)}[x])
         assert got == Fraction(-7, 2)
 
@@ -126,7 +121,7 @@ class TestPair:
         assert make([]).pair(lambda x: 123) == 0
 
     def test_smooth_part(self):
-        d = make([(conj("e"), 2)], smooth_const=2)
+        d = make([(ConjClass("e"), 2)], smooth_const=2)
         assert d.pair(lambda x: Fraction(1), integral_of_f=Fraction(3)) == 8
 
     def test_missing_integral(self):
@@ -140,15 +135,15 @@ class TestPair:
             d.pair(lambda x: 1)
 
     def test_linearity(self):
-        d1 = make([(lattice(1), Fraction(2)), (lattice(3), Fraction(-1))])
-        d2 = make([(lattice(1), Fraction(-2)), (lattice(2), Fraction(5))])
+        d1 = make([(LatticePoint(1), Fraction(2)), (LatticePoint(3), Fraction(-1))])
+        d2 = make([(LatticePoint(1), Fraction(-2)), (LatticePoint(2), Fraction(5))])
         f = lambda k: Fraction(k * k + 1)
         assert (d1 + d2).pair(f) == d1.pair(f) + d2.pair(f)
 
 
 class TestArithmetic:
     def test_add_cancels(self):
-        d = make([(lattice(0), 1)]) + make([(lattice(0), -1)])
+        d = make([(LatticePoint(0), 1)]) + make([(LatticePoint(0), -1)])
         assert d.is_zero
         assert d.group == "Z"
 
@@ -158,12 +153,12 @@ class TestArithmetic:
         assert d.atoms == ((ConjClass("e"), Fraction(-2)),)
 
     def test_scale_by_zero(self):
-        d = make([(lattice(1), 5)], smooth_const=3).scale(0)
+        d = make([(LatticePoint(1), 5)], smooth_const=3).scale(0)
         assert d.is_zero
 
     def test_incompatible_groups(self):
         with pytest.raises(PreconditionError):
-            make([(lattice(1), 1)]) + make([(real(1), 1)])
+            make([(LatticePoint(1), 1)]) + make([(RealPoint(1), 1)])
 
     def test_scale_refuses_orbit_terms(self):
         d = make([], orbit_terms=(OrbitTerm("g", 1, 1),))
@@ -171,21 +166,21 @@ class TestArithmetic:
             d.scale(2)
 
     def test_sub(self):
-        a = make([(lattice(1), 3)], smooth_const=1)
-        b = make([(lattice(1), 1)], smooth_const=1)
+        a = make([(LatticePoint(1), 3)], smooth_const=1)
+        b = make([(LatticePoint(1), 1)], smooth_const=1)
         got = a - b
         assert got.atoms == ((LatticePoint(1), Fraction(2)),)
         assert got.smooth_const is None
 
     def test_module_level_helpers(self):
-        a = make([(lattice(1), 1)])
-        assert add(a, a) == a.scale(2) == scale(a, 2)
+        a = make([(LatticePoint(1), 1)])
+        assert a.add(a, tolerance=1e-9) == a + a == a.scale(2)
 
 
 class TestSerialization:
     def test_wire_format(self):
         d = make(
-            [(real(1), -1)],
+            [(RealPoint(1), -1)],
             smooth_const=2,
             orbit_terms=(OrbitTerm("gamma_1", -1, 1),),
         )
@@ -203,9 +198,9 @@ class TestSerialization:
 
     def test_roundtrip_bit_exact(self):
         samples = [
-            make([(lattice(-2), -5), (lattice(1), -1)]),
-            make([(real(math.sqrt(2)), 1.5), (real(Fraction(3, 7)), Fraction(2, 9))]),
-            make([(conj("e"), 4)], smooth_const=Fraction(1, 3)),
+            make([(LatticePoint(-2), -5), (LatticePoint(1), -1)]),
+            make([(RealPoint(math.sqrt(2)), 1.5), (RealPoint(Fraction(3, 7)), Fraction(2, 9))]),
+            make([(ConjClass("e"), 4)], smooth_const=Fraction(1, 3)),
             make([], smooth_const=2, orbit_terms=(OrbitTerm("c2", 2, Fraction(1, 2), "demo"),)),
             make([], group="Z"),
         ]
@@ -216,7 +211,7 @@ class TestSerialization:
             assert json.dumps(back.to_json_obj()) == s
 
     def test_inexact_prefix(self):
-        d = make([(real(1.5), 2.5)])
+        d = make([(RealPoint(1.5), 2.5)])
         obj = d.to_json_obj()
         assert obj["atoms"] == [{"at": "~1.5", "coeff": "~2.5"}]
 

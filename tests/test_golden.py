@@ -31,7 +31,9 @@ import pytest
 
 from lefdist.cli import main
 from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
+from lefdist.lie_cohomology import LieAlgebra, catalog_algebra, cohomology_dims
 from lefdist.linalg import IntMatrix
+from lefdist.verify import ce_dims_reversed_basis
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -115,6 +117,23 @@ def cases():
 @pytest.mark.parametrize("name,produce", list(cases()), ids=[name for name, _ in cases()])
 def test_byte_identical(name, produce):
     assert produce() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden, algebra",
+    [
+        ("nilfoliation_scrambled_dim7", "scrambled_algebra_dim7.json"),
+        ("nilfoliation_rational_dim8", "rational_algebra_dim8.json"),
+        ("nilfoliation_heisenberg4", "heisenberg:4"),
+    ],
+)
+def test_reversed_basis_oracle_backs_the_golden_dims(golden, algebra):
+    if algebra.endswith(".json"):
+        a = LieAlgebra.from_json_obj(json.loads((INPUTS / algebra).read_text()))
+    else:
+        a = catalog_algebra(algebra)
+    dims = json.loads((GOLDEN / f"{golden}.json").read_text())["dims"]
+    assert ce_dims_reversed_basis(a) == cohomology_dims(a).dims == tuple(dims)
 
 
 if __name__ == "__main__":

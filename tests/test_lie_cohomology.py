@@ -8,6 +8,7 @@ from lefdist.lie_cohomology import (
     GradedDims,
     LieAlgebra,
     abelian,
+    catalog_algebra,
     ce_differential,
     cohomology_dims,
     direct_sum,
@@ -21,6 +22,8 @@ from lefdist.lie_cohomology import (
 from lefdist.linalg import RationalMatrix
 from lefdist.verify import ce_dims_reversed_basis
 
+BATTERY = [(spec, catalog_algebra(spec)) for spec in nilpotent_battery()]
+
 
 class TestValidate:
     def test_abelian_ok(self):
@@ -30,17 +33,18 @@ class TestValidate:
         assert validate(heisenberg()) is None
 
     def test_antisymmetry_violation(self):
-        broken = LieAlgebra(3, {(1, 2): {3: 1}, (2, 1): {3: 0}}, check=False)
-        v = validate(broken)
-        assert v is not None
+        with pytest.raises(InvalidLieAlgebraError) as exc:
+            LieAlgebra(3, {(1, 2): {3: 1}, (2, 1): {3: 0}})
+        v = exc.value.violation
         assert v.kind == "antisymmetry"
         assert v.indices == (1, 2, 3)
 
     def test_jacobi_violation(self):
         # [e1,[e2,e3]] + [e2,[e3,e1]] + [e3,[e1,e2]] = -[e2,e1] = e3 != 0
-        broken = LieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}}, check=False)
-        v = validate(broken)
-        assert v is not None and v.kind == "jacobi"
+        with pytest.raises(InvalidLieAlgebraError) as exc:
+            LieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
+        v = exc.value.violation
+        assert v.kind == "jacobi"
         assert v.indices[:3] == (1, 2, 3)
 
     def test_constructor_raises(self):
@@ -98,7 +102,7 @@ class TestDifferential:
     def test_d_squared_zero_battery(self):
         # d_(i+1) . d_i = 0 exactly; the i = n-1 case composes into the top
         # degree and the i = n case has zero-dimensional target.
-        for name, a in nilpotent_battery() + [("sl2", sl2())]:
+        for name, a in BATTERY + [("sl2", sl2())]:
             for i in range(a.dim - 1):
                 prod = ce_differential(a, i + 1) @ ce_differential(a, i)
                 assert all(e == 0 for row in prod.entries for e in row), (name, i)
@@ -122,7 +126,7 @@ class TestCohomologyDims:
         assert cohomology_dims(filiform(4)).dims[1] == 2
 
     def test_alternating_sum_zero(self):
-        for name, a in nilpotent_battery() + [("sl2", sl2())]:
+        for name, a in BATTERY + [("sl2", sl2())]:
             if a.dim == 0:
                 continue
             assert cohomology_dims(a).euler_characteristic == 0, name
@@ -131,7 +135,7 @@ class TestCohomologyDims:
         # independent route: rank of the raw bracket-image matrix
         from lefdist.linalg import rank_kernel
 
-        for name, a in nilpotent_battery() + [("sl2", sl2())]:
+        for name, a in BATTERY + [("sl2", sl2())]:
             n = a.dim
             rows = [
                 [a.structure_constant(i, j, k) for k in range(1, n + 1)]
@@ -142,21 +146,16 @@ class TestCohomologyDims:
             assert cohomology_dims(a).dims[1] == n - rank, name
 
     def test_poincare_duality_nilpotent(self):
-        for name, a in nilpotent_battery():
+        for name, a in BATTERY:
             dims = cohomology_dims(a).dims
             assert dims == dims[::-1], name
 
     def test_reversed_basis_oracle_dim_le_4(self):
-        small = [(n, a) for n, a in nilpotent_battery() if a.dim <= 4]
+        small = [(n, a) for n, a in BATTERY if a.dim <= 4]
         small.append(("sl2", sl2()))
         assert len(small) >= 5
         for name, a in small:
             assert cohomology_dims(a).dims == ce_dims_reversed_basis(a), name
-
-    def test_invalid_input_rejected(self):
-        broken = LieAlgebra(3, {(1, 2): {3: 1}, (2, 1): {3: 0}}, check=False)
-        with pytest.raises(InvalidLieAlgebraError):
-            cohomology_dims(broken)
 
 
 class TestGradedDims:
@@ -173,7 +172,7 @@ class TestGradedDims:
 
 class TestSerialization:
     def test_roundtrip(self):
-        for name, a in nilpotent_battery() + [("sl2", sl2())]:
+        for name, a in BATTERY + [("sl2", sl2())]:
             assert LieAlgebra.from_json_obj(a.to_json_obj()) == a, name
 
     def test_wire_format(self):

@@ -230,3 +230,9 @@ class TestSerialization:
     def test_int_matrix_rejects_fractions(self):
         with pytest.raises(PreconditionError):
             IntMatrix([[Fraction(1, 2)]])
+
+    @pytest.mark.parametrize("entry", [2.5, True, "3"])
+    def test_int_matrix_never_truncates(self, entry):
+        with pytest.raises(PreconditionError, match="integers"):
+            IntMatrix([[entry]])
+        assert IntMatrix([[Fraction(6, 3), -4]]).entries == ((2, -4),)
