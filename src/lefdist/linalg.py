@@ -281,8 +281,8 @@ def rank_kernel(m: RationalMatrix | IntMatrix) -> tuple[int, list[tuple[Fraction
 def row_space_basis(m: RationalMatrix | IntMatrix) -> list[tuple[Fraction, ...]]:
     """Reduced row echelon basis of the row space, ordered by pivot column.
 
-    No main path calls it since ``is_nilpotent`` works on integer rows; it
-    stays as the reference the tests check the lower central series against.
+    No main path calls it (``is_nilpotent`` works on integer rows); it stays
+    as the reference the tests check the lower central series against.
     """
     rows, pivots, _, _ = _bareiss_echelon(m.entries)
     return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]
@@ -402,10 +402,10 @@ def exterior_power(m: RationalMatrix | IntMatrix, i: int):
     """Induced matrix on the i-th exterior power, C(n,i) x C(n,i).
 
     Basis: i-element subsets of row/column indices in lexicographic order;
-    entry (I, J) is the minor det m[I, J].  The toral Lefschetz number no
-    longer uses it; it stays for ``GradedMap.from_toral``, whose exterior
-    powers keep the Selberg specialization independent of the mapping torus,
-    and for the verify linalg suite.
+    entry (I, J) is the minor det m[I, J].  The toral Lefschetz number does
+    not use it; it stays for ``GradedMap.from_toral``, whose exterior powers
+    keep the Selberg specialization independent of the mapping torus, and for
+    the verify linalg suite.
     """
     if not m.is_square:
         raise PreconditionError("exterior_power requires a square matrix")
