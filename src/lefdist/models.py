@@ -130,7 +130,7 @@ class ClosedOrbitSpec:
 
 
 # Each multiple k of an orbit costs two powers P^k and two determinants (200 take
-# about 1 s for a 3x3 rational P); the test and benchmark flows have at most 10.
+# about 1 s for a 3x3 rational P on a 2-vCPU Xeon); test and benchmark flows have at most 10.
 MAX_FLOW_MULTIPLES = 200
 
 
