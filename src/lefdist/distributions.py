@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import PreconditionError
-from .linalg import expect, rat_from_str, rat_to_str, read_int
+from .linalg import rat_from_str, rat_to_str
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -140,33 +140,19 @@ class OrbitTerm:
     class_label: str
     lefschetz: Number
     vol_centralizer: Number
-    note: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "lefschetz", to_number(self.lefschetz))
         object.__setattr__(self, "vol_centralizer", to_number(self.vol_centralizer))
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "class": self.class_label,
             "coeff_factors": {
                 "lefschetz": num_to_str(self.lefschetz),
                 "vol_centralizer": num_to_str(self.vol_centralizer),
             },
         }
-        if self.note:
-            obj["note"] = self.note
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "OrbitTerm":
-        f = expect(obj["coeff_factors"], dict, "'coeff_factors'")
-        return cls(
-            expect(obj["class"], str, "orbit term 'class'"),
-            to_number(f["lefschetz"], "'lefschetz'"),
-            to_number(f["vol_centralizer"], "'vol_centralizer'"),
-            expect(obj.get("note", ""), str, "orbit term 'note'"),
-        )
 
 
 @dataclass(frozen=True)
@@ -251,29 +237,6 @@ class AtomicDistribution:
             obj["orbit_terms"] = [t.to_json_obj() for t in self.orbit_terms]
         return obj
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "AtomicDistribution":
-        group = expect(obj.get("group", "abstract"), str, "'group'")
-        atoms = []
-        for a in expect(obj.get("atoms", []), list, "'atoms'", each=dict):
-            atoms.append((_parse_point(a["at"], group), to_number(a["coeff"], "atom 'coeff'")))
-        smooth = obj.get("smooth_const")
-        terms = tuple(map(OrbitTerm.from_json_obj, expect(obj.get("orbit_terms", []), list, "'orbit_terms'", each=dict)))
-        return make(
-            atoms,
-            None if smooth is None else to_number(smooth, "'smooth_const'"),
-            terms,
-            group=group,
-        )
-
-
-def _parse_point(s, group: str) -> GroupPoint:
-    if group == "Z":
-        return LatticePoint(read_int(s, "atom 'at'"))
-    if group == "R":
-        return RealPoint(to_number(s, "atom 'at'"))
-    return ConjClass(expect(s, str, "atom 'at'"))
-
 
 def _add_opt(a: Number | None, b: Number | None) -> Number | None:
     if a is None:
@@ -339,7 +302,7 @@ def make(
             smooth_const = None
 
     terms = tuple(
-        sorted(orbit_terms, key=lambda t: (t.class_label, str(t.lefschetz), t.note))
+        sorted(orbit_terms, key=lambda t: (t.class_label, str(t.lefschetz)))
     )
     return AtomicDistribution(tuple(merged), smooth_const, terms, group)
 

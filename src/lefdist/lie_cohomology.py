@@ -17,8 +17,9 @@ The differential on the dual exterior algebra is the standard one,
         sum_{j<k} (-1)^(j+k) w([x_j, x_k], x_0, ..., ^x_j, ..., ^x_k, ...),
 
 realized as an exact matrix in the basis of lexicographically ordered index
-subsets: integer rows scaled by L, ranked one weight block at a time for the
-Betti numbers, and the same rows over L as a rational matrix.
+subsets: sparse integer rows scaled by L.  For the Betti numbers each d_i is
+ranked one connected component of its nonzero pattern at a time; the same
+rows over L give the full rational matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .linalg import (
     _bareiss_echelon,
     expect,
     rank,
-    rank_kernel,
     rat_from_str,
     rat_to_str,
     read_int,
@@ -270,46 +270,21 @@ def is_nilpotent(a: LieAlgebra) -> Nilpotency:
     return Nilpotency(True, step)
 
 
-def _weight_basis(a: LieAlgebra) -> list[tuple[int, ...]]:
-    """A basis of the weights w in Q^dim with w_i + w_j = w_k for every nonzero
-    c_ij^k, each vector scaled to integers.
+def _ce_rows(a: LieAlgebra, i: int) -> list[dict[int, int]]:
+    """L times the matrix of d: Lambda^i -> Lambda^(i+1), as sparse integer rows.
 
-    Every algebra has w = 0; filiform:n has two independent weights,
-    heisenberg:m has m + 1, sl2 has (0, t, -t) and a dense change of basis
-    usually leaves only 0.
+    One {column: nonzero entry} dict per (i+1)-subset, the rows and the
+    i-subset columns both in lexicographic order.  Row T collects, for each
+    pair of positions pj < pk and each nonzero [e_T[pj], e_T[pk]] output m
+    outside the rest of T, the sign (-1)^(pj+pk) times the sign of inserting m
+    into that rest.
     """
     n, t = a.dim, a._table
-    equations = {
-        tuple((x == i) + (x == j) - (x == k) for x in range(n))
-        for i, j in itertools.combinations(range(n), 2)
-        for k, _ in t[i][j]
-    }
-    if not equations:  # abelian: every weight (an IntMatrix without rows has no columns)
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    basis = []
-    for v in rank_kernel(IntMatrix(sorted(equations)))[1]:
-        d = lcm(*(x.denominator for x in v))
-        basis.append(tuple(x.numerator * (d // x.denominator) for x in v))
-    return basis
-
-
-def _ce_rows(a: LieAlgebra, i: int, rows=None, cols=None) -> list[list[int]]:
-    """L times the matrix of d: Lambda^i -> Lambda^(i+1), as integer rows.
-
-    The rows are the (i+1)-subsets ``rows`` and the columns the i-subsets
-    ``cols``, by default all of them in lexicographic order; a block must hold
-    every column its rows reach.  Row T collects, for each pair of positions
-    pj < pk and each nonzero [e_T[pj], e_T[pk]] output m outside the rest of
-    T, the sign (-1)^(pj+pk) times the sign of inserting m into that rest.
-    """
-    n, t = a.dim, a._table
-    if rows is None:
-        rows, cols = itertools.combinations(range(n), i + 1), itertools.combinations(range(n), i)
-    col = {s: c for c, s in enumerate(cols)}
+    col = {s: c for c, s in enumerate(itertools.combinations(range(n), i))}
     pairs = list(itertools.combinations(range(i + 1), 2))
     out = []
-    for T in rows:
-        row = [0] * len(col)
+    for T in itertools.combinations(range(n), i + 1):
+        row: dict[int, int] = {}
         for pj, pk in pairs:
             brk = t[T[pj]][T[pk]]
             if not brk:
@@ -319,8 +294,9 @@ def _ce_rows(a: LieAlgebra, i: int, rows=None, cols=None) -> list[list[int]]:
                 p = bisect_left(rest, m)
                 if p < len(rest) and rest[p] == m:
                     continue
-                row[col[rest[:p] + (m,) + rest[p:]]] += num if (pj + pk + p) % 2 == 0 else -num
-        out.append(row)
+                c = col[rest[:p] + (m,) + rest[p:]]
+                row[c] = row.get(c, 0) + (num if (pj + pk + p) % 2 == 0 else -num)
+        out.append({c: x for c, x in row.items() if x})
     return out
 
 
@@ -328,50 +304,63 @@ def ce_differential(a: LieAlgebra, i: int) -> RationalMatrix:
     """Matrix of d: Lambda^i -> Lambda^(i+1) in the lex subset bases.
 
     Shape C(n, i+1) x C(n, i); columns index i-subsets, rows (i+1)-subsets.
-    ``cohomology_dims`` ranks blocks of the integer rows instead; the full
-    rational matrix stays for the d.d = 0 check in ``verify``.
+    ``cohomology_dims`` ranks the connected components of the sparse integer
+    rows instead; the full rational matrix stays for the d.d = 0 check in
+    ``verify``.
     """
     n = a.dim
     if not 0 <= i <= n:
         raise PreconditionError(f"degree {i} out of range 0..{n}")
-    return RationalMatrix([[Fraction(x, a._den) for x in row] for row in _ce_rows(a, i)])
+    cols = range(comb(n, i))
+    return RationalMatrix([[Fraction(row.get(c, 0), a._den) for c in cols] for row in _ce_rows(a, i)])
+
+
+def _component_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of a sparse matrix: the sum of the ranks of its connected components.
+
+    Rows that share a column are joined, so no nonzero entry lies between two
+    components and the matrix is block-diagonal over them up to a permutation
+    of rows and columns.  A one-row component has rank 1; larger ones are
+    densified on their own columns and ranked by forward-only elimination.
+    """
+    parent: dict[int, int] = {}
+
+    def root(c: int) -> int:
+        while parent.setdefault(c, c) != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    rows = [row for row in rows if row]
+    for row in rows:
+        first, *rest = row
+        r = root(first)
+        for c in rest:
+            parent[root(c)] = r
+    components: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        components.setdefault(root(next(iter(row))), []).append(row)
+    total = 0
+    for comp in components.values():
+        if len(comp) == 1:
+            total += 1
+        else:
+            cols = sorted(set().union(*comp))
+            total += rank(IntMatrix([[row.get(c, 0) for c in cols] for row in comp]))
+    return total
 
 
 def cohomology_dims(a: LieAlgebra) -> GradedDims:
     """Betti numbers b^i = dim ker d_i - rank d_(i-1) of the CE complex.
 
-    The ranks are taken one weight block at a time.  If w_i + w_j = w_k for
-    every nonzero c_ij^k, the entry of d_i in row T and column S is nonzero
-    only where S is T with two indices replaced by an output of their bracket
-    (see ``_ce_rows``), so T and S have the same total weight.  Each d_i is
-    then block-diagonal over the total weights, with no entry between blocks,
-    and its rank is exactly the sum of the block ranks.  The blocks are keyed
-    by the whole space of such weights (``_weight_basis``); when only w = 0
-    exists there is one block, the full matrix.  Each block is ranked from its
-    integer rows (L times d_i) by forward-only elimination.
+    Each rank is the sum over the connected components of the nonzero
+    pattern of d_i (``_component_rank`` on the rows of ``_ce_rows``).  A
+    grading splits d_i at least as finely: if w_i + w_j = w_k for every
+    nonzero c_ij^k, an entry joins only subsets of equal total weight.  A dense
+    change of basis usually leaves one component per degree, the full matrix.
     """
     n = a.dim
-    basis = _weight_basis(a)
-    # one int key per weight: its coordinates as digits in base 2*dim*max|w| + 1, since
-    # a sum of at most dim weights has every digit within +-dim*max|w|
-    base = 2 * n * max((abs(x) for b in basis for x in b), default=0) + 1
-    key = [sum(b[s] * base**p for p, b in enumerate(basis)) for s in range(n)]
-    blocks: list[dict[int, list[tuple[int, ...]]]] = []  # degree -> total weight -> subsets
-    for i in range(n + 1):
-        by_weight: dict[int, list[tuple[int, ...]]] = {}
-        for s in itertools.combinations(range(n), i):
-            by_weight.setdefault(sum(key[x] for x in s), []).append(s)
-        blocks.append(by_weight)
-    ranks = [0] * (n + 1)
-    for i in range(n):
-        for w, rows in blocks[i + 1].items():
-            if w in blocks[i]:
-                ranks[i] += rank(IntMatrix(_ce_rows(a, i, rows, blocks[i][w])))
-    dims = []
-    for i in range(n + 1):
-        below = ranks[i - 1] if i > 0 else 0
-        dims.append(comb(n, i) - ranks[i] - below)
-    return GradedDims(tuple(dims))
+    ranks = [_component_rank(_ce_rows(a, i)) for i in range(n)] + [0]
+    return GradedDims(tuple(comb(n, i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(n + 1)))
 
 
 # -- standard presentations ------------------------------------------------
@@ -413,27 +402,32 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(a.dim + b.dim, brackets)
 
 
-# name -> constructor of "name:arg" (arg is "" for a bare name)
+# name -> (constructor, the name of its argument or "" if it takes none, the argument of a bare name)
 _CATALOG = {
-    "abelian": lambda arg: abelian(read_int(arg, "the n of abelian:n")),
-    "heisenberg": lambda arg: heisenberg(read_int(arg or "1", "the m of heisenberg:m")),
-    "filiform": lambda arg: filiform(read_int(arg, "the n of filiform:n")),
-    "sl2": lambda arg: sl2(),
+    "abelian": (abelian, "n", ""),
+    "filiform": (filiform, "n", ""),
+    "heisenberg": (heisenberg, "m", "1"),
+    "sl2": (sl2, "", ""),
 }
 
 
 def catalog_algebra(spec: str) -> LieAlgebra:
     """The algebra named by ``spec``: ``name`` or ``name:n`` from _CATALOG, or
-    such summands joined by ``+`` for their direct sum, e.g. ``heisenberg:1+abelian:2``."""
+    such summands joined by ``+`` for their direct sum, e.g. ``heisenberg:1+abelian:2``.
+    A bare ``heisenberg`` is m = 1; ``sl2`` takes no argument."""
     summands = []
     for part in spec.split("+"):
-        name, _, arg = part.strip().partition(":")
+        name, colon, arg = part.strip().partition(":")
         if name not in _CATALOG:
             raise ValueError(
                 f"algebra {spec!r}: {name!r} is not a catalog name ({', '.join(sorted(_CATALOG))}; "
                 "':n' gives a dimension argument, '+' joins summands)"
             )
-        summands.append(_CATALOG[name](arg))
+        make, param, bare = _CATALOG[name]
+        if colon and not param:
+            raise ValueError(f"algebra {spec!r}: {name} takes no argument")
+        what = f"algebra {spec!r}: the {param} of {name}:{param}"
+        summands.append(make(read_int(arg if colon else bare, what)) if param else make())
     return functools.reduce(direct_sum, summands)
 
 

@@ -85,9 +85,9 @@ def mapping_torus(source: ToralAutomorphism | GradedMap, window: int) -> AtomicD
 class ClosedOrbitSpec:
     """Primitive closed orbit: period plus linearized leafwise return map.
 
-    Give either ``return_map`` (signs are derived from det(P^k - I), so the
-    simplicity assumption is checked) or a raw ``signs`` map k -> +-1, which
-    is accepted unchecked.
+    Give either an invertible ``return_map`` (signs are derived from
+    det(P^k - I), so the simplicity assumption is checked) or a raw
+    ``signs`` map k -> +-1, which is accepted unchecked.
     """
 
     length: Number
@@ -100,8 +100,11 @@ class ClosedOrbitSpec:
             raise PreconditionError("orbit length must be positive")
         if (self.return_map is None) == (self.signs is None):
             raise PreconditionError("give exactly one of return_map or signs")
-        if self.return_map is not None and not self.return_map.is_square:
-            raise PreconditionError("return map must be square")
+        if self.return_map is not None:
+            if not self.return_map.is_square:
+                raise PreconditionError("return map must be square")
+            if determinant(self.return_map) == 0:
+                raise PreconditionError("return map is singular")
 
     def sign(self, k: int, orbit_name: str = "orbit") -> int:
         """epsilon at the k-th multiple: sign det(P^k - I)."""
@@ -118,8 +121,6 @@ class ClosedOrbitSpec:
                 raise PreconditionError(f"{orbit_name}: sign for k={k} must be +-1")
             return s
         p = self.return_map
-        if determinant(p) == 0:
-            raise PreconditionError(f"{orbit_name}: return map is singular")
         pk = matrix_power(p, k)
         d = determinant(pk - RationalMatrix.identity(p.rows))
         if d == 0:

@@ -47,7 +47,7 @@ def ce_dims_reversed_basis(a: LieAlgebra) -> tuple[int, ...]:
     on the basis vectors of T: each term's arguments are sorted into
     decreasing order, which names its monomial, and signed by the sorting
     permutation.  Each full matrix is ranked by Gauss-Jordan; no subset
-    bookkeeping or weight block is shared with the main implementation.
+    bookkeeping or component split is shared with the main implementation.
     """
     n = a.dim
     units = [tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]

@@ -115,6 +115,14 @@ class TestFlow:
         assert rc == 1
         assert "not simple" in err and "k=1" in err
 
+    def test_singular_return_map(self, capsys, tmp_path):
+        # the orbit is longer than the window, so no multiple is reached: the map is refused when read
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": [{"length": "5", "return_map": [["1", "2"], ["1/2", "1"]]}]}))
+        rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", "1")
+        assert rc == 1
+        assert err.startswith("error:") and "singular" in err
+
     def test_signs_route(self, capsys, tmp_path):
         path = tmp_path / "orbits.json"
         path.write_text(
@@ -278,11 +286,23 @@ class TestNilfoliation:
 
     @pytest.mark.parametrize(
         "spec, field",
-        [("filiform:x", "filiform:n"), ("abelian:", "abelian:n"), ("heisenberg:2.5", "heisenberg:m")],
+        [
+            ("filiform:x", "filiform:n"),
+            ("abelian:", "abelian:n"),
+            ("heisenberg:2.5", "heisenberg:m"),
+            ("heisenberg:", "heisenberg:m"),  # only a bare heisenberg means m = 1
+            ("abelian", "abelian:n"),
+        ],
     )
     def test_catalog_argument_not_an_integer(self, capsys, spec, field):
         rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", spec)
         assert_input_error(rc, err, field)
+        assert f"algebra {spec!r}: " in err
+
+    @pytest.mark.parametrize("spec", ["sl2:5", "filiform:6+sl2:3"])
+    def test_catalog_argument_refused(self, capsys, spec):
+        rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", spec)
+        assert_input_error(rc, err, f"algebra {spec!r}: sl2 takes no argument")
 
     def test_catalog_direct_sum(self, capsys):
         rc, out, _ = run_cli(capsys, "nilfoliation", "--algebra", "heisenberg:1+abelian:1")

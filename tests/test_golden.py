@@ -11,8 +11,8 @@ heis3 + filiform5 (dim 8) whose constants have denominators up to 8588343,
 and the default `verify --suite all` report.  The toral files were written
 before the toral kernels became integer-native, the heisenberg:4 and dim-8
 files before the structure constants became a sparse integer table, the
-filiform:11 and dim-12 files before the CE ranks were taken per weight block, the
-others before the exact elimination kernels were merged; any byte that
+filiform:11 and dim-12 files before the CE ranks were taken block by block,
+the others before the exact elimination kernels were merged; any byte that
 changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
 output change is intended:

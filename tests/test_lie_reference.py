@@ -10,13 +10,14 @@ after rational changes of basis, which make the constants non-integer.
 
 ``full_matrix_dims`` ranks the whole CE matrix of each degree with
 Gauss-Jordan (``rank_kernel``), as ``cohomology_dims`` did before it took the
-ranks one weight block at a time; ``dense_is_nilpotent`` is the lower central
-series over ``Fraction`` vectors that ``is_nilpotent`` replaced.
+ranks one connected component at a time; ``component_counts`` finds those
+components by merging column sets, and ``weight_rank`` is the rank of the
+grading equations w_i + w_j = w_k (dim when only w = 0 solves them).
+``dense_is_nilpotent`` is the lower central series over ``Fraction`` vectors
+that ``is_nilpotent`` replaced.
 """
 
 import itertools
-import json
-import pathlib
 import random
 from fractions import Fraction
 from math import comb
@@ -31,18 +32,15 @@ from lefdist.lie_cohomology import (
     Nilpotency,
     Violation,
     _ce_rows,
-    _weight_basis,
-    abelian,
+    _component_rank,
     catalog_algebra,
     ce_differential,
     cohomology_dims,
     filiform,
-    heisenberg,
     is_nilpotent,
     nilpotent_battery,
-    sl2,
 )
-from lefdist.linalg import IntMatrix, RationalMatrix, matrix_power, rank_kernel, row_space_basis
+from lefdist.linalg import IntMatrix, RationalMatrix, matrix_power, rank, rank_kernel, row_space_basis
 from lefdist.verify import ce_dims_reversed_basis
 
 BASES = [(spec, catalog_algebra(spec)) for spec in (*nilpotent_battery(), "sl2", "heisenberg:1+filiform:4")]
@@ -110,8 +108,34 @@ def dense_ce_differential(c, i):
 
 def full_matrix_dims(a):
     n = a.dim
-    ranks = [rank_kernel(IntMatrix(_ce_rows(a, i)))[0] for i in range(n + 1)]
+    ranks = [rank_kernel(ce_differential(a, i))[0] for i in range(n + 1)]
     return tuple(comb(n, i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(n + 1))
+
+
+def component_counts(a):
+    """Per degree, the number of connected components of the nonzero rows of d_i."""
+    counts = []
+    for i in range(a.dim):
+        groups = []  # column sets of the components so far
+        for row in filter(None, _ce_rows(a, i)):
+            cols = set(row)
+            for g in [g for g in groups if g & cols]:
+                groups.remove(g)
+                cols |= g
+            groups.append(cols)
+        counts.append(len(groups))
+    return counts
+
+
+def weight_rank(a):
+    n = a.dim
+    equations = [
+        [(x == i) + (x == j) - (x == k) for x in range(n)]
+        for i, j in itertools.combinations(range(n), 2)
+        for k in range(n)
+        if a.structure_constant(i + 1, j + 1, k + 1)
+    ]
+    return rank(IntMatrix(equations)) if equations else 0
 
 
 def dense_is_nilpotent(a):
@@ -182,7 +206,9 @@ def permute_and_rescale(rng, dim):
 def algebras(draw, perturb=True):
     """(dim, brackets) of a battery algebra, sl2 or heis3 + fil4, possibly after a
     rational change of basis and a rational rescaling, then with up to four
-    constants overwritten (any ordered pair, diagonal included)."""
+    perturbations.  Each either rescales one basis vector, f_b = t e_b, which
+    keeps the Jacobi identity, or overwrites one constant (any ordered pair,
+    diagonal included), which usually breaks it."""
     _, a = draw(st.sampled_from(BASES))
     dim, brackets = a.dim, brackets_of(a)
     if dim <= 6 and draw(st.booleans()):
@@ -192,9 +218,24 @@ def algebras(draw, perturb=True):
     if perturb and dim:
         index = st.integers(1, dim)
         for _ in range(draw(st.integers(0, 4))):
-            i, j, k = draw(index), draw(index), draw(index)
-            brackets.setdefault((i, j), {})[k] = draw(RATIONALS)
+            if draw(st.booleans()):  # c'_ij^k = c_ij^k s_i s_j / s_k with s_b = t, every other s = 1
+                b, t = draw(index), draw(RATIONALS.filter(bool))
+                brackets = {
+                    (i, j): {k: v * t ** ((i == b) + (j == b) - (k == b)) for k, v in out.items()}
+                    for (i, j), out in brackets.items()
+                }
+            else:
+                i, j, k = draw(index), draw(index), draw(index)
+                brackets.setdefault((i, j), {})[k] = draw(RATIONALS)
     return dim, brackets
+
+
+@st.composite
+def sparse_rows(draw):
+    """2 to 10 rows over n <= 12 columns, each with at most 2 nonzero entries."""
+    n = draw(st.integers(1, 12))
+    entry = st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3).filter(bool), max_size=2)
+    return n, draw(st.lists(entry, min_size=2, max_size=10))
 
 
 # -- properties -----------------------------------------------------------------
@@ -248,9 +289,9 @@ def test_betti_numbers_survive_rational_changes_of_basis():
         if a.dim == 0:
             continue
         b = LieAlgebra(a.dim, change_basis(a.dim, brackets_of(a), random_basis(rng, a.dim)))
-        if brackets_of(a):  # the change of basis made some constant non-integer and left one weight block
+        if brackets_of(a):  # the change of basis made some constant non-integer and left only w = 0
             assert any(c.denominator > 1 for out in brackets_of(b).values() for c in out.values()), name
-            assert _weight_basis(b) == [], name
+            assert weight_rank(b) == b.dim, name
         assert cohomology_dims(b) == cohomology_dims(a), name
         assert cohomology_dims(b).dims == full_matrix_dims(b) == ce_dims_reversed_basis(b), name
 
@@ -261,25 +302,28 @@ def test_weight_blocks_survive_permutation_and_rescaling():
         if a.dim == 0:
             continue
         b = LieAlgebra(a.dim, change_basis(a.dim, brackets_of(a), permute_and_rescale(rng, a.dim)))
-        assert len(_weight_basis(b)) == len(_weight_basis(a)) > 0, name
+        # the basis vectors are only relabelled and rescaled, so the nonzero pattern keeps its components
+        assert component_counts(b) == component_counts(a), name
         assert cohomology_dims(b).dims == full_matrix_dims(b) == ce_dims_reversed_basis(b), name
 
 
-def test_weight_space_dimension():
-    scrambled = pathlib.Path(__file__).parent / "golden" / "inputs" / "scrambled_algebra_dim7.json"
-    for n in range(3, 13):
-        assert len(_weight_basis(filiform(n))) == 2, n
-    assert len(_weight_basis(heisenberg(5))) == 6
-    assert len(_weight_basis(abelian(4))) == 4
-    assert _weight_basis(sl2()) in ([(0, 1, -1)], [(0, -1, 1)])  # w = (0, t, -t)
-    assert _weight_basis(LieAlgebra.from_json_obj(json.loads(scrambled.read_text()))) == []
+def test_weightless_algebra_splits_into_components():
+    # f_2 = e_1 + e_2 and f_6 = e_1 + e_6: a unimodular change of basis of filiform:6
+    # that leaves only w = 0, yet d_1..d_4 each split into four components
+    a = filiform(6)
+    p = [[Fraction(int(i == j or (i, j) in ((0, 1), (0, 5)))) for j in range(6)] for i in range(6)]
+    b = LieAlgebra(6, change_basis(6, brackets_of(a), p))
+    assert weight_rank(b) == 6
+    assert component_counts(b) == [0, 4, 4, 4, 4, 0]
+    assert cohomology_dims(b) == cohomology_dims(a)
+    assert cohomology_dims(b).dims == full_matrix_dims(b) == ce_dims_reversed_basis(b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(algebras())
 def test_is_nilpotent_matches_fraction_series(case):
-    # about one perturbed draw in six stays a Lie algebra, and those can change its nilpotency;
-    # the rest are refused at construction
+    # a rescaled basis vector keeps the algebra and its nilpotency; an overwritten constant
+    # is usually refused at construction, and the few that stay Lie algebras can change it
     try:
         a = LieAlgebra(*case)
     except InvalidLieAlgebraError:
@@ -292,3 +336,25 @@ def test_is_nilpotent_matches_fraction_series(case):
 def test_weight_blocks_match_the_full_matrix(case):
     a = LieAlgebra(*case)
     assert cohomology_dims(a).dims == full_matrix_dims(a)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([], 0),
+        ([{}, {}], 0),  # zero rows join nothing
+        ([{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 3}, {3: 1, 4: 1}, {4: 1}], 4),  # blocks of rank 1, 1 and 2
+        ([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 3: 1}], 3),  # a cycle through shared columns
+        ([{0: 1}, {1: 1}, {0: 1, 1: 1}], 2),  # the last row joins two components
+    ],
+)
+def test_component_rank_cases(rows, expected):
+    assert _component_rank(rows) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rows())
+def test_component_rank_matches_the_dense_rank(case):
+    n, rows = case
+    dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+    assert _component_rank(rows) == rank_kernel(IntMatrix(dense))[0]

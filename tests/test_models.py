@@ -128,6 +128,11 @@ class TestFlow:
         with pytest.raises(PreconditionError):
             ClosedOrbitSpec(1, return_map=DIAG_2_HALF, signs={1: 1})
 
+    def test_singular_return_map_refused_when_built(self):
+        # checked once in the constructor, so even an orbit with no multiple in the window is refused
+        with pytest.raises(PreconditionError, match="singular"):
+            ClosedOrbitSpec(1, return_map=RationalMatrix([[1, 2], [2, 4]]))
+
 
 class TestSuspension:
     def test_genus2_surface(self):
