@@ -8,12 +8,18 @@ abelian:1 read from JSON (dim 12), on a dense rational change of
 basis of heis3 + filiform4 (dim 7) and on a rational change of basis of
 heis3 + filiform5 (dim 8) whose constants have denominators up to 8588343,
 `mapping-torus --input` with a rational graded map (negative powers invert),
-and the default `verify --suite all` report.  The toral files were written
-before the toral kernels became integer-native, the heisenberg:4 and dim-8
-files before the structure constants became a sparse integer table, the
-filiform:11 and dim-12 files before the CE ranks were taken block by block,
-the others before the exact elimination kernels were merged; any byte that
-changes is a regression.
+the default `verify --suite all` report, and the reports that pin how atoms
+merge: `flow` with exact lengths 1 and 3/2 that meet at 3, inexact lengths
+and near-duplicates 5e-9 apart (kept apart by default; merged, with an exact
+and an inexact location 2e-10 apart, under `--tolerance 1e-6`), `selberg`
+once abstract (orbit terms) and once with `group_kind` R (lattice atoms), and
+`suspension` and `surface-suspension` with an inexact volume.  The toral
+files were written before the toral kernels became integer-native, the
+heisenberg:4 and dim-8 files before the structure constants became a sparse
+integer table, the filiform:11 and dim-12 files before the CE ranks were
+taken block by block, the flow, selberg and suspension files before `make`
+merged every kind of atom in one loop, the others before the exact
+elimination kernels were merged; any byte that changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
 output change is intended:
 
@@ -83,6 +89,17 @@ CLI = {
         "mapping-torus", "--input", str(INPUTS / "graded_map.json"), "--window", "4"
     ],
     "verify_all": ["verify", "--suite", "all"],
+    "flow_commensurable": [
+        "flow", "--input", str(INPUTS / "flow_orbits_commensurable.json"), "--window", "3"
+    ],
+    "flow_tolerance": [
+        "flow", "--input", str(INPUTS / "flow_orbits_near_exact.json"), "--window", "3",
+        "--tolerance", "1e-6",
+    ],
+    "selberg_abstract": ["selberg", "--input", str(INPUTS / "selberg_abstract.json")],
+    "selberg_r": ["selberg", "--input", str(INPUTS / "selberg_r.json")],
+    "suspension_inexact": ["suspension", "--vol", "~1.5", "--chi", "-2"],
+    "surface_suspension_genus3": ["surface-suspension", "--genus", "3", "--vol", "~1.5"],
 }
 
 
