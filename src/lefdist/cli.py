@@ -27,7 +27,6 @@ from .curvature import (
     random_torus_metric,
     require_resolution,
     sphere_grid,
-    sphere_patch_grid,
 )
 from .distributions import AtomicDistribution, num_to_str, to_number
 from .errors import PreconditionError
@@ -93,12 +92,12 @@ def _cmd_mapping_torus(args) -> dict:
             source = _graded_from_json(obj["graded"])
             desc = "graded"
         else:
-            raise KeyError("input JSON needs a 'matrix' or 'graded' field")
+            raise ValueError("input JSON needs a 'matrix' or 'graded' field")
     d = mapping_torus(source, args.window)
     meta = {
         "source": desc,
         "truncation": f"atoms emitted for |k| <= {args.window}",
-        "convention": args.convention,
+        "convention": "paper",
     }
     return _wrap("mapping_torus", d, meta, window=args.window)
 
@@ -111,7 +110,7 @@ def _orbit_from_json(obj: dict) -> ClosedOrbitSpec:
         signs = expect(obj["signs"], dict, "orbit 'signs'")
         signs = {read_int(k, "orbit 'signs' key"): read_int(v, "orbit sign") for k, v in signs.items()}
         return ClosedOrbitSpec(length, signs=signs)
-    raise KeyError("orbit needs a 'return_map' or 'signs' field")
+    raise ValueError("orbit needs a 'return_map' or 'signs' field")
 
 
 def _cmd_flow(args) -> dict:
@@ -122,7 +121,7 @@ def _cmd_flow(args) -> dict:
     meta = {
         "orbits": len(orbits),
         "truncation": f"atoms emitted for |k l(c)| <= {args.window}",
-        "convention": args.convention,
+        "convention": "paper",
     }
     if args.tolerance is not None:
         meta["tolerance"] = args.tolerance
@@ -194,7 +193,7 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
         return ConjugacyClassData(label, GradedMap.from_toral(t, read_int(label, "class 'label'")), vol)
     if "graded" in obj:
         return ConjugacyClassData(label, _graded_from_json(obj["graded"]), vol)
-    raise KeyError(f"class {label!r} needs 'lefschetz', 'matrix' or 'graded'")
+    raise ValueError(f"class {label!r} needs 'lefschetz', 'matrix' or 'graded'")
 
 
 def _cmd_selberg(args) -> dict:
@@ -217,7 +216,6 @@ def _cmd_selberg(args) -> dict:
 _BUILTIN_GRIDS = {
     "flat": lambda n, rng: flat_torus_grid(n),
     "sphere": lambda n, rng: sphere_grid(n),
-    "sphere-patch": lambda n, rng: sphere_patch_grid(n),
     "random": lambda n, rng: random_torus_metric(rng, n),
 }
 
@@ -324,14 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--matrix", help='inline integer matrix, e.g. "[[2,1],[1,1]]"')
     src.add_argument("--input", help="JSON file with a 'matrix' or 'graded' field")
     p.add_argument("--window", type=int, default=3, metavar="K")
-    p.add_argument("--convention", choices=("paper", "classical"), default="paper")
     p.set_defaults(handler=_cmd_mapping_torus)
 
     p = sub.add_parser("flow", parents=[common], help="codimension-one flow with prescribed closed orbits")
     p.add_argument("--input", required=True, help="JSON file with an 'orbits' list")
     p.add_argument("--window", required=True, metavar="T")
     p.add_argument("--tolerance", type=float, metavar="T", help="inexact atom merge tolerance")
-    p.add_argument("--convention", choices=("paper", "classical"), default="paper")
     p.set_defaults(handler=_cmd_flow)
 
     p = sub.add_parser("suspension", parents=[common], help="suspension foliation over a compact group")
@@ -384,7 +380,10 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, KeyError, ValueError, ArithmeticError) as exc:  # e.g. 1/0, or too large for a float
+    except KeyError as exc:  # a field the input JSON lacks
+        print(f"input error: missing field {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, ArithmeticError) as exc:  # e.g. 1/0, or too large for a float
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if args.emit_run_info:

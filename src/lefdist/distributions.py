@@ -178,10 +178,9 @@ class AtomicDistribution:
             raise PreconditionError(
                 f"cannot add distributions on different groups ({self.group} vs {other.group})"
             )
-        sc = _add_opt(self.smooth_const, other.smooth_const)
         return make(
             self.atoms + other.atoms,
-            sc,
+            (self.smooth_const or 0) + (other.smooth_const or 0),
             self.orbit_terms + other.orbit_terms,
             group=self.group,
             tolerance=tolerance,
@@ -238,14 +237,6 @@ class AtomicDistribution:
         return obj
 
 
-def _add_opt(a: Number | None, b: Number | None) -> Number | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
 def make(
     atoms=(),
     smooth_const=None,
@@ -253,12 +244,15 @@ def make(
     group: str | None = None,
     tolerance: float | None = None,
 ) -> AtomicDistribution:
-    """Canonicalize: merge provably-equal points, drop zeros, sort.
+    """Canonicalize: sort, merge provably-equal neighbours, drop zeros.
 
-    Exact atom locations merge on equality; inexact ones merge within the
-    tolerance (default ``DEFAULT_TOLERANCE``).  An exact and an inexact
-    location that look equal raise unless ``tolerance`` is passed explicitly,
-    in which case they merge to an inexact atom.
+    One pass over the atoms, stably sorted by location, adds each atom to the
+    cluster before it when it is the same point as that cluster's first
+    location, so coefficients are summed in input order.  Exact locations
+    merge on equality, inexact ones within the tolerance (default
+    ``DEFAULT_TOLERANCE``).  An exact and an inexact location that look equal
+    raise unless ``tolerance`` is passed explicitly, in which case they merge
+    to an inexact atom.
     """
     explicit_tol = tolerance is not None
     tol = Fraction(tolerance if explicit_tol else DEFAULT_TOLERANCE)
@@ -280,21 +274,16 @@ def make(
             f"declared group {group!r} does not match atom variant ({inferred!r})"
         )
 
-    if norm and isinstance(norm[0][0], RealPoint):
-        merged = _merge_real_atoms(norm, tol, explicit_tol)
-    else:
-        acc: dict = {}
-        order: list = []
-        for p, c in norm:
-            if p in acc:
-                acc[p] = acc[p] + c
-            else:
-                acc[p] = c
-                order.append(p)
-        merged = [(p, acc[p]) for p in order]
-
+    merged: list[list] = []  # [representative point, summed coefficient], in sorted order
+    for p, c in sorted(norm, key=lambda pc: _sort_key(pc[0])):
+        if merged and _merges(merged[-1][0], p, tol, explicit_tol):
+            q = merged[-1][0]
+            if isinstance(q, RealPoint) and q.exact and not p.exact:
+                merged[-1][0] = RealPoint(float(q.x))
+            merged[-1][1] += c
+        else:
+            merged.append([p, c])
     merged = [(p, c) for p, c in merged if c != 0]
-    merged.sort(key=lambda pc: _sort_key(pc[0]))
 
     if smooth_const is not None:
         smooth_const = to_number(smooth_const)
@@ -307,30 +296,21 @@ def make(
     return AtomicDistribution(tuple(merged), smooth_const, terms, group)
 
 
-def _merge_real_atoms(norm, tol: Fraction, explicit_tol: bool):
-    items = sorted(norm, key=lambda pc: _sort_key(pc[0]))
-    clusters: list[list] = []  # [representative point, coeff, all_exact]
-    for p, c in items:
-        if clusters:
-            rep, acc, all_exact = clusters[-1]
-            close = abs(Fraction(p.x) - Fraction(rep.x)) <= tol
-            if p.exact and all_exact:
-                if Fraction(p.x) == Fraction(rep.x):
-                    clusters[-1][1] = acc + c
-                    continue
-            elif not p.exact and not all_exact:
-                if close:
-                    clusters[-1][1] = acc + c
-                    continue
-            elif close:  # one side exact, the other not
-                if not explicit_tol:
-                    raise PreconditionError(
-                        f"exact point {rep} and inexact point {p} are within the "
-                        "default tolerance; pass an explicit tolerance to merge them"
-                    )
-                clusters[-1][0] = RealPoint(float(rep.x))
-                clusters[-1][1] = acc + c
-                clusters[-1][2] = False
-                continue
-        clusters.append([p, c, p.exact])
-    return [(rep, acc) for rep, acc, _ in clusters]
+def _merges(q: GroupPoint, p: GroupPoint, tol: Fraction, explicit_tol: bool) -> bool:
+    """Whether an atom at p joins its sorted predecessor's cluster, represented by q.
+
+    Lattice points, classes and two exact reals merge on equality, two inexact
+    reals within ``tol``; an exact and an inexact real within ``tol`` raise
+    unless the tolerance was passed explicitly.
+    """
+    if not isinstance(p, RealPoint) or p.exact and q.exact:
+        return p == q
+    if abs(Fraction(p.x) - Fraction(q.x)) > tol:
+        return False
+    if p.exact != q.exact and not explicit_tol:
+        exact, inexact = (p, q) if p.exact else (q, p)
+        raise PreconditionError(
+            f"exact point {exact} and inexact point {inexact} are within the "
+            "default tolerance; pass an explicit tolerance to merge them"
+        )
+    return True

@@ -27,7 +27,7 @@ from .distributions import (
     to_number,
 )
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
-from .lefschetz import GradedMap, ToralAutomorphism, lefschetz_number_graded, toral_lefschetz
+from .lefschetz import GradedMap, ToralAutomorphism, fixed_point_index, lefschetz_number_graded, toral_lefschetz
 from .lie_cohomology import GradedDims, LieAlgebra, cohomology_dims, is_nilpotent
 from .linalg import RationalMatrix, determinant, matrix_power
 
@@ -107,7 +107,7 @@ class ClosedOrbitSpec:
                 raise PreconditionError("return map is singular")
 
     def sign(self, k: int, orbit_name: str = "orbit") -> int:
-        """epsilon at the k-th multiple: sign det(P^k - I)."""
+        """epsilon at the k-th multiple: the paper-convention index of P^k, sign det(P^k - I)."""
         if k == 0:
             raise PreconditionError("k must be nonzero")
         if self.signs is not None:
@@ -120,14 +120,12 @@ class ClosedOrbitSpec:
             if s not in (-1, 1):
                 raise PreconditionError(f"{orbit_name}: sign for k={k} must be +-1")
             return s
-        p = self.return_map
-        pk = matrix_power(p, k)
-        d = determinant(pk - RationalMatrix.identity(p.rows))
-        if d == 0:
+        try:
+            return fixed_point_index(matrix_power(self.return_map, k))
+        except NotSimpleError:
             raise NotSimpleError(
                 f"{orbit_name} is not simple at multiple k={k}: det(P^k - I) = 0"
-            )
-        return 1 if d > 0 else -1
+            ) from None
 
 
 # Each multiple k of an orbit costs two powers P^k and two determinants (200 take
@@ -298,10 +296,7 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
         lefschetz = lefschetz + t.scale((-1) ** i)
     if not lefschetz.is_zero:
         raise InconsistencyError("alternating sum of nilfoliation traces is not zero")
-    report = corollary_checks(lefschetz, codim=1)
-    if not report.passed:
-        raise InconsistencyError("nilfoliation output violates the vanishing corollary")
-    return NilFoliationReport(dims, traces, lefschetz, report)
+    return NilFoliationReport(dims, traces, lefschetz, corollary_checks(lefschetz, codim=1))
 
 
 # -- bundles over homogeneous spaces ------------------------------------------

@@ -451,6 +451,19 @@ class TestGaussBonnet:
         rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
         assert_input_error(rc, err, "CSV node")
 
+    @pytest.mark.parametrize("builtin, chi", [("flat", 0), ("random", 0), ("sphere", 2)])
+    def test_builtin_chi_estimate_is_the_euler_characteristic(self, capsys, monkeypatch, builtin, chi):
+        monkeypatch.delenv("LEFSCHETZ_SEED", raising=False)
+        rc, out, _ = run_cli(capsys, "gauss-bonnet", "--builtin", builtin, "--grid", "64")
+        assert rc == 0
+        assert json.loads(out)["chi_estimate"] == chi
+
+    def test_open_patch_is_not_a_builtin(self):
+        # an open sphere patch stored as a torus has no Euler characteristic to estimate
+        with pytest.raises(SystemExit) as exc:
+            main(["gauss-bonnet", "--builtin", "sphere-patch"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("n", ["0", "7"])
     def test_builtin_grid_too_small(self, capsys, n):
         rc, _, err = run_cli(capsys, "gauss-bonnet", "--builtin", "sphere", "--grid", n)
@@ -494,6 +507,19 @@ class TestPlumbing:
         )
         assert rc == 0
         assert "atoms:" in out and "model: mapping_torus" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mapping-torus", "--matrix", "[[2,1],[1,1]]"],
+            ["flow", "--input", "orbits.json", "--window", "1"],
+        ],
+    )
+    def test_no_convention_flag(self, argv):
+        # the signs are always sign det(P^k - I); the metadata says "paper"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--convention", "classical"])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -552,6 +578,7 @@ VALID_INPUTS = {
     "gauss-bonnet": (flat_torus_grid(8).to_json_obj(), "--input", []),
 }
 
+
 # Small values only: a huge class label or a tiny flow length would make
 # unbounded work, which no cap bounds yet.
 SCALARS = st.one_of(
@@ -596,3 +623,36 @@ def test_loader_fuzz_exits_0_1_or_2(command, tmp_path, data):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         rc = main([command, flag, str(file), *rest])
     assert rc in (0, 1, 2)
+
+
+# -- missing fields ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("flow", "orbits"), ("suspension", "vol_g"), ("nilfoliation", "dim"),
+     ("selberg", "classes"), ("gauss-bonnet", "topology")],
+)
+def test_missing_field_named(capsys, tmp_path, command, field):
+    valid, flag, rest = VALID_INPUTS[command]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({k: v for k, v in valid.items() if k != field}))
+    rc, _, err = run_cli(capsys, command, flag, str(path), *rest)
+    assert rc == 2
+    assert err == f"input error: missing field '{field}'\n"
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("mapping-torus", {"graded_maps": GRADED}, "input JSON needs a 'matrix' or 'graded' field"),
+        ("flow", {"orbits": [{"length": "1"}]}, "orbit needs a 'return_map' or 'signs' field"),
+        ("selberg", {"vol_quotient": "1", "chi_x": 0, "classes": [{"label": "e", "is_identity": True}, {"label": "g"}]},
+         "class 'g' needs 'lefschetz', 'matrix' or 'graded'"),
+    ],
+)
+def test_missing_alternative_named_without_quotes(capsys, tmp_path, command, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    rc, _, err = run_cli(capsys, command, "--input", str(path), *VALID_INPUTS[command][2])
+    assert rc == 2
+    assert err == f"input error: {message}\n"

@@ -2,8 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefdist.distributions import (
+    DEFAULT_TOLERANCE,
+    AtomicDistribution,
     ConjClass,
     IDENTITY,
     LatticePoint,
@@ -198,3 +202,163 @@ class TestSerialization:
         d = make([(RealPoint(1.5), 2.5)])
         obj = d.to_json_obj()
         assert obj["atoms"] == [{"at": "~1.5", "coeff": "~2.5"}]
+
+
+# -- reference: the two-path merge that make used before its single sorted pass ---------
+# Lattice points and classes merged through a first-occurrence dict, real points
+# through a cluster pass over the sorted atoms.  The message of the exact/inexact
+# collision names each point by its role, as make does.
+
+
+def _ref_sort_key(p):
+    if isinstance(p, LatticePoint):
+        return (p.k,)
+    if isinstance(p, RealPoint):
+        return (float(p.x), not p.exact)
+    return (p.label,)
+
+
+def _ref_merge_real_atoms(norm, tol, explicit_tol):
+    items = sorted(norm, key=lambda pc: _ref_sort_key(pc[0]))
+    clusters = []  # [representative point, coeff, all_exact]
+    for p, c in items:
+        if clusters:
+            rep, acc, all_exact = clusters[-1]
+            close = abs(Fraction(p.x) - Fraction(rep.x)) <= tol
+            if p.exact and all_exact:
+                if Fraction(p.x) == Fraction(rep.x):
+                    clusters[-1][1] = acc + c
+                    continue
+            elif not p.exact and not all_exact:
+                if close:
+                    clusters[-1][1] = acc + c
+                    continue
+            elif close:  # one side exact, the other not
+                if not explicit_tol:
+                    exact, inexact = (p, rep) if p.exact else (rep, p)
+                    raise PreconditionError(
+                        f"exact point {exact} and inexact point {inexact} are within the "
+                        "default tolerance; pass an explicit tolerance to merge them"
+                    )
+                clusters[-1][0] = RealPoint(float(rep.x))
+                clusters[-1][1] = acc + c
+                clusters[-1][2] = False
+                continue
+        clusters.append([p, c, p.exact])
+    return [(rep, acc) for rep, acc, _ in clusters]
+
+
+def reference_make(atoms=(), smooth_const=None, orbit_terms=(), group=None, tolerance=None):
+    explicit_tol = tolerance is not None
+    tol = Fraction(tolerance if explicit_tol else DEFAULT_TOLERANCE)
+    norm = [(p, to_number(c)) for p, c in atoms]
+    variants = {type(p) for p, _ in norm}
+    if len(variants) > 1:
+        names = sorted(v.__name__ for v in variants)
+        raise PreconditionError(f"cannot mix group-point variants in one distribution: {names}")
+    inferred = {LatticePoint: "Z", RealPoint: "R", ConjClass: "abstract"}[variants.pop()] if variants else None
+    if group is None:
+        group = inferred if inferred is not None else "abstract"
+    elif inferred is not None and group != inferred:
+        raise PreconditionError(f"declared group {group!r} does not match atom variant ({inferred!r})")
+    if norm and isinstance(norm[0][0], RealPoint):
+        merged = _ref_merge_real_atoms(norm, tol, explicit_tol)
+    else:
+        acc, order = {}, []
+        for p, c in norm:
+            if p in acc:
+                acc[p] = acc[p] + c
+            else:
+                acc[p] = c
+                order.append(p)
+        merged = [(p, acc[p]) for p in order]
+    merged = [(p, c) for p, c in merged if c != 0]
+    merged.sort(key=lambda pc: _ref_sort_key(pc[0]))
+    if smooth_const is not None:
+        smooth_const = to_number(smooth_const)
+        if smooth_const == 0:
+            smooth_const = None
+    terms = tuple(sorted(orbit_terms, key=lambda t: (t.class_label, str(t.lefschetz))))
+    return AtomicDistribution(tuple(merged), smooth_const, terms, group)
+
+
+def _ref_add_opt(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
+
+
+def reference_add(a, b, tolerance=None):
+    if a.group != b.group:
+        raise PreconditionError(f"cannot add distributions on different groups ({a.group} vs {b.group})")
+    return reference_make(
+        a.atoms + b.atoms, _ref_add_opt(a.smooth_const, b.smooth_const),
+        a.orbit_terms + b.orbit_terms, group=a.group, tolerance=tolerance,
+    )
+
+
+def reference_sub(a, b):
+    minus = Fraction(-1)  # as b.scale(-1) reads it
+    sc = None if b.smooth_const is None else minus * b.smooth_const
+    return reference_add(a, reference_make([(p, minus * v) for p, v in b.atoms], sc, (), group=b.group))
+
+
+def _outcome(f, *args, **kwargs):
+    """repr of the result, so that float bits and Fraction/float types count, or the error raised."""
+    try:
+        return repr(f(*args, **kwargs))
+    except (PreconditionError, ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_TINY = Fraction(1, 10**30)  # below float resolution near 1: a distinct Fraction with the same float
+_REAL_LOCATIONS = [
+    Fraction(1), Fraction(1) + _TINY, Fraction(1, 3), Fraction(1, 3) + _TINY, Fraction(3, 2), Fraction(-2),
+    1.0, 1.0 + 1e-12, 1.0 + 5e-10, 1.0 + 2e-9, 1.0 - 8e-10, 1 / 3, 1.5, 1.5 + 3e-7, -2.0, -2.0 + 1e-10,
+]
+_COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-2, 7), 0.1, 0.2, -0.3, 1e16, -1e16, 1.0, 2.5])
+_POINTS = {
+    "lattice": st.integers(-3, 3).map(LatticePoint),
+    "class": st.sampled_from(["e", "g", "h", "g2"]).map(ConjClass),
+    "real": st.sampled_from(_REAL_LOCATIONS).map(RealPoint),
+}
+_TOLERANCES = st.sampled_from([None, None, DEFAULT_TOLERANCE, 1e-6, 1e-11, 0.0])
+_SMOOTH = st.sampled_from([None, 0, 1, Fraction(-1, 2), 0.25, 0.0])
+
+
+@st.composite
+def _atom_lists(draw):
+    variant = draw(st.sampled_from(sorted(_POINTS)))
+    lists = []
+    for _ in range(2):
+        if draw(st.integers(0, 9)) == 0:  # now and then a second variant, which make refuses or add rejects
+            variant = draw(st.sampled_from(sorted(_POINTS)))
+        lists.append(draw(st.lists(st.tuples(_POINTS[variant], _COEFFS), max_size=8)))
+    return lists
+
+
+@settings(max_examples=400, deadline=None)
+@given(_atom_lists(), _SMOOTH, _SMOOTH, _TOLERANCES)
+def test_one_merge_loop_matches_the_two_path_reference(lists, sc_a, sc_b, tolerance):
+    atoms_a, atoms_b = lists
+    assert _outcome(make, atoms_a, sc_a, tolerance=tolerance) == _outcome(
+        reference_make, atoms_a, sc_a, tolerance=tolerance
+    )
+    try:
+        a = make(atoms_a, sc_a, tolerance=tolerance)
+        b = make(atoms_b, sc_b, tolerance=tolerance)
+    except PreconditionError:
+        return
+    assert _outcome(a.add, b, tolerance=tolerance) == _outcome(reference_add, a, b, tolerance=tolerance)
+    assert _outcome(lambda: a + b) == _outcome(reference_add, a, b)
+    assert _outcome(lambda: a - b) == _outcome(reference_sub, a, b)
+
+
+def test_collision_message_names_each_point_by_its_role():
+    # in either input order the inexact point sorts first and leads the cluster
+    for atoms in ([(RealPoint(Fraction(1)), 1), (RealPoint(1.0 - 1e-10), 1)],
+                  [(RealPoint(1.0 - 1e-10), 1), (RealPoint(Fraction(1)), 1)]):
+        with pytest.raises(PreconditionError, match=r"exact point 1 and inexact point ~0\.9999999999 "):
+            make(atoms)
