@@ -81,18 +81,17 @@ def _wrap(model: str, distribution: AtomicDistribution, metadata: dict, **extra)
 
 def _cmd_mapping_torus(args) -> dict:
     if args.matrix is not None:
-        source = ToralAutomorphism(IntMatrix.from_json_obj(_parse_json(args.matrix, "--matrix")))
-        desc = "toral"
+        obj = {"matrix": _parse_json(args.matrix, "--matrix")}
     else:
         obj = _load_json(args.input)
-        if "matrix" in obj:
-            source = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"]))
-            desc = "toral"
-        elif "graded" in obj:
-            source = _graded_from_json(obj["graded"])
-            desc = "graded"
-        else:
-            raise ValueError("input JSON needs a 'matrix' or 'graded' field")
+    if "matrix" in obj:
+        source = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"]))
+        desc = "toral"
+    elif "graded" in obj:
+        source = _graded_from_json(obj["graded"])
+        desc = "graded"
+    else:
+        raise ValueError("input JSON needs a 'matrix' or 'graded' field")
     d = mapping_torus(source, args.window)
     meta = {
         "source": desc,
@@ -288,8 +287,6 @@ def _render_table(obj: dict) -> str:
             lines.append(f"{pad}{key}:")
             for k, v in value.items():
                 emit(k, v, indent + 1)
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: {value}")
         else:
             lines.append(f"{pad}{key}: {value}")
 

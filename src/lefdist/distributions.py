@@ -125,7 +125,8 @@ def _sort_key(p: GroupPoint):
     if isinstance(p, LatticePoint):
         return (p.k,)
     if isinstance(p, RealPoint):
-        return (float(p.x), not p.exact)
+        # the exact value only breaks a float tie, so equal Fractions end up adjacent
+        return (float(p.x), not p.exact, p.x)
     return (p.label,)
 
 
@@ -173,7 +174,7 @@ class AtomicDistribution:
         return not self.atoms and not self.orbit_terms
 
     # -- linear structure ---------------------------------------------------
-    def add(self, other: "AtomicDistribution", tolerance: float | None = None) -> "AtomicDistribution":
+    def __add__(self, other: "AtomicDistribution") -> "AtomicDistribution":
         if self.group != other.group:
             raise PreconditionError(
                 f"cannot add distributions on different groups ({self.group} vs {other.group})"
@@ -183,8 +184,10 @@ class AtomicDistribution:
             (self.smooth_const or 0) + (other.smooth_const or 0),
             self.orbit_terms + other.orbit_terms,
             group=self.group,
-            tolerance=tolerance,
         )
+
+    def __sub__(self, other: "AtomicDistribution") -> "AtomicDistribution":
+        return self + other.scale(-1)
 
     def scale(self, c) -> "AtomicDistribution":
         c = to_number(c)
@@ -194,12 +197,6 @@ class AtomicDistribution:
         return make(
             [(p, c * v) for p, v in self.atoms], sc, (), group=self.group
         )
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
 
     # -- pairing --------------------------------------------------------
     def pair(self, f: Callable, integral_of_f=None):

@@ -101,7 +101,7 @@ class GradedMap:
     def from_toral(cls, t: ToralAutomorphism, k: int = 1) -> "GradedMap":
         """Action of A^k on H^i(T^n) = Lambda^i(R^n)."""
         ak = t.power(k)
-        return cls(tuple(exterior_power(ak, i).to_rational() for i in range(t.dim + 1)))
+        return cls(tuple(RationalMatrix(exterior_power(ak, i).entries) for i in range(t.dim + 1)))
 
 
 def lefschetz_number_graded(g: GradedMap) -> Fraction:
@@ -127,20 +127,12 @@ def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
     return via_det
 
 
-def fixed_point_index(j: RationalMatrix, convention: str = "paper") -> int:
-    """Sign at a simple fixed point with linearization J.
-
-    "paper" gives sign det(J - I); "classical" gives sign det(I - J).
-    """
-    if convention not in ("paper", "classical"):
-        raise PreconditionError(f"unknown convention {convention!r}")
+def fixed_point_index(j: RationalMatrix) -> int:
+    """The paper's epsilon at a simple fixed point with linearization J: sign det(J - I)."""
     d = determinant(j - RationalMatrix.identity(j.rows))
     if d == 0:
         raise NotSimpleError("fixed point is not simple: det(J - I) = 0")
-    sign = 1 if d > 0 else -1
-    if convention == "paper":
-        return sign
-    return sign * (-1) ** j.rows
+    return 1 if d > 0 else -1
 
 
 @dataclass(frozen=True)

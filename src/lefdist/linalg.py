@@ -179,9 +179,6 @@ class IntMatrix(_Matrix):
             return x.numerator
         raise PreconditionError(f"IntMatrix entries must be integers, got {x!r:.40}")
 
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix(self.entries)
-
 
 def _bareiss_echelon(entries, reduce_above: bool = True) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free (Bareiss) elimination of a rational matrix.

@@ -87,7 +87,9 @@ class ClosedOrbitSpec:
 
     Give either an invertible ``return_map`` (signs are derived from
     det(P^k - I), so the simplicity assumption is checked) or a raw
-    ``signs`` map k -> +-1, which is accepted unchecked.
+    ``signs`` map k -> +-1, taken as given.  Both are checked when the orbit
+    is built, whatever the window: a singular return map and a sign other
+    than +-1 are refused.
     """
 
     length: Number
@@ -105,21 +107,22 @@ class ClosedOrbitSpec:
                 raise PreconditionError("return map must be square")
             if determinant(self.return_map) == 0:
                 raise PreconditionError("return map is singular")
+        else:
+            for k, s in self.signs.items():
+                if s not in (-1, 1):
+                    raise PreconditionError(f"sign for k={k} must be +-1, got {s}")
 
-    def sign(self, k: int, orbit_name: str = "orbit") -> int:
+    def sign(self, k: int, orbit_name: str) -> int:
         """epsilon at the k-th multiple: the paper-convention index of P^k, sign det(P^k - I)."""
         if k == 0:
             raise PreconditionError("k must be nonzero")
         if self.signs is not None:
             try:
-                s = self.signs[k]
+                return self.signs[k]
             except KeyError:
                 raise PreconditionError(
                     f"{orbit_name}: no sign supplied for multiple k={k}"
                 ) from None
-            if s not in (-1, 1):
-                raise PreconditionError(f"{orbit_name}: sign for k={k} must be +-1")
-            return s
         try:
             return fixed_point_index(matrix_power(self.return_map, k))
         except NotSimpleError:
@@ -241,14 +244,13 @@ class CorollaryReport:
     detail: str
 
 
-def corollary_checks(d: AtomicDistribution, codim: int) -> CorollaryReport:
+def corollary_checks(d: AtomicDistribution) -> CorollaryReport:
     """A purely smooth Lefschetz distribution in positive codimension must vanish.
 
-    Distributions with atoms or orbital terms are outside the criterion's
-    hypothesis and pass vacuously.
+    Every foliation built here has positive codimension, so the criterion
+    always applies to a purely smooth ``d``.  Distributions with atoms or
+    orbital terms are outside the criterion's hypothesis and pass vacuously.
     """
-    if codim < 1:
-        raise PreconditionError("codim must be a positive integer")
     if not d.purely_smooth:
         return CorollaryReport(
             applicable=False,
@@ -296,7 +298,7 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
         lefschetz = lefschetz + t.scale((-1) ** i)
     if not lefschetz.is_zero:
         raise InconsistencyError("alternating sum of nilfoliation traces is not zero")
-    return NilFoliationReport(dims, traces, lefschetz, corollary_checks(lefschetz, codim=1))
+    return NilFoliationReport(dims, traces, lefschetz, corollary_checks(lefschetz))
 
 
 # -- bundles over homogeneous spaces ------------------------------------------

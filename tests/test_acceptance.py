@@ -171,7 +171,7 @@ def test_criterion_7_corollary_vanishing(capsys):
         r = nil_foliation(catalog_algebra(spec))
         assert r.lefschetz.purely_smooth and r.lefschetz.is_zero, spec
         assert r.corollary.applicable and r.corollary.passed, spec
-    corrupted = corollary_checks(make([], smooth_const=3), codim=1)
+    corrupted = corollary_checks(make([], smooth_const=3))
     assert corrupted.applicable and not corrupted.passed
     _report(capsys, 7, "nilfoliation L outputs purely smooth and zero; corrupted density flagged")
 

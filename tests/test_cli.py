@@ -133,6 +133,26 @@ class TestFlow:
         atoms = {a["at"]: a["coeff"] for a in json.loads(out)["distribution"]["atoms"]}
         assert atoms == {"-2": "-2", "2": "2"}
 
+    @pytest.mark.parametrize("window", ["1/2", "1"])
+    def test_sign_other_than_one_refused_when_read(self, capsys, tmp_path, window):
+        # refused like a singular return map, whether or not the multiple k=1 lies in the window
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": [{"length": "1", "signs": {"1": 2}}]}))
+        rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", window)
+        assert rc == 1
+        assert err == "error: sign for k=1 must be +-1, got 2\n"
+
+    def test_equal_exact_lengths_merge_across_a_float_tie(self, capsys, tmp_path):
+        # 1/3 + 10^-30 rounds to the float of 1/3; the two orbits of length 1/3 still make one atom
+        near = "1000000000000000000000000000001/3000000000000000000000000000000"
+        orbits = [{"length": length, "signs": {"1": 1, "-1": 1}} for length in ("1/3", near, "1/3")]
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": orbits}))
+        rc, out, _ = run_cli(capsys, "flow", "--input", str(path), "--window", "0.4")
+        assert rc == 0
+        atoms = [(a["at"], a["coeff"]) for a in json.loads(out)["distribution"]["atoms"]]
+        assert atoms == [(f"-{near}", near), ("-1/3", "2/3"), ("1/3", "2/3"), (near, near)]
+
     @pytest.mark.parametrize(
         "obj, field",
         [

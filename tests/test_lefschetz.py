@@ -103,26 +103,19 @@ class TestToralLefschetz:
 class TestFixedPointIndex:
     def test_expanding(self):
         j = RationalMatrix([[2, 0], [0, 2]])
-        assert fixed_point_index(j, "paper") == 1
-        assert fixed_point_index(j, "classical") == 1
+        assert fixed_point_index(j) == 1
 
     def test_hyperbolic(self):
         j = RationalMatrix([[2, 0], [0, Fraction(1, 2)]])
-        assert fixed_point_index(j, "paper") == -1
-        assert fixed_point_index(j, "classical") == -1
+        assert fixed_point_index(j) == -1
 
     def test_one_dimensional(self):
         j = RationalMatrix([[2]])
-        assert fixed_point_index(j, "paper") == 1
-        assert fixed_point_index(j, "classical") == -1
+        assert fixed_point_index(j) == 1
 
     def test_not_simple(self):
         with pytest.raises(NotSimpleError):
             fixed_point_index(RationalMatrix.identity(2))
-
-    def test_unknown_convention(self):
-        with pytest.raises(PreconditionError):
-            fixed_point_index(RationalMatrix([[2]]), "other")
 
 
 class TestFixedPoints:
@@ -195,6 +188,10 @@ class TestFixedPoints:
             assert all(p < q for p, q in zip(r.points, r.points[1:]))
             assert all(0 <= x < 1 for p in r.points for x in p)
             assert sum(r.indices) == toral_lefschetz(t, k)
+            # the two conventions differ by (-1)^n, and epsilon is the paper's index of A^k
+            n = t.dim
+            assert r.epsilons == tuple((-1) ** n * i for i in r.indices)
+            assert all(e == fixed_point_index(RationalMatrix(t.power(k).entries)) for e in r.epsilons)
 
 
 class TestClassicalIdentity:

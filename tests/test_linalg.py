@@ -63,7 +63,7 @@ class TestRankKernel:
             m = rand_int_matrix(rng, n)
             rank, kernel = rank_kernel(m)
             assert rank + len(kernel) == m.cols
-            mr = m.to_rational()
+            mr = RationalMatrix(m.entries)
             for v in kernel:
                 col = RationalMatrix([[x] for x in v])
                 assert mr @ col == RationalMatrix.zeros(n, 1)

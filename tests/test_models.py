@@ -133,6 +133,12 @@ class TestFlow:
         with pytest.raises(PreconditionError, match="singular"):
             ClosedOrbitSpec(1, return_map=RationalMatrix([[1, 2], [2, 4]]))
 
+    @pytest.mark.parametrize("bad", [2, 0, -3])
+    def test_sign_other_than_one_refused_when_built(self, bad):
+        # like a singular return map, whether or not the multiple lies in a window
+        with pytest.raises(PreconditionError, match=f"k=2 must be \\+-1, got {bad}"):
+            ClosedOrbitSpec(1, signs={1: 1, 2: bad})
+
 
 class TestSuspension:
     def test_genus2_surface(self):
@@ -210,22 +216,18 @@ class TestNilFoliation:
 class TestCorollary:
     def test_nilfoliation_output_passes(self):
         r = nil_foliation(heisenberg())
-        report = corollary_checks(r.lefschetz, 1)
+        report = corollary_checks(r.lefschetz)
         assert report.applicable and report.passed
 
     def test_nonzero_smooth_flagged(self):
         bad = make([], smooth_const=3)
-        report = corollary_checks(bad, 1)
+        report = corollary_checks(bad)
         assert report.applicable and not report.passed
 
     def test_atomic_not_applicable(self):
         d = make([(IDENTITY, -2)])
-        report = corollary_checks(d, 1)
+        report = corollary_checks(d)
         assert not report.applicable and report.passed
-
-    def test_codim_validated(self):
-        with pytest.raises(PreconditionError):
-            corollary_checks(make([]), 0)
 
 
 class TestSelberg:
