@@ -101,20 +101,25 @@ def _cmd_mapping_torus(args) -> dict:
     return _wrap("mapping_torus", d, meta, window=args.window)
 
 
-def _orbit_from_json(obj: dict) -> ClosedOrbitSpec:
-    length = to_number(obj["length"], "orbit 'length'")
-    if "return_map" in obj:
-        return ClosedOrbitSpec(length, return_map=RationalMatrix.from_json_obj(obj["return_map"]))
-    if "signs" in obj:
+def _orbit_from_json(idx: int, obj: dict) -> ClosedOrbitSpec:
+    """Orbit ``idx`` of a flow input; an invalid (not a missing) field's error names the orbit."""
+    length = obj["length"]
+    if "return_map" not in obj and "signs" not in obj:
+        raise ValueError("orbit needs a 'return_map' or 'signs' field")
+    try:
+        length = to_number(length, "orbit 'length'")
+        if "return_map" in obj:
+            return ClosedOrbitSpec(length, return_map=RationalMatrix.from_json_obj(obj["return_map"]))
         signs = expect(obj["signs"], dict, "orbit 'signs'")
         signs = {read_int(k, "orbit 'signs' key"): read_int(v, "orbit sign") for k, v in signs.items()}
         return ClosedOrbitSpec(length, signs=signs)
-    raise ValueError("orbit needs a 'return_map' or 'signs' field")
+    except ValueError as exc:  # PreconditionError too, so the exit code stays
+        raise type(exc)(f"orbit {idx}: {exc}") from None
 
 
 def _cmd_flow(args) -> dict:
     obj = _load_json(args.input)
-    orbits = [_orbit_from_json(o) for o in expect(obj["orbits"], list, "'orbits'", each=dict)]
+    orbits = [_orbit_from_json(i, o) for i, o in enumerate(expect(obj["orbits"], list, "'orbits'", each=dict))]
     window = to_number(args.window, "--window")
     d = flow_distribution(orbits, window, tolerance=args.tolerance)
     meta = {

@@ -262,7 +262,7 @@ def is_nilpotent(a: LieAlgebra) -> Nilpotency:
                             out[k] += vj * num
                 if any(out):
                     brackets.append(out)
-        rows, pivots, _, _ = _bareiss_echelon(brackets, reduce_above=False)
+        rows, pivots, _, _ = _bareiss_echelon(brackets)
         nxt = [[x // g for x in row] for row in rows[: len(pivots)] for g in [gcd(*row)]]
         if len(nxt) == len(current):
             return Nilpotency(False, None)  # series stabilized above zero

@@ -2,13 +2,12 @@
 
 Everything here is arbitrary precision: matrices hold ``fractions.Fraction``
 or Python ``int`` entries, stored row-major in immutable tuples.  One
-fraction-free (Bareiss) elimination loop on integer-scaled rows serves every
-exact solve, and keeps intermediate entries at minor-determinant size.  Its
-``reduce_above`` flag picks the pass: ``rank`` and ``determinant`` need only
-the echelon below each pivot (forward-only), while ``rank_kernel``,
-``row_space_basis`` and inverses also clear above it (Gauss-Jordan).  One
-Smith loop serves the Smith invariants and the column transform that
-parametrizes A x = 0 mod Z^n.
+forward-only fraction-free (Bareiss) elimination loop on integer-scaled rows
+serves every exact solve, and keeps intermediate entries at minor-determinant
+size: ``rank`` and ``determinant`` read its pivots, while ``rank_kernel`` and
+inverses add one fraction-free back substitution on its echelon.  One Smith
+loop serves the Smith invariants and the column transform that parametrizes
+A x = 0 mod Z^n.
 
 Serialization: rationals as ``"p/q"`` strings (``"p"`` when q = 1), integers
 as decimal strings, matrices as JSON arrays-of-arrays of such strings.
@@ -19,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from .errors import PreconditionError
 
@@ -35,7 +35,6 @@ __all__ = [
     "determinant",
     "smith_normal_form",
     "smith_transform",
-    "row_space_basis",
     "matrix_power",
     "exterior_power",
     "charpoly",
@@ -180,19 +179,15 @@ class IntMatrix(_Matrix):
         raise PreconditionError(f"IntMatrix entries must be integers, got {x!r:.40}")
 
 
-def _bareiss_echelon(entries, reduce_above: bool = True) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free (Bareiss) elimination of a rational matrix.
+def _bareiss_echelon(entries) -> tuple[list[list[int]], list[int], int, int]:
+    """Forward-only fraction-free (Bareiss) elimination of a rational matrix.
 
     Each row is first scaled to integers.  Each step then updates the rows
-    below the pivot, and with ``reduce_above`` the rows above it too, as
-    (piv*x - f*y) // prev; the divisions are exact by the Bareiss identity.
-    At the end the rows past the rank are zero, and pivot row r has its first
-    nonzero entry in column pivots[r].  Forward-only, that entry is the minor
-    of the scaled rows on pivot rows and columns 0..r, so the last one of a
-    nonsingular square matrix is its determinant up to the swap sign.  With
-    ``reduce_above`` (Gauss-Jordan) every pivot row instead holds the same
-    entry d (the last pivot) in its pivot column and zero in every other
-    pivot column.
+    below the pivot as (piv*x - f*y) // prev; the divisions are exact by the
+    Bareiss identity.  At the end the rows past the rank are zero, and pivot
+    row r has its first nonzero entry in column pivots[r]: the minor of the
+    scaled rows on pivot rows and columns 0..r.  So the last one of a
+    nonsingular square matrix is its determinant up to the swap sign.
 
     Returns (rows, pivot columns, sign of the row swaps, product of the row
     scalings).
@@ -217,16 +212,14 @@ def _bareiss_echelon(entries, reduce_above: bool = True) -> tuple[list[list[int]
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             sign = -sign
-        prow = rows[r]
-        piv = prow[c]
+        piv = rows[r][c]
         # below the pivot every column left of c is already zero
-        lo = 0 if reduce_above else c
-        tail = prow[lo:]
-        for i in range(0 if reduce_above else r + 1, nr):
+        tail = rows[r][c:]
+        for i in range(r + 1, nr):
             row = rows[i]
             f = row[c]
-            if i != r and (f or piv != prev):
-                row[lo:] = [(piv * x - f * y) // prev for x, y in zip(row[lo:], tail)]
+            if f or piv != prev:
+                row[c:] = [(piv * x - f * y) // prev for x, y in zip(row[c:], tail)]
         prev = piv
         pivots.append(c)
         r += 1
@@ -234,7 +227,7 @@ def _bareiss_echelon(entries, reduce_above: bool = True) -> tuple[list[list[int]
 
 
 def determinant(m: RationalMatrix | IntMatrix):
-    """Exact determinant, the last pivot of the forward-only Bareiss elimination.
+    """Exact determinant, the last pivot of the Bareiss elimination.
 
     Returns ``int`` for an IntMatrix, ``Fraction`` for a RationalMatrix.
     """
@@ -243,7 +236,7 @@ def determinant(m: RationalMatrix | IntMatrix):
     n = m.rows
     if n == 0:
         return 1 if isinstance(m, IntMatrix) else Fraction(1)
-    rows, pivots, sign, scale = _bareiss_echelon(m.entries, reduce_above=False)
+    rows, pivots, sign, scale = _bareiss_echelon(m.entries)
     det = sign * rows[n - 1][n - 1] if len(pivots) == n else 0
     if isinstance(m, IntMatrix):
         return det
@@ -251,38 +244,35 @@ def determinant(m: RationalMatrix | IntMatrix):
 
 
 def rank(m: RationalMatrix | IntMatrix) -> int:
-    """Rank, by the forward-only Bareiss elimination (no kernel is built)."""
-    return len(_bareiss_echelon(m.entries, reduce_above=False)[1])
+    """Rank, the number of Bareiss pivots (no kernel is built)."""
+    return len(_bareiss_echelon(m.entries)[1])
+
+
+def _kernel(entries) -> tuple[list[int], int, list[list[int]]]:
+    """Pivot columns, the last pivot d, and d times the kernel basis vector of each free column.
+
+    Back substitution on the Bareiss echelon, bottom up: d y_c = -(sum_j row[j] d y_j) // row[c]
+    is exact by Cramer's rule on the pivot block, whose determinant is +-d.
+    """
+    rows, pivots, _, _ = _bareiss_echelon(entries)
+    nc = len(rows[0]) if rows else 0
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    bottom_up = list(zip(reversed(rows[: len(pivots)]), reversed(pivots)))
+    basis = []
+    for f in [c for c in range(nc) if c not in pivots]:
+        y = [0] * nc
+        y[f] = d
+        for row, c in bottom_up:
+            # row is zero left of c, and y is still zero at c
+            y[c] = -sum(map(mul, row, y)) // row[c]
+        basis.append(y)
+    return pivots, d, basis
 
 
 def rank_kernel(m: RationalMatrix | IntMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Rank and an exact basis of the right kernel.
-
-    Kernel vectors are normalized with each free variable set to 1, so
-    rank + len(basis) = cols.  After the fraction-free Gauss-Jordan reduction
-    every pivot row reads d x_c + sum_f a_f x_f = 0 over the free columns f,
-    so each kernel entry is one ``Fraction(-a_f, d)``.
-    """
-    rows, pivots, _, _ = _bareiss_echelon(m.entries)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            v[c] = Fraction(-row[f], row[c])
-        basis.append(tuple(v))
-    return len(pivots), basis
-
-
-def row_space_basis(m: RationalMatrix | IntMatrix) -> list[tuple[Fraction, ...]]:
-    """Reduced row echelon basis of the row space, ordered by pivot column.
-
-    No main path calls it (``is_nilpotent`` works on integer rows); it stays
-    as the reference the tests check the lower central series against.
-    """
-    rows, pivots, _, _ = _bareiss_echelon(m.entries)
-    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]
+    """Rank and the exact right kernel basis with one free variable set to 1 in each vector."""
+    pivots, d, basis = _kernel(m.entries)
+    return len(pivots), [tuple(Fraction(x, d) for x in y) for y in basis]
 
 
 def smith_transform(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
@@ -354,21 +344,19 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     """Diagonal invariants d1 | d2 | ... | dr of an integer matrix.
 
     Zero invariants are dropped, so the chain length equals the rank.  The
-    main paths call ``smith_transform``; this wrapper stays for the verify
-    linalg suite and as a traced target of the benchmark.
+    main paths and ``verify`` call ``smith_transform``; this wrapper stays as
+    package API and as a traced target of the benchmark.
     """
     return smith_transform(m)[0]
 
 
 def _inverse(m: _Matrix) -> RationalMatrix:
-    """Reduce [m | I]; the right-hand block over the common pivot d is m^-1."""
+    """m^-1 is minus the left block of the kernel basis of [m | I], one vector per column of I."""
     n = m.rows
-    rows, pivots, _, _ = _bareiss_echelon(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    )
+    pivots, d, basis = _kernel([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)])
     if pivots != list(range(n)):
         raise PreconditionError("matrix is singular, cannot invert")
-    return RationalMatrix([[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)])
+    return RationalMatrix([[Fraction(-y[i], d) for y in basis] for i in range(n)])
 
 
 def matrix_power(m: RationalMatrix | IntMatrix, k: int):

@@ -283,7 +283,8 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
     """Tr^i = dim H^i(k) as constant densities; L = alternating sum = 0.
 
     Requires a nilpotent algebra (the example family lives on a nilmanifold
-    with simply connected nilpotent structural group); the vanishing of L is
+    with simply connected nilpotent structural group).  Poincare duality
+    b_i = b_(n-i) of the Betti numbers is asserted, and the vanishing of L is
     recomputed from the emitted traces and asserted.
     """
     if not is_nilpotent(a).nilpotent:
@@ -292,6 +293,8 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
             "(nilpotent structural group hypothesis)"
         )
     dims = cohomology_dims(a)
+    if dims.dims != dims.dims[::-1]:
+        raise InconsistencyError(f"nilfoliation Betti numbers {dims.dims} break Poincare duality")
     traces = tuple(make([], smooth_const=b, group="abstract") for b in dims)
     lefschetz = make([], group="abstract")
     for i, t in enumerate(traces):

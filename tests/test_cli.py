@@ -140,7 +140,24 @@ class TestFlow:
         path.write_text(json.dumps({"orbits": [{"length": "1", "signs": {"1": 2}}]}))
         rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", window)
         assert rc == 1
-        assert err == "error: sign for k=1 must be +-1, got 2\n"
+        assert err == "error: orbit 0: sign for k=1 must be +-1, got 2\n"
+
+    @pytest.mark.parametrize(
+        "bad, rc, message",
+        [
+            ({"signs": {"1": 2}}, 1, "error: orbit 2: sign for k=1 must be +-1, got 2"),
+            ({"return_map": [["1", "2"], ["1/2", "1"]]}, 1, "error: orbit 2: return map is singular"),
+            ({"signs": {"1": "x"}}, 2, "input error: orbit 2: orbit sign must be an integer, got 'x'"),
+        ],
+        ids=["sign", "singular", "parse"],
+    )
+    def test_orbit_errors_name_the_orbit(self, capsys, tmp_path, bad, rc, message):
+        # the error type, and so the exit code, is the one the orbit raised
+        good = {"length": "1", "signs": {"1": 1, "-1": 1}}
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": [good, good, {"length": "2", **bad}]}))
+        got_rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", "1")
+        assert (got_rc, err) == (rc, message + "\n")
 
     def test_equal_exact_lengths_merge_across_a_float_tie(self, capsys, tmp_path):
         # 1/3 + 10^-30 rounds to the float of 1/3; the two orbits of length 1/3 still make one atom

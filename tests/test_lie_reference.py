@@ -9,8 +9,8 @@ Betti numbers are also checked against ``verify.ce_dims_reversed_basis``
 after rational changes of basis, which make the constants non-integer.
 
 ``full_matrix_dims`` ranks the whole CE matrix of each degree with
-Gauss-Jordan (``rank_kernel``), as ``cohomology_dims`` did before it took the
-ranks one connected component at a time; ``component_counts`` finds those
+``rank_kernel``, as ``cohomology_dims`` did before it took the ranks one
+connected component at a time; ``component_counts`` finds those
 components by merging column sets, and ``weight_rank`` is the rank of the
 grading equations w_i + w_j = w_k (dim when only w = 0 solves them).
 ``dense_is_nilpotent`` is the lower central series over ``Fraction`` vectors
@@ -40,8 +40,9 @@ from lefdist.lie_cohomology import (
     is_nilpotent,
     nilpotent_battery,
 )
-from lefdist.linalg import IntMatrix, RationalMatrix, matrix_power, rank, rank_kernel, row_space_basis
+from lefdist.linalg import IntMatrix, RationalMatrix, matrix_power, rank, rank_kernel
 from lefdist.verify import ce_dims_reversed_basis
+from row_space import row_space_basis
 
 BASES = [(spec, catalog_algebra(spec)) for spec in (*nilpotent_battery(), "sl2", "heisenberg:1+filiform:4")]
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))

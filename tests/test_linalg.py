@@ -15,10 +15,10 @@ from lefdist.linalg import (
     rat_from_str,
     rat_to_str,
     read_int,
-    row_space_basis,
     smith_normal_form,
     smith_transform,
 )
+from row_space import row_space_basis
 
 SEED = 20240817
 

@@ -21,10 +21,10 @@ from lefdist.linalg import (
     determinant,
     matrix_power,
     rank_kernel,
-    row_space_basis,
     smith_normal_form,
     smith_transform,
 )
+from row_space import row_space_basis
 
 INTS = st.integers(-6, 6)
 RATIONALS = st.builds(Fraction, INTS, st.integers(1, 4))

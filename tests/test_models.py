@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from lefdist import models
 from lefdist.distributions import IDENTITY, LatticePoint, RealPoint, make
-from lefdist.errors import NotSimpleError, PreconditionError
+from lefdist.errors import InconsistencyError, NotSimpleError, PreconditionError
 from lefdist.lefschetz import GradedMap, ToralAutomorphism, toral_lefschetz
-from lefdist.lie_cohomology import abelian, catalog_algebra, heisenberg, nilpotent_battery, sl2
+from lefdist.lie_cohomology import GradedDims, abelian, catalog_algebra, heisenberg, nilpotent_battery, sl2
 from lefdist.linalg import IntMatrix, RationalMatrix
 from lefdist.models import (
     ClosedOrbitSpec,
@@ -211,6 +212,14 @@ class TestNilFoliation:
             r = nil_foliation(catalog_algebra(spec))
             assert r.lefschetz.is_zero, spec
             assert r.corollary.passed, spec
+
+    def test_duality_break_raises(self, monkeypatch):
+        # the alternating sum is 0, so only the duality check sees that b_1 = 3 but b_7 = 2
+        wrong = (1, 3, 6, 10, 12, 10, 5, 2, 1)
+        assert sum((-1) ** i * b for i, b in enumerate(wrong)) == 0
+        monkeypatch.setattr(models, "cohomology_dims", lambda a: GradedDims(wrong))
+        with pytest.raises(InconsistencyError, match="Poincare duality"):
+            nil_foliation(catalog_algebra("filiform:8"))
 
 
 class TestCorollary:
