@@ -13,12 +13,17 @@ merge: `flow` with exact lengths 1 and 3/2 that meet at 3, inexact lengths
 and near-duplicates 5e-9 apart (kept apart by default; merged, with an exact
 and an inexact location 2e-10 apart, under `--tolerance 1e-6`), `selberg`
 once abstract (orbit terms) and once with `group_kind` R (lattice atoms), and
-`suspension` and `surface-suspension` with an inexact volume.  The toral
+`suspension` and `surface-suspension` with an inexact volume, and the
+reports that pin the number readers: `gauss-bonnet --input` on a seeded
+random torus grid in JSON and on a round-sphere grid in CSV, and
+`mapping-torus --input` on a graded map whose JSON floats 0.5, 0.1 and 0.05
+read as the exact 1/2, 1/10 and 1/20.  The toral
 files were written before the toral kernels became integer-native, the
 heisenberg:4 and dim-8 files before the structure constants became a sparse
 integer table, the filiform:11 and dim-12 files before the CE ranks were
 taken block by block, the flow, selberg and suspension files before `make`
-merged every kind of atom in one loop, the others before the exact
+merged every kind of atom in one loop, the gauss-bonnet and float graded
+files before every input number went through one reader, the others before the exact
 elimination kernels were merged; any byte that changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
 output change is intended:
@@ -98,6 +103,11 @@ CLI = {
     ],
     "selberg_abstract": ["selberg", "--input", str(INPUTS / "selberg_abstract.json")],
     "selberg_r": ["selberg", "--input", str(INPUTS / "selberg_r.json")],
+    "mapping_torus_graded_floats": [
+        "mapping-torus", "--input", "graded_map_floats.json", "--window", "3"
+    ],
+    "gauss_bonnet_torus_json": ["gauss-bonnet", "--input", "torus_grid_32.json"],
+    "gauss_bonnet_sphere_csv": ["gauss-bonnet", "--input", "sphere_grid_24.csv"],
     "suspension_inexact": ["suspension", "--vol", "~1.5", "--chi", "-2"],
     "surface_suspension_genus3": ["surface-suspension", "--genus", "3", "--vol", "~1.5"],
 }
@@ -105,8 +115,9 @@ CLI = {
 
 def _cli_bytes(argv) -> bytes:
     out = io.StringIO()
-    # the verify battery is seeded from LEFSCHETZ_SEED; the corpus holds the default
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out):
+    # the verify battery is seeded from LEFSCHETZ_SEED; the corpus holds the default.
+    # gauss-bonnet echoes its input path, so every run starts in INPUTS
+    with mock.patch.dict(os.environ), contextlib.chdir(INPUTS), contextlib.redirect_stdout(out):
         os.environ.pop("LEFSCHETZ_SEED", None)
         rc = main(argv)
     assert rc == 0
