@@ -28,11 +28,11 @@ from .curvature import (
     require_resolution,
     sphere_grid,
 )
-from .distributions import AtomicDistribution, num_to_str, to_number
+from .distributions import AtomicDistribution
 from .errors import PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism
 from .lie_cohomology import GradedDims, LieAlgebra, catalog_algebra
-from .linalg import IntMatrix, RationalMatrix, expect, read_int
+from .linalg import IntMatrix, RationalMatrix, expect, num_to_str, read_int, to_number
 from .models import (
     ClosedOrbitSpec,
     ConjugacyClassData,
@@ -65,7 +65,8 @@ def _load_json(path: str) -> dict:
 
 
 def _graded_from_json(maps) -> GradedMap:
-    return GradedMap(tuple(RationalMatrix.from_json_obj(m) for m in expect(maps, list, "'graded'")))
+    maps = expect(maps, list, "'graded'")
+    return GradedMap(tuple(RationalMatrix.from_json_obj(m, f"'graded' degree {i}") for i, m in enumerate(maps)))
 
 
 def _wrap(model: str, distribution: AtomicDistribution, metadata: dict, **extra) -> dict:
@@ -85,7 +86,7 @@ def _cmd_mapping_torus(args) -> dict:
     else:
         obj = _load_json(args.input)
     if "matrix" in obj:
-        source = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"]))
+        source = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"], "'matrix'"))
         desc = "toral"
     elif "graded" in obj:
         source = _graded_from_json(obj["graded"])
@@ -109,7 +110,8 @@ def _orbit_from_json(idx: int, obj: dict) -> ClosedOrbitSpec:
     try:
         length = to_number(length, "orbit 'length'")
         if "return_map" in obj:
-            return ClosedOrbitSpec(length, return_map=RationalMatrix.from_json_obj(obj["return_map"]))
+            return_map = RationalMatrix.from_json_obj(obj["return_map"], "orbit 'return_map'")
+            return ClosedOrbitSpec(length, return_map=return_map)
         signs = expect(obj["signs"], dict, "orbit 'signs'")
         signs = {read_int(k, "orbit 'signs' key"): read_int(v, "orbit sign") for k, v in signs.items()}
         return ClosedOrbitSpec(length, signs=signs)
@@ -121,14 +123,15 @@ def _cmd_flow(args) -> dict:
     obj = _load_json(args.input)
     orbits = [_orbit_from_json(i, o) for i, o in enumerate(expect(obj["orbits"], list, "'orbits'", each=dict))]
     window = to_number(args.window, "--window")
-    d = flow_distribution(orbits, window, tolerance=args.tolerance)
+    tolerance = None if args.tolerance is None else float(to_number(args.tolerance, "--tolerance"))
+    d = flow_distribution(orbits, window, tolerance=tolerance)
     meta = {
         "orbits": len(orbits),
         "truncation": f"atoms emitted for |k l(c)| <= {args.window}",
         "convention": "paper",
     }
-    if args.tolerance is not None:
-        meta["tolerance"] = args.tolerance
+    if tolerance is not None:
+        meta["tolerance"] = tolerance
     return _wrap("flow", d, meta, window=args.window)
 
 
@@ -186,14 +189,16 @@ def _cmd_nilfoliation(args) -> dict:
 
 
 def _class_from_json(obj: dict) -> ConjugacyClassData:
-    label = str(obj["label"])
+    if type(label := obj["label"]) not in (str, int):
+        raise ValueError(f"class 'label' must be a JSON string or integer, got {label!r:.40}")
+    label = str(label)
     if expect(obj.get("is_identity", False), bool, "class 'is_identity'"):
         return ConjugacyClassData(label, None, is_identity=True)
     vol = to_number(obj.get("vol_centralizer", 1), "class 'vol_centralizer'")
     if "lefschetz" in obj:
         return ConjugacyClassData(label, to_number(obj["lefschetz"], "class 'lefschetz'"), vol)
     if "matrix" in obj:
-        t = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"]))
+        t = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"], "class 'matrix'"))
         return ConjugacyClassData(label, GradedMap.from_toral(t, read_int(label, "class 'label'")), vol)
     if "graded" in obj:
         return ConjugacyClassData(label, _graded_from_json(obj["graded"]), vol)
@@ -329,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", parents=[common], help="codimension-one flow with prescribed closed orbits")
     p.add_argument("--input", required=True, help="JSON file with an 'orbits' list")
     p.add_argument("--window", required=True, metavar="T")
-    p.add_argument("--tolerance", type=float, metavar="T", help="inexact atom merge tolerance")
+    p.add_argument("--tolerance", metavar="T", help="inexact atom merge tolerance, finite and >= 0")
     p.set_defaults(handler=_cmd_flow)
 
     p = sub.add_parser("suspension", parents=[common], help="suspension foliation over a compact group")

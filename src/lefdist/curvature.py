@@ -17,12 +17,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .distributions import to_number
 from .errors import PreconditionError
-from .linalg import expect, read_int
+from .linalg import expect, read_int, to_number
 
 __all__ = [
     "MetricGrid",
@@ -115,31 +115,48 @@ class MetricGrid:
     @classmethod
     def from_csv(cls, text: str) -> "MetricGrid":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        rows = [ln for ln in lines if ln[0].isdigit() or ln[0] == "-"]
+        rows = [ln.split(",") for ln in lines if ln[0].isdigit() or ln[0] == "-"]
         if not rows:
             raise ValueError("CSV contains no data rows")
-        nu_s, nv_s, du_s, dv_s, topology = rows[0].split(",")
+        if set(map(len, rows)) != {5}:
+            bad = next(row for row in rows if len(row) != 5)
+            raise ValueError(f"CSV row {','.join(bad)!r:.40} must have five fields: nu,nv,du,dv,topology or i,j,E,F,G")
+        nu_s, nv_s, du_s, dv_s, topology = rows[0]
         nu, nv = read_int(nu_s, "CSV 'nu'"), read_int(nv_s, "CSV 'nv'")
         du, dv = float(to_number(du_s, "CSV 'du'")), float(to_number(dv_s, "CSV 'dv'"))
         if len(rows) - 1 != nu * nv:
             raise ValueError(f"CSV has {len(rows) - 1} node rows, not nu*nv = {nu * nv}: rows missing or extra")
         e, f, g = (np.empty((nu, nv)) for _ in "EFG")
         seen = np.zeros((nu, nv), dtype=bool)
-        for ln in rows[1:]:
-            i_s, j_s, ev, fv, gv = ln.split(",")
+        for i_s, j_s, ev, fv, gv in rows[1:]:
             i, j = read_int(i_s, "CSV node 'i'"), read_int(j_s, "CSV node 'j'")
             if not (0 <= i < nu and 0 <= j < nv) or seen[i, j]:
                 raise ValueError(f"CSV node ({i},{j}) is outside {nu}x{nv} or repeated")
-            e[i, j], f[i, j], g[i, j] = float(ev), float(fv), float(gv)
+            try:
+                e[i, j], f[i, j], g[i, j] = float(ev), float(fv), float(gv)
+            except ValueError:
+                name, cell = next((n, c) for n, c in zip("EFG", (ev, fv, gv)) if not _is_float(c))
+                raise ValueError(f"CSV node ({i},{j}) '{name}' must be a plain decimal, got {cell!r:.40}") from None
             seen[i, j] = True
         return cls(nu, nv, du, dv, e, f, g, topology)
 
 
-def _node_array(value, what: str) -> np.ndarray:
+def _is_float(cell: str) -> bool:
     try:
-        return np.array(expect(value, list, what), dtype=float)
-    except TypeError:
-        raise ValueError(f"{what} must be an array of arrays of numbers") from None
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _node_array(value, what: str) -> np.ndarray:
+    """Equal-length rows of numbers: JSON ints and floats in bulk, other nodes like ``du`` through ``to_number``."""
+    rows = expect(value, list, what, each=list)
+    if len(set(map(len, rows))) > 1:
+        raise ValueError(f"{what} rows must all have the same length")
+    if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+        rows = [[float(to_number(x, f"{what} node")) for x in row] for row in rows]
+    return np.array(rows, dtype=float)
 
 
 def require_resolution(nu: int, nv: int) -> None:

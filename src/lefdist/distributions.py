@@ -13,13 +13,12 @@ atom.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import PreconditionError
-from .linalg import rat_from_str, rat_to_str
+from .linalg import Number, num_to_str, to_number
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -36,32 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-9
-
-Number = Fraction | float
-
-
-def to_number(x, what: str = "a number") -> Number:
-    """The one number reader: int, Fraction, float, "p/q" or "~<decimal>" to an exact
-    Fraction or a finite float; bool, NaN, +-inf and the rest raise ValueError naming ``what``."""
-    if isinstance(x, str):
-        s = x.strip()
-        try:
-            x = float(s[1:]) if s.startswith("~") else rat_from_str(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            if "MAX_DECIMAL_EXPONENT" in str(exc):  # well formed, but past the cap: say so
-                raise ValueError(f"{what}: {exc}") from None
-            raise ValueError(f"{what} must be 'p/q' or '~<decimal>', got {x!r:.40}") from None
-    if isinstance(x, Fraction) or isinstance(x, float) and math.isfinite(x):
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    raise ValueError(f"{what} must be a finite number, got {x!r:.40}")
-
-
-def num_to_str(x: Number) -> str:
-    if isinstance(x, float):
-        return f"~{x!r}"
-    return rat_to_str(x)
 
 
 @dataclass(frozen=True)
@@ -249,9 +222,11 @@ def make(
     merge on equality, inexact ones within the tolerance (default
     ``DEFAULT_TOLERANCE``).  An exact and an inexact location that look equal
     raise unless ``tolerance`` is passed explicitly, in which case they merge
-    to an inexact atom.
+    to an inexact atom.  A negative tolerance raises.
     """
     explicit_tol = tolerance is not None
+    if explicit_tol and tolerance < 0:
+        raise PreconditionError(f"tolerance must be >= 0, got {tolerance!r}")
     tol = Fraction(tolerance if explicit_tol else DEFAULT_TOLERANCE)
     norm: list[tuple[GroupPoint, Number]] = []
     variants = set()

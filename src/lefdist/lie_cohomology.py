@@ -36,9 +36,9 @@ from .linalg import (
     IntMatrix,
     RationalMatrix,
     _bareiss_echelon,
+    exact_number,
     expect,
     rank,
-    rat_from_str,
     rat_to_str,
     read_int,
 )
@@ -200,7 +200,7 @@ class LieAlgebra:
         for b in expect(obj.get("brackets", []), list, "'brackets'", each=dict):
             out = brackets[read_int(b["i"], "bracket 'i'"), read_int(b["j"], "bracket 'j'")] = {}
             for o in expect(b["out"], list, "bracket 'out'", each=dict):
-                out[read_int(o["k"], "bracket output 'k'")] = rat_from_str(str(o["c"]))
+                out[read_int(o["k"], "bracket output 'k'")] = exact_number(o["c"], "bracket output 'c'")
         return cls(read_int(obj["dim"], "'dim'"), brackets)
 
 

@@ -9,15 +9,16 @@ inverses add one fraction-free back substitution on its echelon.  One Smith
 loop serves the Smith invariants and the column transform that parametrizes
 A x = 0 mod Z^n.
 
-Serialization: rationals as ``"p/q"`` strings (``"p"`` when q = 1), integers
-as decimal strings, matrices as JSON arrays-of-arrays of such strings.
+The wire format lives here, and every input number is read here, by ``to_number``,
+``exact_number`` or ``read_int``: rationals as ``"p/q"`` strings (``"p"`` when q = 1),
+floats as ``"~<repr>"``, matrices as JSON arrays-of-arrays of such strings.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isfinite, lcm
 from operator import mul
 
 from .errors import PreconditionError
@@ -27,9 +28,12 @@ __all__ = [
     "IntMatrix",
     "MAX_DECIMAL_EXPONENT",
     "rat_from_str",
+    "to_number",
+    "exact_number",
     "read_int",
     "expect",
     "rat_to_str",
+    "num_to_str",
     "rank",
     "rank_kernel",
     "determinant",
@@ -62,6 +66,41 @@ def rat_from_str(s: str) -> Fraction:
     ):
         raise ValueError(f"the exponent of {s!r:.40} exceeds MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}")
     return Fraction(s)
+
+
+Number = Fraction | float
+
+
+def to_number(x, what: str = "a number") -> Number:
+    """The one number reader: int, Fraction, float, "p/q" or "~<decimal>" to an exact
+    Fraction or a finite float; bool, NaN, +-inf and the rest raise ValueError naming ``what``."""
+    if isinstance(x, str):
+        s = x.strip()
+        try:
+            x = float(s[1:]) if s.startswith("~") else rat_from_str(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            if "MAX_DECIMAL_EXPONENT" in str(exc):  # well formed, but past the cap: say so
+                raise ValueError(f"{what}: {exc}") from None
+            raise ValueError(f"{what} must be 'p/q' or '~<decimal>', got {x!r:.40}") from None
+    if isinstance(x, Fraction) or isinstance(x, float) and isfinite(x):
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise ValueError(f"{what} must be a finite number, got {x!r:.40}")
+
+
+def exact_number(x, what: str) -> Fraction:
+    """``to_number`` for an exact field: a JSON float reads as its decimal (0.1 is 1/10), "~..." raises."""
+    y = to_number(x, what)
+    if isinstance(y, float) and isinstance(x, str):
+        raise ValueError(f"{what} must be exact, not {x!r:.40}")
+    return Fraction(repr(y)) if isinstance(y, float) else y  # a float's exponent is at most 308
+
+
+def num_to_str(x: Number) -> str:
+    if isinstance(x, float):
+        return f"~{x!r}"
+    return rat_to_str(x)
 
 
 def read_int(x, what: str) -> int:
@@ -156,8 +195,8 @@ class _Matrix:
         return [[rat_to_str(e) for e in row] for row in self.entries]
 
     @classmethod
-    def from_json_obj(cls, obj):
-        return cls([[rat_from_str(str(e)) for e in row] for row in expect(obj, list, "a matrix", each=list)])
+    def from_json_obj(cls, obj, what: str = "a matrix"):
+        return cls([[exact_number(e, f"{what} entry") for e in row] for row in expect(obj, list, what, each=list)])
 
 
 class RationalMatrix(_Matrix):

@@ -16,20 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import (
-    IDENTITY,
-    AtomicDistribution,
-    LatticePoint,
-    Number,
-    OrbitTerm,
-    RealPoint,
-    make,
-    to_number,
-)
+from .distributions import IDENTITY, AtomicDistribution, LatticePoint, OrbitTerm, RealPoint, make
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism, fixed_point_index, lefschetz_number_graded, toral_lefschetz
 from .lie_cohomology import GradedDims, LieAlgebra, cohomology_dims, is_nilpotent
-from .linalg import RationalMatrix, determinant, matrix_power
+from .linalg import Number, RationalMatrix, determinant, matrix_power, to_number
 
 __all__ = [
     "MAX_FLOW_MULTIPLES",

@@ -1,4 +1,3 @@
-import copy
 import io
 import json
 import time
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from lefdist.cli import main
 from lefdist.curvature import flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
+from lefdist.linalg import to_number
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +83,17 @@ class TestMappingTorus:
         rc, _, err = run_cli(capsys, "mapping-torus", "--input", str(path), "--window", "1")
         assert rc == 2
         assert err.startswith("input error:") and "array of arrays" in err
+
+    @pytest.mark.parametrize("entry", [True, "~1", "x"])
+    def test_matrix_entry_named(self, capsys, entry):
+        rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", json.dumps([[entry, 1], [1, 1]]))
+        assert_input_error(rc, err, "'matrix' entry")
+
+    def test_inexact_graded_entry_named_by_degree(self, capsys, tmp_path):
+        path = tmp_path / "graded.json"
+        path.write_text(json.dumps({"graded": [[["1"]], [["~0.5"]]]}))
+        rc, _, err = run_cli(capsys, "mapping-torus", "--input", str(path), "--window", "1")
+        assert_input_error(rc, err, "'graded' degree 1 entry must be exact")
 
     def test_input_graded_not_array(self, capsys, tmp_path):
         path = tmp_path / "graded.json"
@@ -178,6 +189,9 @@ class TestFlow:
             ({"orbits": [{"length": "1", "signs": 5}]}, "'signs'"),
             ({"orbits": [{"length": "1", "signs": {"1": True, "-1": 1}}]}, "sign"),
             ({"orbits": [{"length": "~inf", "signs": {"1": 1, "-1": 1}}]}, "'length'"),
+            ({"orbits": [{"length": "1", "return_map": [[True]]}]}, "orbit 0: orbit 'return_map' entry"),
+            ({"orbits": [{"length": "1", "return_map": [["~1"]]}]}, "orbit 0: orbit 'return_map' entry"),
+            ({"orbits": [{"length": "1", "return_map": [["x"]]}]}, "orbit 0: orbit 'return_map' entry"),
         ],
     )
     def test_malformed_orbits(self, capsys, tmp_path, obj, field):
@@ -192,6 +206,21 @@ class TestFlow:
         path.write_text(json.dumps({"orbits": [{"length": "1", "signs": {"1": 1, "-1": 1}}]}))
         rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", window)
         assert_input_error(rc, err, "--window")
+
+    @pytest.mark.parametrize(
+        "tolerance, rc, message",
+        [
+            ("nan", 2, "input error: --tolerance must be 'p/q' or '~<decimal>', got 'nan'"),
+            ("inf", 2, "input error: --tolerance must be 'p/q' or '~<decimal>', got 'inf'"),
+            ("~nan", 2, "input error: --tolerance must be a finite number, got nan"),
+            ("-1", 1, "error: tolerance must be >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_tolerance(self, capsys, tmp_path, tolerance, rc, message):
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": [{"length": "1", "signs": {"1": 1, "-1": 1}}]}))
+        got_rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", "1", "--tolerance", tolerance)
+        assert (got_rc, err) == (rc, message + "\n")
 
     def test_multiples_past_the_cap(self, capsys, tmp_path):
         path = tmp_path / "orbits.json"
@@ -314,6 +343,13 @@ class TestNilfoliation:
         rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", str(path))
         assert_input_error(rc, err, "'brackets'")
 
+    @pytest.mark.parametrize("c", ["~1", True, "x"])
+    def test_malformed_constant(self, capsys, tmp_path, c):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": c}]}]}))
+        rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", str(path))
+        assert_input_error(rc, err, "bracket output 'c'")
+
     def test_dimension_cap(self, capsys, tmp_path):
         path = tmp_path / "alg.json"
         path.write_text(json.dumps({"dim": MAX_ALGEBRA_DIM + 1, "brackets": []}))
@@ -409,6 +445,9 @@ class TestSelberg:
             ({"vol_quotient": "~inf", "chi_x": 0, "classes": []}, "'vol_quotient'"),
             ({"vol_quotient": "1", "chi_x": "2.5", "classes": []}, "'chi_x'"),
             ({"vol_quotient": "1", "chi_x": 0, "classes": [{"label": "e", "is_identity": "no"}]}, "'is_identity'"),
+            ({"vol_quotient": "1", "chi_x": 0, "classes": [{"label": None, "lefschetz": "1"}]}, "class 'label'"),
+            ({"vol_quotient": "1", "chi_x": 0, "classes": [{"label": [1, 2], "lefschetz": "1"}]}, "class 'label'"),
+            ({"vol_quotient": "1", "chi_x": 0, "classes": [{"label": True, "lefschetz": "1"}]}, "class 'label'"),
         ],
     )
     def test_malformed_input(self, capsys, tmp_path, obj, field):
@@ -478,6 +517,39 @@ class TestGaussBonnet:
         path.write_text(json.dumps(obj))  # writes the bare token Infinity, as json.load accepts
         rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
         assert_input_error(rc, err, f"'{field}'")
+
+    @pytest.mark.parametrize("node", [True, False, None, [1], {}, "x", "~nan"])
+    def test_malformed_node_named(self, capsys, tmp_path, node):
+        obj = flat_torus_grid(16).to_json_obj()
+        obj["E"][3][4] = node
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(obj))
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
+        assert_input_error(rc, err, "'E' node")
+
+    def test_short_row_named(self, capsys, tmp_path):
+        obj = flat_torus_grid(16).to_json_obj()
+        obj["E"][3].pop()
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(obj))
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
+        assert_input_error(rc, err, "'E' rows must all have the same length")
+
+    @pytest.mark.parametrize(
+        "last, field",
+        [
+            ("15,15,~1.0,0.0,1.0", "CSV node (15,15) 'E' must be a plain decimal, got '~1.0'"),
+            ("15,15,x,0.0,1.0", "CSV node (15,15) 'E' must be a plain decimal, got 'x'"),
+            ("15,15,1.0,0.0", "must have five fields: nu,nv,du,dv,topology or i,j,E,F,G"),
+        ],
+    )
+    def test_csv_bad_node_row(self, capsys, tmp_path, last, field):
+        lines = flat_torus_grid(16).to_csv().splitlines()
+        lines[-1] = last
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
+        assert_input_error(rc, err, field)
 
     @pytest.mark.parametrize("node", ["16,15,", "15,14,"])
     def test_csv_node_outside_or_repeated(self, capsys, tmp_path, node):
@@ -631,6 +703,27 @@ JSON_VALUES = st.one_of(
 )
 
 
+def _holds_number(v):
+    """A JSON number, or a string that reads as one."""
+    try:
+        to_number(v)
+    except ValueError:
+        return False
+    return True
+
+
+def _field(path):
+    """The innermost object key on ``path``.  The keys of an orbit's 'signs' are the
+    multiples k, not fields; a bad value there is named as an orbit sign."""
+    keys = [k for k in path if isinstance(k, str)]
+    return "sign" if keys[-2:-1] == ["signs"] else keys[-1]
+
+
+def _array_swaps(old):
+    """Changes inside an array: a value nested one level deeper, an array one element shorter."""
+    return [old[:-1], [old]] if isinstance(old, list) else [[old]]
+
+
 def _kind(v):
     """The JSON kind: null, boolean, number, string, array or object."""
     return "number" if type(v) in (int, float) else type(v)
@@ -644,22 +737,34 @@ def _paths(obj, prefix=()):
 
 
 @pytest.mark.parametrize("command", sorted(VALID_INPUTS))
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_loader_fuzz_exits_0_1_or_2(command, tmp_path, data):
+    """Swap one value for one of another JSON kind, or, inside an array and not an object,
+    for any value, a nested copy or a shorter array.  Every run exits 0, 1 or 2; a number
+    swapped for a boolean or null never exits 0; an exit 2 names the field."""
     valid, flag, rest = VALID_INPUTS[command]
     path, old = data.draw(st.sampled_from(list(_paths(valid))))
-    new = data.draw(JSON_VALUES.filter(lambda v: _kind(v) is not _kind(old)))
-    obj = copy.deepcopy(valid)
+    other_kind = JSON_VALUES.filter(lambda v: _kind(v) is not _kind(old))
+    if isinstance(path[-1], int) and not isinstance(old, dict):
+        new = data.draw(st.one_of(other_kind, JSON_VALUES, st.sampled_from(_array_swaps(old))))
+    else:
+        new = data.draw(other_kind)
+    obj = json.loads(json.dumps(valid))  # unlike deepcopy, unshares TORUS between 'matrix' and 'graded'
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = new
     file = tmp_path / "input.json"
     file.write_text(json.dumps(obj))
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
         rc = main([command, flag, str(file), *rest])
     assert rc in (0, 1, 2)
+    if _holds_number(old) and type(new) in (bool, type(None)):
+        assert rc != 0, (path, new)
+    if rc == 2:
+        assert _field(path) in err.getvalue(), (path, new, err.getvalue())
 
 
 # -- missing fields ------------------------------------------------------------

@@ -138,11 +138,21 @@ class TestSerialization:
             MetricGrid.from_json_obj(obj)
         assert not isinstance(exc.value, PreconditionError)
 
+    def test_json_nodes_read_like_the_spacings(self):
+        # JSON ints and number strings read as floats; only ints and floats take numpy's bulk route
+        obj = flat_torus_grid(8).to_json_obj()
+        obj["E"][3][4], obj["G"][0][0], obj["G"][1][1] = "~2.5", "3/2", 2
+        grid = MetricGrid.from_json_obj(obj)
+        assert (grid.E[3, 4], grid.G[0, 0], grid.G[1, 1]) == (2.5, 1.5, 2.0)
+        assert grid.E.dtype == grid.G.dtype == np.float64
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, None])
     def test_json_non_finite_node_rejected(self, value):
         obj = flat_torus_grid(8).to_json_obj()
         obj["G"][3][4] = value
-        with pytest.raises(ValueError, match="G must be finite"):
+        # a null is not a number, so the reader refuses it before the finiteness check
+        message = "'G' node must be a finite number" if value is None else "G must be finite"
+        with pytest.raises(ValueError, match=message):
             MetricGrid.from_json_obj(obj)
 
     def test_non_finite_spacing_rejected(self):
@@ -155,6 +165,25 @@ class TestSerialization:
         lines = flat_torus_grid(8).to_csv().splitlines()
         lines[-1] = lines[-1].replace(old, new, 1)
         with pytest.raises(ValueError, match="outside 8x8 or repeated"):
+            MetricGrid.from_csv("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,0,1.0,0.0,1.0,1.0", "or i,j,E,F,G"),
+            ("0,0,1.0,~0.0,1.0", "CSV node \\(0,0\\) 'F' must be a plain decimal"),
+        ],
+    )
+    def test_csv_malformed_node_row(self, row, message):
+        lines = flat_torus_grid(8).to_csv().splitlines()
+        lines[3] = row
+        with pytest.raises(ValueError, match=message):
+            MetricGrid.from_csv("\n".join(lines))
+
+    def test_csv_malformed_header_row(self):
+        lines = flat_torus_grid(8).to_csv().splitlines()
+        lines[1] += ",extra"
+        with pytest.raises(ValueError, match="five fields: nu,nv,du,dv,topology"):
             MetricGrid.from_csv("\n".join(lines))
 
     def test_csv_extra_row(self):

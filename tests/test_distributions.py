@@ -57,6 +57,11 @@ class TestMake:
         p, c = d.atoms[0]
         assert not p.exact and c == 3
 
+    def test_negative_tolerance_rejected(self):
+        # it would keep these two apart and skip the exact/inexact collision check
+        with pytest.raises(PreconditionError, match="tolerance must be >= 0"):
+            make([(RealPoint(Fraction(1)), 1), (RealPoint(1.0000000001), 1)], tolerance=-1.0)
+
     def test_mixed_variants_rejected(self):
         with pytest.raises(PreconditionError):
             make([(LatticePoint(1), 1), (RealPoint(1.0), 1)])

@@ -114,12 +114,16 @@ CLI = {
 
 
 def _cli_bytes(argv) -> bytes:
-    out = io.StringIO()
+    out, cwd = io.StringIO(), os.getcwd()
     # the verify battery is seeded from LEFSCHETZ_SEED; the corpus holds the default.
     # gauss-bonnet echoes its input path, so every run starts in INPUTS
-    with mock.patch.dict(os.environ), contextlib.chdir(INPUTS), contextlib.redirect_stdout(out):
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out):
         os.environ.pop("LEFSCHETZ_SEED", None)
-        rc = main(argv)
+        os.chdir(INPUTS)
+        try:
+            rc = main(argv)
+        finally:
+            os.chdir(cwd)
     assert rc == 0
     return out.getvalue().encode("utf-8")
 

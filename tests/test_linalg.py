@@ -9,6 +9,7 @@ from lefdist.linalg import (
     IntMatrix,
     RationalMatrix,
     determinant,
+    exact_number,
     exterior_power,
     matrix_power,
     rank_kernel,
@@ -215,6 +216,18 @@ class TestSerialization:
     def test_read_int_rejects(self, value):
         with pytest.raises(ValueError, match="'n' must be an integer"):
             read_int(value, "'n'")
+
+    @pytest.mark.parametrize(
+        "value, expected", [(0.1, Fraction(1, 10)), (1e-05, Fraction(1, 100000)), (3, 3), ("-2/4", Fraction(-1, 2))]
+    )
+    def test_exact_number_reads_a_float_as_its_decimal(self, value, expected):
+        x = exact_number(value, "'c'")
+        assert x == expected and type(x) is Fraction
+
+    @pytest.mark.parametrize("value", ["~1", " ~0.5", True, None, [1], float("nan"), "x"])
+    def test_exact_number_refuses_by_name(self, value):
+        with pytest.raises(ValueError, match="'c'"):
+            exact_number(value, "'c'")
 
     @pytest.mark.parametrize("obj", [5, [5], [[1], 5], {"a": [1]}, None, "[[1]]"])
     def test_matrix_loader_rejects_shape(self, obj):
