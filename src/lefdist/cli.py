@@ -93,13 +93,14 @@ def _cmd_mapping_torus(args) -> dict:
         desc = "graded"
     else:
         raise ValueError("input JSON needs a 'matrix' or 'graded' field")
-    d = mapping_torus(source, args.window)
+    window = read_int(args.window, "--window")
+    d = mapping_torus(source, window)
     meta = {
         "source": desc,
-        "truncation": f"atoms emitted for |k| <= {args.window}",
+        "truncation": f"atoms emitted for |k| <= {window}",
         "convention": "paper",
     }
-    return _wrap("mapping_torus", d, meta, window=args.window)
+    return _wrap("mapping_torus", d, meta, window=window)
 
 
 def _orbit_from_json(idx: int, obj: dict) -> ClosedOrbitSpec:
@@ -136,6 +137,7 @@ def _cmd_flow(args) -> dict:
 
 
 def _cmd_suspension(args) -> dict:
+    chi = None if args.chi is None else read_int(args.chi, "--chi")
     if args.input is not None:
         obj = _load_json(args.input)
         betti = obj.get("betti")
@@ -143,9 +145,9 @@ def _cmd_suspension(args) -> dict:
             betti = GradedDims(tuple(read_int(b, "a 'betti' entry") for b in expect(betti, list, "'betti'")))
         spec = SuspensionSpec(to_number(obj["vol_g"], "'vol_g'"), read_int(obj["chi_x"], "'chi_x'"), betti)
     else:
-        if args.chi is None:
+        if chi is None:
             raise ValueError("give --chi (and optionally --vol), or --input")
-        spec = SuspensionSpec(to_number(args.vol, "--vol"), args.chi)
+        spec = SuspensionSpec(to_number(args.vol, "--vol"), chi)
     d = suspension(spec)
     meta = {
         "vol_g": num_to_str(spec.vol_g),
@@ -157,7 +159,7 @@ def _cmd_suspension(args) -> dict:
 
 
 def _cmd_surface_suspension(args) -> dict:
-    s = surface_suspension_traces(args.genus, to_number(args.vol, "--vol"))
+    s = surface_suspension_traces(read_int(args.genus, "--genus"), to_number(args.vol, "--vol"))
     meta = {
         "genus": s.genus,
         "beta_lambda": [num_to_str(b) for b in s.betti_lambda],
@@ -230,6 +232,7 @@ _BUILTIN_GRIDS = {
 
 
 def _cmd_gauss_bonnet(args) -> dict:
+    n = read_int(args.grid, "--grid")
     if args.input is not None:
         if args.input.endswith(".csv"):
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -241,8 +244,8 @@ def _cmd_gauss_bonnet(args) -> dict:
         import random as _random
 
         rng = _random.Random(battery_seed())
-        require_resolution(args.grid, args.grid)
-        grid = _BUILTIN_GRIDS[args.builtin](args.grid, rng)
+        require_resolution(n, n)
+        grid = _BUILTIN_GRIDS[args.builtin](n, rng)
         source = f"builtin:{args.builtin}"
     k = gaussian_curvature(grid)
     integral = integrate_curvature(grid)
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--matrix", help='inline integer matrix, e.g. "[[2,1],[1,1]]"')
     src.add_argument("--input", help="JSON file with a 'matrix' or 'graded' field")
-    p.add_argument("--window", type=int, default=3, metavar="K")
+    p.add_argument("--window", default=3, metavar="K")
     p.set_defaults(handler=_cmd_mapping_torus)
 
     p = sub.add_parser("flow", parents=[common], help="codimension-one flow with prescribed closed orbits")
@@ -339,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suspension", parents=[common], help="suspension foliation over a compact group")
     p.add_argument("--vol", default="1", help="vol(G), exact ('3/2') or inexact ('~1.5')")
-    p.add_argument("--chi", type=int, help="Euler characteristic of the fiber")
+    p.add_argument("--chi", help="Euler characteristic of the fiber")
     p.add_argument("--input", help="JSON file with vol_g, chi_x and optional betti")
     p.set_defaults(handler=_cmd_suspension)
 
     p = sub.add_parser("surface-suspension", parents=[common], help="genus-g hyperbolic surface suspension traces")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", required=True)
     p.add_argument("--vol", default="1")
     p.set_defaults(handler=_cmd_surface_suspension)
 
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="MetricGrid JSON or CSV file")
     src.add_argument("--builtin", choices=sorted(_BUILTIN_GRIDS), help="generate a canonical grid")
-    p.add_argument("--grid", type=int, default=256, metavar="N", help="builtin grid resolution")
+    p.add_argument("--grid", default=256, metavar="N", help="builtin grid resolution")
     p.set_defaults(handler=_cmd_gauss_bonnet)
 
     p = sub.add_parser("verify", parents=[common], help="run the cross-oracle battery")

@@ -94,8 +94,8 @@ class MetricGrid:
         return cls(
             read_int(obj["nu"], "'nu'"),
             read_int(obj["nv"], "'nv'"),
-            float(to_number(obj["du"], "'du'")),
-            float(to_number(obj["dv"], "'dv'")),
+            _to_float(obj["du"], "'du'"),
+            _to_float(obj["dv"], "'dv'"),
             *(_node_array(obj[name], f"'{name}'") for name in ("E", "F", "G")),
             expect(obj["topology"], str, "'topology'"),
         )
@@ -123,7 +123,7 @@ class MetricGrid:
             raise ValueError(f"CSV row {','.join(bad)!r:.40} must have five fields: nu,nv,du,dv,topology or i,j,E,F,G")
         nu_s, nv_s, du_s, dv_s, topology = rows[0]
         nu, nv = read_int(nu_s, "CSV 'nu'"), read_int(nv_s, "CSV 'nv'")
-        du, dv = float(to_number(du_s, "CSV 'du'")), float(to_number(dv_s, "CSV 'dv'"))
+        du, dv = _to_float(du_s, "CSV 'du'"), _to_float(dv_s, "CSV 'dv'")
         if len(rows) - 1 != nu * nv:
             raise ValueError(f"CSV has {len(rows) - 1} node rows, not nu*nv = {nu * nv}: rows missing or extra")
         e, f, g = (np.empty((nu, nv)) for _ in "EFG")
@@ -149,14 +149,25 @@ def _is_float(cell: str) -> bool:
     return True
 
 
+def _to_float(x, what: str) -> float:
+    """``to_number`` as a float; a number past the float range is a ValueError naming ``what``."""
+    try:
+        return float(to_number(x, what))
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float, got {x!r:.40}") from None
+
+
 def _node_array(value, what: str) -> np.ndarray:
     """Equal-length rows of numbers: JSON ints and floats in bulk, other nodes like ``du`` through ``to_number``."""
     rows = expect(value, list, what, each=list)
     if len(set(map(len, rows))) > 1:
         raise ValueError(f"{what} rows must all have the same length")
-    if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
-        rows = [[float(to_number(x, f"{what} node")) for x in row] for row in rows]
-    return np.array(rows, dtype=float)
+    if set(map(type, chain.from_iterable(rows))) <= {float, int}:
+        try:
+            return np.array(rows, dtype=float)
+        except OverflowError:  # an int past the float range: the route below names it
+            pass
+    return np.array([[_to_float(x, f"{what} node") for x in row] for row in rows], dtype=float)
 
 
 def require_resolution(nu: int, nv: int) -> None:

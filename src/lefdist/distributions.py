@@ -30,8 +30,6 @@ __all__ = [
     "OrbitTerm",
     "AtomicDistribution",
     "make",
-    "num_to_str",
-    "to_number",
 ]
 
 DEFAULT_TOLERANCE = 1e-9

@@ -29,7 +29,7 @@ from .linalg import (
     determinant,
     exterior_power,
     matrix_power,
-    rat_to_str,
+    num_to_str,
     smith_transform,
 )
 
@@ -73,9 +73,9 @@ class ToralAutomorphism:
 
 @dataclass(frozen=True)
 class GradedMap:
-    """Induced maps M_i on H^i(X), one square rational matrix per degree."""
+    """Induced maps M_i on H^i(X), one square exact matrix per degree."""
 
-    maps: tuple[RationalMatrix, ...]
+    maps: tuple[RationalMatrix | IntMatrix, ...]
 
     def __post_init__(self):
         for m in self.maps:
@@ -101,7 +101,7 @@ class GradedMap:
     def from_toral(cls, t: ToralAutomorphism, k: int = 1) -> "GradedMap":
         """Action of A^k on H^i(T^n) = Lambda^i(R^n)."""
         ak = t.power(k)
-        return cls(tuple(RationalMatrix(exterior_power(ak, i).entries) for i in range(t.dim + 1)))
+        return cls(tuple(exterior_power(ak, i) for i in range(t.dim + 1)))
 
 
 def lefschetz_number_graded(g: GradedMap) -> Fraction:
@@ -127,7 +127,7 @@ def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
     return via_det
 
 
-def fixed_point_index(j: RationalMatrix) -> int:
+def fixed_point_index(j: RationalMatrix | IntMatrix) -> int:
     """The paper's epsilon at a simple fixed point with linearization J: sign det(J - I)."""
     d = determinant(j - RationalMatrix.identity(j.rows))
     if d == 0:
@@ -151,7 +151,7 @@ class FixedPointReport:
     def to_json_obj(self) -> dict:
         return {
             "count": "infinite" if self.count is None else str(self.count),
-            "points": [[rat_to_str(x) for x in p] for p in self.points],
+            "points": [[num_to_str(x) for x in p] for p in self.points],
             "indices": list(self.indices),
             "epsilons": list(self.epsilons),
         }

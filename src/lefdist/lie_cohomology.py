@@ -38,8 +38,8 @@ from .linalg import (
     _bareiss_echelon,
     exact_number,
     expect,
+    num_to_str,
     rank,
-    rat_to_str,
     read_int,
 )
 
@@ -189,7 +189,7 @@ class LieAlgebra:
         brackets = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                out = [{"k": k + 1, "c": rat_to_str(Fraction(num, self._den))} for k, num in self._table[i][j]]
+                out = [{"k": k + 1, "c": num_to_str(Fraction(num, self._den))} for k, num in self._table[i][j]]
                 if out:
                     brackets.append({"i": i + 1, "j": j + 1, "out": out})
         return {"dim": self.dim, "brackets": brackets}

@@ -9,9 +9,9 @@ inverses add one fraction-free back substitution on its echelon.  One Smith
 loop serves the Smith invariants and the column transform that parametrizes
 A x = 0 mod Z^n.
 
-The wire format lives here, and every input number is read here, by ``to_number``,
-``exact_number`` or ``read_int``: rationals as ``"p/q"`` strings (``"p"`` when q = 1),
-floats as ``"~<repr>"``, matrices as JSON arrays-of-arrays of such strings.
+The wire format lives here: every input number is read by ``to_number``, ``exact_number``
+or ``read_int`` and every output number is written by ``num_to_str``, rationals as ``"p/q"``
+strings (``"p"`` when q = 1), floats as ``"~<repr>"``, matrices as arrays of such strings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "exact_number",
     "read_int",
     "expect",
-    "rat_to_str",
     "num_to_str",
     "rank",
     "rank_kernel",
@@ -43,13 +42,6 @@ __all__ = [
     "exterior_power",
     "charpoly",
 ]
-
-def rat_to_str(x: Fraction | int) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
 
 # Fraction("1e999999999") would build 10**999999999; no float is above 1e309.
 MAX_DECIMAL_EXPONENT = 1000
@@ -97,15 +89,19 @@ def exact_number(x, what: str) -> Fraction:
     return Fraction(repr(y)) if isinstance(y, float) else y  # a float's exponent is at most 308
 
 
-def num_to_str(x: Number) -> str:
+def num_to_str(x: Number | int) -> str:
+    """The one number writer: "p/q" ("p" when q = 1) for an int or Fraction, "~<repr>" for a float."""
     if isinstance(x, float):
         return f"~{x!r}"
-    return rat_to_str(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def read_int(x, what: str) -> int:
-    """A JSON integer or an integer string; bool, null, 2.5 and "x" raise ValueError."""
-    if type(x) is int or isinstance(x, str) and x.strip().lstrip("+-").isdecimal():
+    """A JSON integer or an integer string; bool, null, 2.5, "1_0", "+-1" and "x" raise ValueError."""
+    s = x.strip() if isinstance(x, str) else ""
+    if type(x) is int or (s[1:] if s[:1] in ("+", "-") else s).isdecimal():
         return int(x)
     raise ValueError(f"{what} must be an integer, got {x!r:.40}")
 
@@ -167,23 +163,20 @@ class _Matrix:
         return f"{type(self).__name__}([{body}])"
 
     # -- arithmetic --------------------------------------------------------
+    def _ring(self, other) -> type:
+        """The one ring rule: a result is an IntMatrix when both operands are, else a RationalMatrix."""
+        return IntMatrix if isinstance(self, IntMatrix) and isinstance(other, IntMatrix) else RationalMatrix
+
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise PreconditionError("matrix shapes do not match")
-        return type(self)(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._ring(other)([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise PreconditionError("matrix product requires cols(A) = rows(B)")
         bt = list(zip(*other.entries)) if other.entries else []
-        return type(self)(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-        )
+        return self._ring(other)([[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries])
 
     def trace(self):
         if not self.is_square:
@@ -192,11 +185,15 @@ class _Matrix:
 
     # -- serialization -----------------------------------------------------
     def to_json_obj(self):
-        return [[rat_to_str(e) for e in row] for row in self.entries]
+        return [[num_to_str(e) for e in row] for row in self.entries]
 
     @classmethod
     def from_json_obj(cls, obj, what: str = "a matrix"):
-        return cls([[exact_number(e, f"{what} entry") for e in row] for row in expect(obj, list, what, each=list)])
+        entries = [[exact_number(e, f"{what} entry") for e in row] for row in expect(obj, list, what, each=list)]
+        try:
+            return cls(entries)
+        except PreconditionError as exc:  # ragged rows, or an entry the ring refuses
+            raise PreconditionError(f"{what}: {exc}") from None
 
 
 class RationalMatrix(_Matrix):
@@ -389,12 +386,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     return smith_transform(m)[0]
 
 
-def _inverse(m: _Matrix) -> RationalMatrix:
-    """m^-1 is minus the left block of the kernel basis of [m | I], one vector per column of I."""
+def _inverse(m: _Matrix) -> _Matrix:
+    """m^-1 is minus the left block of the kernel basis of [m | I], one vector per column of I.
+
+    On an integer m the last pivot d is +-det m; when |d| = 1 the inverse -y / d = -d y is integral.
+    """
     n = m.rows
     pivots, d, basis = _kernel([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)])
     if pivots != list(range(n)):
         raise PreconditionError("matrix is singular, cannot invert")
+    if isinstance(m, IntMatrix) and abs(d) == 1:
+        return IntMatrix([[-d * y[i] for y in basis] for i in range(n)])
     return RationalMatrix([[Fraction(-y[i], d) for y in basis] for i in range(n)])
 
 
@@ -409,8 +411,6 @@ def matrix_power(m: RationalMatrix | IntMatrix, k: int):
     base = m
     if k < 0:
         base = _inverse(m)
-        if isinstance(m, IntMatrix) and all(e.denominator == 1 for r in base.entries for e in r):
-            base = IntMatrix(base.entries)
         k = -k
     result = type(base).identity(m.rows)
     while k:

@@ -20,7 +20,7 @@ from .distributions import IDENTITY, AtomicDistribution, LatticePoint, OrbitTerm
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism, fixed_point_index, lefschetz_number_graded, toral_lefschetz
 from .lie_cohomology import GradedDims, LieAlgebra, cohomology_dims, is_nilpotent
-from .linalg import Number, RationalMatrix, determinant, matrix_power, to_number
+from .linalg import Number, RationalMatrix, determinant, matrix_power, read_int, to_number
 
 __all__ = [
     "MAX_FLOW_MULTIPLES",
@@ -351,23 +351,27 @@ def selberg_report(h: HomogeneousSpec) -> AtomicDistribution:
     """vol(Gamma\\G) chi(X) . delta_e plus one orbital term per nontrivial class.
 
     With ``group_kind = "R"`` (Gamma = Z acting by powers of a single map)
-    every orbit is a point: class labels parse as integers k and the terms
-    collapse to atoms L(F^k) vol(centralizer) . delta_k, reproducing the
-    mapping-torus series.
+    every orbit is a point: class labels parse as integers k, one class per k,
+    and the terms collapse to atoms L(F^k) vol(centralizer) . delta_k,
+    reproducing the mapping-torus series.
     """
     nontrivial = [c for c in h.classes if not c.is_identity]
     identity_coeff = h.vol_quotient * h.chi_x
     if h.group_kind == "R":
         atoms = [(LatticePoint(0), identity_coeff)]
+        labels = {}
         for c in nontrivial:
             try:
-                k = int(c.label)
+                k = read_int(c.label, "class label")
             except ValueError:
                 raise PreconditionError(
                     f"class label {c.label!r} must parse as an integer when group_kind is 'R'"
                 ) from None
             if k == 0:
                 raise PreconditionError("nontrivial class label 0 clashes with the identity")
+            if k in labels:
+                raise PreconditionError(f"class labels {labels[k]!r} and {c.label!r} both name k = {k}")
+            labels[k] = c.label
             atoms.append((LatticePoint(k), c.lefschetz_value() * c.vol_centralizer))
         return make(atoms, group="Z")
     atoms = [(IDENTITY, identity_coeff)]

@@ -12,6 +12,8 @@ from lefdist.curvature import flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
 from lefdist.linalg import to_number
 
+BIG = 10**400  # an integer too large for a float
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
@@ -88,6 +90,11 @@ class TestMappingTorus:
     def test_matrix_entry_named(self, capsys, entry):
         rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", json.dumps([[entry, 1], [1, 1]]))
         assert_input_error(rc, err, "'matrix' entry")
+
+    def test_non_integer_entry_is_a_domain_error_naming_the_field(self, capsys):
+        rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", '[["1/2",0],[0,1]]')
+        assert rc == 1
+        assert err.startswith("error: 'matrix': IntMatrix entries must be integers")
 
     def test_inexact_graded_entry_named_by_degree(self, capsys, tmp_path):
         path = tmp_path / "graded.json"
@@ -468,6 +475,28 @@ class TestSelberg:
         assert rc == 1
         assert err.startswith("error:") and "distinct" in err
 
+    @pytest.mark.parametrize(
+        "nontrivial, message",
+        [
+            (
+                [{"label": "1", "lefschetz": "-1"}, {"label": "01", "lefschetz": "-1"}],
+                "class labels '1' and '01' both name k = 1",
+            ),
+            ([{"label": "1_0", "lefschetz": "-1"}], "class label '1_0' must parse as an integer"),
+            (
+                [{"label": "1", "matrix": [["1/2", "0"], ["0", "1"]]}],
+                "class 'matrix': IntMatrix entries must be integers",
+            ),
+        ],
+    )
+    def test_r_class_refused(self, capsys, tmp_path, nontrivial, message):
+        classes = [{"label": "0", "is_identity": True}, *nontrivial]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "group_kind": "R", "classes": classes}))
+        rc, _, err = run_cli(capsys, "selberg", "--input", str(path))
+        assert rc == 1
+        assert err.startswith(f"error: {message}")
+
     def test_graded_class_not_array(self, capsys, tmp_path):
         classes = [{"label": "e", "is_identity": True}, {"label": "g", "graded": 5}]
         path = tmp_path / "spec.json"
@@ -509,7 +538,13 @@ class TestGaussBonnet:
         assert "topology" in err
 
 
-    @pytest.mark.parametrize("field, value", [("nu", None), ("du", float("inf"))])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nu", None), ("du", float("inf")), pytest.param("du", BIG, id="du-10**400"),
+            pytest.param("dv", BIG, id="dv-10**400"), ("dv", "1e400"),
+        ],
+    )
     def test_malformed_json(self, capsys, tmp_path, field, value):
         obj = flat_torus_grid(16).to_json_obj()
         obj[field] = value
@@ -518,7 +553,9 @@ class TestGaussBonnet:
         rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
         assert_input_error(rc, err, f"'{field}'")
 
-    @pytest.mark.parametrize("node", [True, False, None, [1], {}, "x", "~nan"])
+    @pytest.mark.parametrize(
+        "node", [True, False, None, [1], {}, "x", "~nan", pytest.param(BIG, id="10**400"), "1e400"]
+    )
     def test_malformed_node_named(self, capsys, tmp_path, node):
         obj = flat_torus_grid(16).to_json_obj()
         obj["E"][3][4] = node
@@ -550,6 +587,17 @@ class TestGaussBonnet:
         path.write_text("\n".join(lines) + "\n")
         rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
         assert_input_error(rc, err, field)
+
+    @pytest.mark.parametrize("column, field", [(2, "CSV 'du'"), (3, "CSV 'dv'")])
+    def test_csv_spacing_too_large_for_a_float(self, capsys, tmp_path, column, field):
+        lines = flat_torus_grid(16).to_csv().splitlines()
+        header = lines[1].split(",")
+        header[column] = str(BIG)
+        lines[1] = ",".join(header)
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
+        assert_input_error(rc, err, f"{field} is too large for a float")
 
     @pytest.mark.parametrize("node", ["16,15,", "15,14,"])
     def test_csv_node_outside_or_repeated(self, capsys, tmp_path, node):
@@ -594,6 +642,11 @@ class TestVerify:
         assert rc == 0
         assert json.loads(out)["seed"] == 99
 
+    def test_seed_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEFSCHETZ_SEED", "x")
+        rc, _, err = run_cli(capsys, "verify", "--suite", "linalg")
+        assert_input_error(rc, err, "LEFSCHETZ_SEED must be an integer, got 'x'")
+
     def test_full_suite_exits_zero(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "all")
         assert rc == 0
@@ -629,6 +682,19 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--convention", "classical"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["mapping-torus", "--matrix", "[[2,1],[1,1]]", "--window", "1_0"], "--window"),
+            (["suspension", "--chi", "1_0"], "--chi"),
+            (["surface-suspension", "--genus", "0_2"], "--genus"),
+            (["gauss-bonnet", "--builtin", "flat", "--grid", "1_6"], "--grid"),
+        ],
+    )
+    def test_integer_flags_read_as_integers(self, capsys, argv, flag):
+        rc, _, err = run_cli(capsys, *argv)
+        assert_input_error(rc, err, f"{flag} must be an integer")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -745,9 +811,11 @@ def test_loader_fuzz_exits_0_1_or_2(command, tmp_path, data):
     swapped for a boolean or null never exits 0; an exit 2 names the field."""
     valid, flag, rest = VALID_INPUTS[command]
     path, old = data.draw(st.sampled_from(list(_paths(valid))))
-    other_kind = JSON_VALUES.filter(lambda v: _kind(v) is not _kind(old))
+    # BIG, too large for a float, everywhere but in a class label, where it would ask for A^BIG
+    values = JSON_VALUES if path[-1] == "label" else st.one_of(JSON_VALUES, st.just(BIG))
+    other_kind = values.filter(lambda v: _kind(v) is not _kind(old))
     if isinstance(path[-1], int) and not isinstance(old, dict):
-        new = data.draw(st.one_of(other_kind, JSON_VALUES, st.sampled_from(_array_swaps(old))))
+        new = data.draw(st.one_of(other_kind, values, st.sampled_from(_array_swaps(old))))
     else:
         new = data.draw(other_kind)
     obj = json.loads(json.dumps(valid))  # unlike deepcopy, unshares TORUS between 'matrix' and 'graded'

@@ -14,9 +14,9 @@ from lefdist.distributions import (
     OrbitTerm,
     RealPoint,
     make,
-    to_number,
 )
 from lefdist.errors import PreconditionError
+from lefdist.linalg import to_number
 
 
 class TestMake:

@@ -12,9 +12,9 @@ from lefdist.linalg import (
     exact_number,
     exterior_power,
     matrix_power,
+    num_to_str,
     rank_kernel,
     rat_from_str,
-    rat_to_str,
     read_int,
     smith_normal_form,
     smith_transform,
@@ -122,6 +122,18 @@ class TestSmithNormalForm:
                 assert prod == abs(d)
 
 
+class TestRingRule:
+    def test_mixed_operands_give_a_rational_matrix_in_either_order(self):
+        a = IntMatrix([[1, 0], [0, 1]])
+        r = RationalMatrix([[Fraction(1, 2), 0], [0, 1]])
+        assert a @ r == r @ a == r
+        assert a - r == RationalMatrix(a.entries) - r == RationalMatrix([[Fraction(1, 2), 0], [0, 0]])
+
+    def test_integer_operands_stay_integer(self):
+        a = IntMatrix([[2, 1], [1, 1]])
+        assert type(a @ a) is type(a - a) is IntMatrix
+
+
 class TestMatrixPower:
     def test_power_zero(self):
         m = IntMatrix([[3, 1], [0, 2]])
@@ -144,7 +156,7 @@ class TestMatrixPower:
 
     def test_unimodular_powers_stay_in_ints(self):
         m = IntMatrix([[0, -1, 0], [2, 0, 1], [3, 1, 2]])
-        for k in (-5, -1, 0, 3, 8):
+        for k in (-5, -3, -1, 0, 3, 8):
             p = matrix_power(m, k)
             assert isinstance(p, IntMatrix)
             assert all(type(e) is int for row in p.entries for e in row)
@@ -183,8 +195,9 @@ class TestExteriorPower:
 
 class TestSerialization:
     def test_rational_strings(self):
-        assert rat_to_str(Fraction(-3, 6)) == "-1/2"
-        assert rat_to_str(Fraction(4, 2)) == "2"
+        assert num_to_str(Fraction(-3, 6)) == "-1/2"
+        assert num_to_str(Fraction(4, 2)) == num_to_str(2) == "2"
+        assert num_to_str(0.5) == "~0.5"
         assert rat_from_str("-1/2") == Fraction(-1, 2)
         assert rat_from_str("7") == 7
 
@@ -212,7 +225,9 @@ class TestSerialization:
     def test_read_int_accepts(self, value, expected):
         assert read_int(value, "'n'") == expected
 
-    @pytest.mark.parametrize("value", [True, False, None, 2.5, 2.0, "x", "2.5", "", "1/1", [1], {"n": 1}])
+    @pytest.mark.parametrize(
+        "value", [True, False, None, 2.5, 2.0, "x", "2.5", "", "1/1", [1], {"n": 1}, "1_0", "+-1", "-"]
+    )
     def test_read_int_rejects(self, value):
         with pytest.raises(ValueError, match="'n' must be an integer"):
             read_int(value, "'n'")
@@ -243,6 +258,12 @@ class TestSerialization:
     def test_int_matrix_rejects_fractions(self):
         with pytest.raises(PreconditionError):
             IntMatrix([[Fraction(1, 2)]])
+
+    def test_refused_entry_names_its_field(self):
+        with pytest.raises(PreconditionError, match="^'m': IntMatrix entries must be integers"):
+            IntMatrix.from_json_obj([["1/2", 0], [0, 1]], "'m'")
+        with pytest.raises(PreconditionError, match="^'m': matrix rows must all have the same length"):
+            RationalMatrix.from_json_obj([["1/2", 0], [0]], "'m'")
 
     @pytest.mark.parametrize("entry", [2.5, True, "3"])
     def test_int_matrix_never_truncates(self, entry):

@@ -60,6 +60,12 @@ def test_bareiss_defect_is_caught_on_a_scrambled_algebra(bareiss_drops_a_pivot):
         nil_foliation(a)
 
 
+def test_bareiss_defect_fails_the_oracle_check(bareiss_drops_a_pivot):
+    # the oracle check's scrambled filiform:6 has a 16-row CE component, so the mutant gives it
+    # (1,2,4,6,4,2,1); the catalog algebras keep every component at 12 rows or fewer
+    assert failed_checks(verify.run_cohomology_suite(1)) == {"reversed-basis CE oracle agrees (dim <= 6)"}
+
+
 def test_oracle_defect_fails_the_oracle_check(monkeypatch):
     monkeypatch.setattr(verify, "_oracle_rank", drop_last_pivot_past_12_rows(verify._oracle_rank))
     # filiform:6 has CE matrices of 15 and 20 rows; the algebras of dim <= 4 have at most 6
