@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 
 from .curvature import (
+    MAX_GRID_NODES,
     MetricGrid,
     flat_torus_grid,
     gaussian_curvature,
@@ -32,7 +34,7 @@ from .distributions import AtomicDistribution
 from .errors import PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism
 from .lie_cohomology import GradedDims, LieAlgebra, catalog_algebra
-from .linalg import IntMatrix, RationalMatrix, expect, num_to_str, read_int, to_number
+from .linalg import IntMatrix, RationalMatrix, expect, num_to_str, read_int, to_float, to_number
 from .models import (
     ClosedOrbitSpec,
     ConjugacyClassData,
@@ -124,7 +126,7 @@ def _cmd_flow(args) -> dict:
     obj = _load_json(args.input)
     orbits = [_orbit_from_json(i, o) for i, o in enumerate(expect(obj["orbits"], list, "'orbits'", each=dict))]
     window = to_number(args.window, "--window")
-    tolerance = None if args.tolerance is None else float(to_number(args.tolerance, "--tolerance"))
+    tolerance = None if args.tolerance is None else to_float(args.tolerance, "--tolerance")
     d = flow_distribution(orbits, window, tolerance=tolerance)
     meta = {
         "orbits": len(orbits),
@@ -137,17 +139,19 @@ def _cmd_flow(args) -> dict:
 
 
 def _cmd_suspension(args) -> dict:
-    chi = None if args.chi is None else read_int(args.chi, "--chi")
-    if args.input is not None:
+    if args.input is None:
+        if args.chi is None:
+            raise ValueError("give --chi (and optionally --vol), or --input")
+        vol = "1" if args.vol is None else args.vol
+        spec = SuspensionSpec(to_number(vol, "--vol"), read_int(args.chi, "--chi"))
+    elif args.chi is not None or args.vol is not None:
+        raise ValueError("give --chi (and optionally --vol), or --input, not both")
+    else:
         obj = _load_json(args.input)
         betti = obj.get("betti")
         if betti is not None:
             betti = GradedDims(tuple(read_int(b, "a 'betti' entry") for b in expect(betti, list, "'betti'")))
         spec = SuspensionSpec(to_number(obj["vol_g"], "'vol_g'"), read_int(obj["chi_x"], "'chi_x'"), betti)
-    else:
-        if chi is None:
-            raise ValueError("give --chi (and optionally --vol), or --input")
-        spec = SuspensionSpec(to_number(args.vol, "--vol"), chi)
     d = suspension(spec)
     meta = {
         "vol_g": num_to_str(spec.vol_g),
@@ -173,7 +177,7 @@ def _cmd_surface_suspension(args) -> dict:
 
 
 def _cmd_nilfoliation(args) -> dict:
-    if os.path.exists(args.algebra):
+    if os.path.isfile(args.algebra):
         a = LieAlgebra.from_json_obj(_load_json(args.algebra))
     else:
         a = catalog_algebra(args.algebra)
@@ -225,15 +229,16 @@ def _cmd_selberg(args) -> dict:
 
 
 _BUILTIN_GRIDS = {
-    "flat": lambda n, rng: flat_torus_grid(n),
-    "sphere": lambda n, rng: sphere_grid(n),
-    "random": lambda n, rng: random_torus_metric(rng, n),
+    "flat": flat_torus_grid,
+    "sphere": sphere_grid,
+    "random": lambda n: random_torus_metric(random.Random(battery_seed()), n),
 }
 
 
 def _cmd_gauss_bonnet(args) -> dict:
-    n = read_int(args.grid, "--grid")
     if args.input is not None:
+        if args.grid is not None:
+            raise ValueError("--grid is the builtin grid resolution: give it with --builtin, not --input")
         if args.input.endswith(".csv"):
             with open(args.input, "r", encoding="utf-8") as fh:
                 grid = MetricGrid.from_csv(fh.read())
@@ -241,11 +246,11 @@ def _cmd_gauss_bonnet(args) -> dict:
             grid = MetricGrid.from_json_obj(_load_json(args.input))
         source = args.input
     else:
-        import random as _random
-
-        rng = _random.Random(battery_seed())
+        n = 256 if args.grid is None else read_int(args.grid, "--grid")
         require_resolution(n, n)
-        grid = _BUILTIN_GRIDS[args.builtin](n, rng)
+        if n * n > MAX_GRID_NODES:
+            raise PreconditionError(f"--grid {n} asks for {n * n} nodes, more than MAX_GRID_NODES = {MAX_GRID_NODES}")
+        grid = _BUILTIN_GRIDS[args.builtin](n)
         source = f"builtin:{args.builtin}"
     k = gaussian_curvature(grid)
     integral = integrate_curvature(grid)
@@ -341,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_flow)
 
     p = sub.add_parser("suspension", parents=[common], help="suspension foliation over a compact group")
-    p.add_argument("--vol", default="1", help="vol(G), exact ('3/2') or inexact ('~1.5')")
+    p.add_argument("--vol", help="vol(G), exact ('3/2') or inexact ('~1.5'); default 1")
     p.add_argument("--chi", help="Euler characteristic of the fiber")
-    p.add_argument("--input", help="JSON file with vol_g, chi_x and optional betti")
+    p.add_argument("--input", help="JSON file with vol_g, chi_x and optional betti, in place of the flags")
     p.set_defaults(handler=_cmd_suspension)
 
     p = sub.add_parser("surface-suspension", parents=[common], help="genus-g hyperbolic surface suspension traces")
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="MetricGrid JSON or CSV file")
     src.add_argument("--builtin", choices=sorted(_BUILTIN_GRIDS), help="generate a canonical grid")
-    p.add_argument("--grid", default=256, metavar="N", help="builtin grid resolution")
+    p.add_argument("--grid", metavar="N", help="builtin grid resolution, default 256, at most MAX_GRID_NODES nodes")
     p.set_defaults(handler=_cmd_gauss_bonnet)
 
     p = sub.add_parser("verify", parents=[common], help="run the cross-oracle battery")

@@ -22,9 +22,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import expect, read_int, to_number
+from .linalg import expect, read_int, to_float
 
 __all__ = [
+    "MAX_GRID_NODES",
     "MetricGrid",
     "gaussian_curvature",
     "integrate_curvature",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 TOPOLOGIES = ("torus", "revolution")
+
+# Nodes of a generated (builtin) grid.  Peak RSS grows by about 200 bytes, some 25 float
+# arrays, per node from --grid 256 to 512 (numpy 2.4), so the cap keeps a run near 240 MB.
+MAX_GRID_NODES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,8 @@ class MetricGrid:
         return cls(
             read_int(obj["nu"], "'nu'"),
             read_int(obj["nv"], "'nv'"),
-            _to_float(obj["du"], "'du'"),
-            _to_float(obj["dv"], "'dv'"),
+            to_float(obj["du"], "'du'"),
+            to_float(obj["dv"], "'dv'"),
             *(_node_array(obj[name], f"'{name}'") for name in ("E", "F", "G")),
             expect(obj["topology"], str, "'topology'"),
         )
@@ -123,7 +128,7 @@ class MetricGrid:
             raise ValueError(f"CSV row {','.join(bad)!r:.40} must have five fields: nu,nv,du,dv,topology or i,j,E,F,G")
         nu_s, nv_s, du_s, dv_s, topology = rows[0]
         nu, nv = read_int(nu_s, "CSV 'nu'"), read_int(nv_s, "CSV 'nv'")
-        du, dv = _to_float(du_s, "CSV 'du'"), _to_float(dv_s, "CSV 'dv'")
+        du, dv = to_float(du_s, "CSV 'du'"), to_float(dv_s, "CSV 'dv'")
         if len(rows) - 1 != nu * nv:
             raise ValueError(f"CSV has {len(rows) - 1} node rows, not nu*nv = {nu * nv}: rows missing or extra")
         e, f, g = (np.empty((nu, nv)) for _ in "EFG")
@@ -149,16 +154,8 @@ def _is_float(cell: str) -> bool:
     return True
 
 
-def _to_float(x, what: str) -> float:
-    """``to_number`` as a float; a number past the float range is a ValueError naming ``what``."""
-    try:
-        return float(to_number(x, what))
-    except OverflowError:
-        raise ValueError(f"{what} is too large for a float, got {x!r:.40}") from None
-
-
 def _node_array(value, what: str) -> np.ndarray:
-    """Equal-length rows of numbers: JSON ints and floats in bulk, other nodes like ``du`` through ``to_number``."""
+    """Equal-length rows of numbers: JSON ints and floats in bulk, other nodes like ``du`` through ``to_float``."""
     rows = expect(value, list, what, each=list)
     if len(set(map(len, rows))) > 1:
         raise ValueError(f"{what} rows must all have the same length")
@@ -167,7 +164,7 @@ def _node_array(value, what: str) -> np.ndarray:
             return np.array(rows, dtype=float)
         except OverflowError:  # an int past the float range: the route below names it
             pass
-    return np.array([[_to_float(x, f"{what} node") for x in row] for row in rows], dtype=float)
+    return np.array([[to_float(x, f"{what} node") for x in row] for row in rows], dtype=float)
 
 
 def require_resolution(nu: int, nv: int) -> None:

@@ -13,6 +13,7 @@ atom.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -96,8 +97,12 @@ def _sort_key(p: GroupPoint):
     if isinstance(p, LatticePoint):
         return (p.k,)
     if isinstance(p, RealPoint):
-        # the exact value only breaks a float tie, so equal Fractions end up adjacent
-        return (float(p.x), not p.exact, p.x)
+        # the exact value only breaks a float tie, so equal Fractions end up adjacent; an exact
+        # value past the float range sorts as +-inf, its sign read by comparison, not by float()
+        try:
+            return (float(p.x), not p.exact, p.x)
+        except OverflowError:
+            return (math.inf if p.x > 0 else -math.inf, False, p.x)
     return (p.label,)
 
 

@@ -305,8 +305,7 @@ def ce_differential(a: LieAlgebra, i: int) -> RationalMatrix:
 
     Shape C(n, i+1) x C(n, i); columns index i-subsets, rows (i+1)-subsets.
     ``cohomology_dims`` ranks the connected components of the sparse integer
-    rows instead; the full rational matrix stays for the d.d = 0 check in
-    ``verify``.
+    rows instead, and ``verify`` composes those rows for its d.d = 0 check.
     """
     n = a.dim
     if not 0 <= i <= n:

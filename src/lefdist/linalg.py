@@ -9,8 +9,8 @@ inverses add one fraction-free back substitution on its echelon.  One Smith
 loop serves the Smith invariants and the column transform that parametrizes
 A x = 0 mod Z^n.
 
-The wire format lives here: every input number is read by ``to_number``, ``exact_number``
-or ``read_int`` and every output number is written by ``num_to_str``, rationals as ``"p/q"``
+The wire format lives here: ``to_number``, ``exact_number``, ``read_int`` and ``to_float`` read
+every input number, and ``num_to_str`` writes every output number: rationals as ``"p/q"``
 strings (``"p"`` when q = 1), floats as ``"~<repr>"``, matrices as arrays of such strings.
 """
 
@@ -31,6 +31,7 @@ __all__ = [
     "to_number",
     "exact_number",
     "read_int",
+    "to_float",
     "expect",
     "num_to_str",
     "rank",
@@ -104,6 +105,15 @@ def read_int(x, what: str) -> int:
     if type(x) is int or (s[1:] if s[:1] in ("+", "-") else s).isdecimal():
         return int(x)
     raise ValueError(f"{what} must be an integer, got {x!r:.40}")
+
+
+def to_float(x, what: str) -> float:
+    """``to_number`` as a float; a number past the float range is a ValueError naming ``what``."""
+    y = to_number(x, what)
+    try:
+        return float(y)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float, got {x!r:.40}") from None
 
 
 def expect(value, kind: type, what: str, each: type | None = None):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lefdist import cli
 from lefdist.cli import main
-from lefdist.curvature import flat_torus_grid, sphere_grid
+from lefdist.curvature import MAX_GRID_NODES, flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
 from lefdist.linalg import to_number
 
@@ -177,6 +179,15 @@ class TestFlow:
         got_rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", "1")
         assert (got_rc, err) == (rc, message + "\n")
 
+    def test_exact_locations_past_the_float_range(self, capsys, tmp_path):
+        # they sort as +-inf, apart from every float, and never pass through float()
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": [{"length": "1e400", "signs": {"1": -1, "-1": -1}}]}))
+        rc, out, _ = run_cli(capsys, "flow", "--input", str(path), "--window", "1e400")
+        assert rc == 0
+        atoms = [(a["at"], a["coeff"]) for a in json.loads(out)["distribution"]["atoms"]]
+        assert atoms == [(f"-{BIG}", f"-{BIG}"), (str(BIG), f"-{BIG}")]
+
     def test_equal_exact_lengths_merge_across_a_float_tie(self, capsys, tmp_path):
         # 1/3 + 10^-30 rounds to the float of 1/3; the two orbits of length 1/3 still make one atom
         near = "1000000000000000000000000000001/3000000000000000000000000000000"
@@ -221,6 +232,7 @@ class TestFlow:
             ("inf", 2, "input error: --tolerance must be 'p/q' or '~<decimal>', got 'inf'"),
             ("~nan", 2, "input error: --tolerance must be a finite number, got nan"),
             ("-1", 1, "error: tolerance must be >= 0, got -1.0"),
+            (str(BIG), 2, f"input error: --tolerance is too large for a float, got {str(BIG)!r:.40}"),
         ],
     )
     def test_bad_tolerance(self, capsys, tmp_path, tolerance, rc, message):
@@ -291,6 +303,15 @@ class TestSuspension:
         rc, _, err = run_cli(capsys, "suspension")
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [("--chi", "5"), ("--vol", "2"), ("--vol", "~nan")])
+    def test_flags_next_to_input_refused(self, capsys, tmp_path, flag, value):
+        # the flags and the file are two ways to give the same spec; neither is dropped unread
+        path = tmp_path / "susp.json"
+        path.write_text(json.dumps({"vol_g": "2", "chi_x": 2}))
+        rc, _, err = run_cli(capsys, "suspension", "--input", str(path), flag, value)
+        assert err == "input error: give --chi (and optionally --vol), or --input, not both\n"
+        assert rc == 2
+
 
 class TestSurfaceSuspension:
     def test_genus2(self, capsys):
@@ -342,6 +363,14 @@ class TestNilfoliation:
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", "no/such/file.json")
         assert rc == 2
+
+    def test_directory_named_like_a_spec_is_not_read(self, capsys, tmp_path, monkeypatch):
+        # a path that is not a file is a catalog spec
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "heisenberg").mkdir()
+        rc, out, _ = run_cli(capsys, "nilfoliation", "--algebra", "heisenberg")
+        assert rc == 0
+        assert json.loads(out)["dims"] == [1, 2, 2, 1]
 
     @pytest.mark.parametrize("brackets", [5, [5]])
     def test_malformed_brackets(self, capsys, tmp_path, brackets):
@@ -626,6 +655,27 @@ class TestGaussBonnet:
         rc, _, err = run_cli(capsys, "gauss-bonnet", "--builtin", "sphere", "--grid", n)
         assert rc == 1
         assert err.startswith("error:") and "nu, nv >= 8" in err
+
+    def test_builtin_grid_past_the_cap_refused_before_allocation(self, capsys, monkeypatch):
+        n = math.isqrt(MAX_GRID_NODES) + 1
+        monkeypatch.setitem(cli._BUILTIN_GRIDS, "sphere", lambda n: pytest.fail("grid built past the cap"))
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--builtin", "sphere", "--grid", str(n))
+        assert rc == 1
+        assert err == f"error: --grid {n} asks for {n * n} nodes, more than MAX_GRID_NODES = {MAX_GRID_NODES}\n"
+
+    def test_grid_next_to_input_refused(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text(flat_torus_grid(16).to_csv())
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path), "--grid", "16")
+        assert_input_error(rc, err, "--grid")
+
+    @pytest.mark.parametrize("builtin, rc", [("flat", 0), ("sphere", 0), ("random", 2)])
+    def test_seed_read_only_by_the_random_builtin(self, capsys, monkeypatch, builtin, rc):
+        monkeypatch.setenv("LEFSCHETZ_SEED", "x")
+        got_rc, _, err = run_cli(capsys, "gauss-bonnet", "--builtin", builtin, "--grid", "16")
+        assert got_rc == rc
+        if rc:
+            assert_input_error(rc, err, "LEFSCHETZ_SEED must be an integer, got 'x'")
 
 
 class TestVerify:

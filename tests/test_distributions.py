@@ -47,6 +47,13 @@ class TestMake:
         d = make([(RealPoint(third), 1), (RealPoint(third + _TINY), 1), (RealPoint(third), 1)])
         assert d.atoms == ((RealPoint(third), 2), (RealPoint(third + _TINY), 1))
 
+    def test_exact_points_past_the_float_range_sort_and_merge(self):
+        # they sort as +-inf in the first key, and the exact value breaks the tie
+        big = Fraction(10**400)
+        d = make([(RealPoint(big + 1), 1), (RealPoint(big), 1), (RealPoint(-big), 1),
+                  (RealPoint(2.5), 1), (RealPoint(big), 1)])
+        assert d.atoms == ((RealPoint(-big), 1), (RealPoint(2.5), 1), (RealPoint(big), 2), (RealPoint(big + 1), 1))
+
     def test_exact_inexact_collision_raises(self):
         with pytest.raises(PreconditionError):
             make([(RealPoint(Fraction(1)), 1), (RealPoint(1.0), 1)])

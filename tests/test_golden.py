@@ -151,6 +151,13 @@ def test_byte_identical(name, produce):
     assert produce() == (GOLDEN / name).read_bytes()
 
 
+def test_every_golden_and_input_belongs_to_a_case():
+    # an orphaned file would otherwise go stale without failing anything
+    assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(name for name, _ in cases())
+    named = {pathlib.Path(arg).name for argv in CLI.values() for arg in argv}
+    assert {p.name for p in INPUTS.iterdir()} <= named
+
+
 @pytest.mark.parametrize(
     "golden, algebra",
     [

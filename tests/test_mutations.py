@@ -8,6 +8,7 @@ defect in the oracle's loop must fail ``verify``'s oracle check.
 """
 
 import dataclasses
+import itertools
 import json
 import pathlib
 
@@ -97,3 +98,26 @@ def test_epsilon_check_can_fail(monkeypatch):
 
     monkeypatch.setattr(lefschetz, "fixed_points_toral", flipped)
     assert failed_checks(verify.run_lefschetz_suite(1)) == {"epsilon = (-1)^n * classical index (n = 2)"}
+
+
+def test_ce_rows_without_the_insertion_sign_fail_the_dd_check(monkeypatch):
+    """``lie_cohomology._ce_rows`` with the sign of inserting the bracket output into the rest of
+    the subset dropped: the rows are still integer and sparse, but d.d is no longer zero."""
+
+    def mutant(a, i):
+        col = {s: c for c, s in enumerate(itertools.combinations(range(a.dim), i))}
+        out = []
+        for T in itertools.combinations(range(a.dim), i + 1):
+            row = {}
+            for pj, pk in itertools.combinations(range(i + 1), 2):
+                rest = T[:pj] + T[pj + 1 : pk] + T[pk + 1 :]
+                for m, num in a._table[T[pj]][T[pk]] or ():
+                    if m not in rest:
+                        c = col[tuple(sorted(rest + (m,)))]
+                        row[c] = row.get(c, 0) + (num if (pj + pk) % 2 == 0 else -num)
+            out.append({c: x for c, x in row.items() if x})
+        return out
+
+    assert mutant(catalog_algebra("filiform:6"), 2) != lie_cohomology._ce_rows(catalog_algebra("filiform:6"), 2)
+    monkeypatch.setattr(lie_cohomology, "_ce_rows", mutant)
+    assert "d.d = 0 on the nilpotent battery" in failed_checks(verify.run_cohomology_suite(1))
