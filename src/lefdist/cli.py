@@ -14,6 +14,7 @@ variable LEFSCHETZ_SEED fixes the randomized verify battery.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -317,6 +318,7 @@ def _render_table(obj: dict) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser on every call; ``main`` parses with one shared copy, ``_parser()``."""
     parser = argparse.ArgumentParser(
         prog="lefdist",
         description="Lefschetz distributions of Lie foliations: closed-form example families",
@@ -387,9 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser that every ``main`` call in a process shares, built on the first call.
+
+    Parsing keeps its state in each call's own namespace, never on the parser,
+    so reuse changes no output; importing this module builds no parser.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
     except PreconditionError as exc:

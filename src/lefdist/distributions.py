@@ -225,7 +225,9 @@ def make(
     merge on equality, inexact ones within the tolerance (default
     ``DEFAULT_TOLERANCE``).  An exact and an inexact location that look equal
     raise unless ``tolerance`` is passed explicitly, in which case they merge
-    to an inexact atom.  A negative tolerance raises.
+    to an inexact atom at the float of the first location, or at the inexact
+    partner's location when the first is past the float range.  A negative
+    tolerance raises.
     """
     explicit_tol = tolerance is not None
     if explicit_tol and tolerance < 0:
@@ -254,8 +256,11 @@ def make(
         if merged and _merges(merged[-1][0], p, tol, explicit_tol):
             q = merged[-1][0]
             if isinstance(q, RealPoint) and q.exact and not p.exact:
-                merged[-1][0] = RealPoint(float(q.x))
-            merged[-1][1] += c
+                try:
+                    merged[-1][0] = RealPoint(float(q.x))
+                except OverflowError:  # past the float range: the inexact partner's value
+                    merged[-1][0] = p
+            merged[-1][1] = _sum(merged[-1][1], c)
         else:
             merged.append([p, c])
     merged = [(p, c) for p, c in merged if c != 0]
@@ -269,6 +274,14 @@ def make(
         sorted(orbit_terms, key=lambda t: (t.class_label, str(t.lefschetz)))
     )
     return AtomicDistribution(tuple(merged), smooth_const, terms, group)
+
+
+def _sum(a: Number, b: Number) -> Number:
+    """a + b; an exact term past the float range is added exactly and the sum rounded once."""
+    try:
+        return a + b
+    except OverflowError:
+        return float(Fraction(a) + Fraction(b))
 
 
 def _merges(q: GroupPoint, p: GroupPoint, tol: Fraction, explicit_tol: bool) -> bool:

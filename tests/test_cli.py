@@ -1,8 +1,13 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -187,6 +192,17 @@ class TestFlow:
         assert rc == 0
         atoms = [(a["at"], a["coeff"]) for a in json.loads(out)["distribution"]["atoms"]]
         assert atoms == [(f"-{BIG}", f"-{BIG}"), (str(BIG), f"-{BIG}")]
+
+    def test_exact_and_inexact_lengths_merge_past_the_float_range(self, capsys, tmp_path):
+        # the exact -1.8e308 has no float, so the merged atom sits at its inexact partner's -1.7e308
+        orbits = [{"length": "1.8e308", "signs": {"1": 1, "-1": 1}}, {"length": "~1.7e308", "signs": {"1": -1, "-1": -1}}]
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": orbits}))
+        rc, out, _ = run_cli(capsys, "flow", "--input", str(path), "--window", "2e308", "--tolerance", "2e307")
+        assert rc == 0
+        coeff = f"~{float(Fraction(18 * 10**307) - Fraction(1.7e308))!r}"
+        atoms = [(a["at"], a["coeff"]) for a in json.loads(out)["distribution"]["atoms"]]
+        assert atoms == [("~-1.7e+308", coeff), ("~1.7e+308", coeff)]
 
     def test_equal_exact_lengths_merge_across_a_float_tie(self, capsys, tmp_path):
         # 1/3 + 10^-30 rounds to the float of 1/3; the two orbits of length 1/3 still make one atom
@@ -769,6 +785,47 @@ class TestPlumbing:
         path.write_text(text % ("[" * 50_000 + "]" * 50_000))
         rc, _, err = run_cli(capsys, *argv, str(path))
         assert_input_error(rc, err, "nested too deeply")
+
+
+class TestParserReuse:
+    def test_main_builds_one_parser_for_many_calls(self, capsys, monkeypatch):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for argv in (
+                ["mapping-torus", "--matrix", "[[2,1],[1,1]]", "--window", "2"],
+                ["suspension", "--chi", "2"],
+                ["surface-suspension", "--genus", "2"],
+                ["nilfoliation", "--algebra", "heisenberg:1"],
+                ["gauss-bonnet", "--builtin", "flat", "--grid", "16"],
+            ):
+                assert run_cli(capsys, *argv)[0] == 0, argv
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        # counted in a fresh interpreter, so the import is the first one; keeps the set-up time honest
+        code = (
+            "import argparse, contextlib, io\n"
+            "built, init = [], argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import lefdist.cli\n"
+            "print(len(built))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    lefdist.cli.main(['suspension', '--chi', '2'])\n"
+            "print(len(built))\n"
+        )
+        src = pathlib.Path(cli.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_main = map(int, proc.stdout.split())
+        assert at_import == 0 and after_main > 0
 
 
 # -- loader fuzzing ------------------------------------------------------------

@@ -64,6 +64,16 @@ class TestMake:
         p, c = d.atoms[0]
         assert not p.exact and c == 3
 
+    def test_exact_inexact_merge_past_the_float_range(self):
+        # -1.8e308 has no float: its merged atom takes the partner's location, and its coefficient is
+        # added exactly before the one rounding; at +1.7e308 the inexact location leads, as it sorts first
+        big, near = Fraction(18 * 10**307), 1.7e308
+        atoms = [(RealPoint(-big), big), (RealPoint(-near), -near), (RealPoint(big), big), (RealPoint(near), -near)]
+        d = make(atoms, tolerance=2e307)
+        coeff = float(big - Fraction(near))
+        assert d.atoms == ((RealPoint(-near), coeff), (RealPoint(near), coeff))
+        assert all(type(c) is float for _, c in d.atoms)
+
     def test_negative_tolerance_rejected(self):
         # it would keep these two apart and skip the exact/inexact collision check
         with pytest.raises(PreconditionError, match="tolerance must be >= 0"):

@@ -151,6 +151,31 @@ def test_byte_identical(name, produce):
     assert produce() == (GOLDEN / name).read_bytes()
 
 
+# argv -> exit code: an argparse refusal and --help (SystemExit), a handler refusal, a domain error
+DETOURS = [
+    (["gauss-bonnet", "--input", "x", "--builtin", "flat"], 2),
+    (["--help"], 0),
+    (["mapping-torus", "--matrix", "nope"], 2),
+    (["mapping-torus", "--matrix", "[[1,2]]"], 1),
+]
+
+
+def _detour(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    # main parses every call with one parser per process; a refusal, a help page or a failed
+    # run before a golden case, in either order, changes none of its bytes
+    for i, (name, produce) in enumerate([*cases(), *reversed(list(cases()))]):
+        argv, code = DETOURS[i % len(DETOURS)]
+        assert _detour(argv) == code, argv
+        assert produce() == (GOLDEN / name).read_bytes(), name
+
+
 def test_every_golden_and_input_belongs_to_a_case():
     # an orphaned file would otherwise go stale without failing anything
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(name for name, _ in cases())

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from lefdist import models
 from lefdist.distributions import IDENTITY, LatticePoint, RealPoint, make
 from lefdist.errors import InconsistencyError, NotSimpleError, PreconditionError
-from lefdist.lefschetz import GradedMap, ToralAutomorphism, toral_lefschetz
+from lefdist.lefschetz import GradedMap, ToralAutomorphism, fixed_point_index, toral_lefschetz
 from lefdist.lie_cohomology import GradedDims, abelian, catalog_algebra, heisenberg, nilpotent_battery, sl2
-from lefdist.linalg import IntMatrix, RationalMatrix
+from lefdist.linalg import IntMatrix, RationalMatrix, determinant, matrix_power
 from lefdist.models import (
     ClosedOrbitSpec,
     ConjugacyClassData,
@@ -109,6 +110,30 @@ class TestFlow:
         orbit = ClosedOrbitSpec(1, return_map=RationalMatrix.identity(2))
         with pytest.raises(NotSimpleError, match="orbit 0.*k=1"):
             flow_distribution([orbit], 1)
+
+    def test_non_simple_multiple_named_in_full(self):
+        # P^1 and P^-1 are simple, P^2 = diag(1, 4) is not
+        orbit = ClosedOrbitSpec(1, return_map=RationalMatrix([[-1, 0], [0, 2]]))
+        with pytest.raises(NotSimpleError) as exc:
+            flow_distribution([orbit], 3)
+        assert str(exc.value) == "orbit 0 (length 1) is not simple at multiple k=2: det(P^k - I) = 0"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_signs_match_every_power_built_from_scratch(self, n):
+        # flow_distribution builds P^k from P^(k-1) and P^-k from one inverse; the reference
+        # powers each k on its own
+        rng, checked = random.Random(n), 0
+        while checked < 6:
+            p = RationalMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+            if determinant(p) == 0:
+                continue
+            try:
+                expected = {k: fixed_point_index(matrix_power(p, k)) for k in range(-12, 13) if k}
+            except NotSimpleError:
+                continue
+            d = flow_distribution([ClosedOrbitSpec(1, return_map=p)], 12)
+            assert {int(point.x): c for point, c in d.atoms} == expected
+            checked += 1
 
     def test_unchecked_signs(self):
         orbit = ClosedOrbitSpec(1, signs={1: -1, -1: -1, 2: 1, -2: 1})
