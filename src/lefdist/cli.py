@@ -4,7 +4,8 @@ Subcommands: mapping-torus, flow, suspension, surface-suspension,
 nilfoliation, selberg, gauss-bonnet, verify.  JSON is the canonical output
 format; ``table`` is a lossy human rendering.  Exit codes: 0 success,
 1 domain error (a named precondition was violated, or a verify check
-failed), 2 I/O or parse error.
+failed), 2 I/O or parse error, 3 internal error (two independent paths
+disagreed; never expected).
 
 Output is byte-stable for fixed inputs: no timestamps unless
 ``--emit-run-info`` asks for the separate run-info block.  The environment
@@ -32,7 +33,7 @@ from .curvature import (
     sphere_grid,
 )
 from .distributions import AtomicDistribution
-from .errors import PreconditionError
+from .errors import InconsistencyError, PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism
 from .lie_cohomology import GradedDims, LieAlgebra, catalog_algebra
 from .linalg import IntMatrix, RationalMatrix, expect, num_to_str, read_int, to_float, to_number
@@ -406,6 +407,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InconsistencyError as exc:  # a failed internal cross-check
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except KeyError as exc:  # a field the input JSON lacks
         print(f"input error: missing field {exc}", file=sys.stderr)
         return 2

@@ -28,4 +28,4 @@ class EnumerationLimitError(PreconditionError):
 
 
 class InconsistencyError(RuntimeError):
-    """Two independent computation paths disagreed.  Never expected."""
+    """Two independent computation paths disagreed.  Never expected; the CLI exits 3."""

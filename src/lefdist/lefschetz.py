@@ -8,7 +8,9 @@ third is exposed by :func:`fixed_points_toral` / :func:`verify_classical_lefsche
 On the torus the trace path is the Berkowitz characteristic polynomial of
 A^k: its coefficients are (-1)^i tr Lambda^i A^k, so their sum is the
 alternating exterior-trace sum, but no Lambda^i matrix is built.  Both paths
-and the fixed-point enumeration stay in integers.
+and the fixed-point enumeration stay in integers: the fixed points are kept
+as one int64 array of numerators over a common denominator, and their
+``Fraction`` coordinates are built only when a caller asks for them.
 
 Sign conventions: the classical fixed-point index is sign det(I - J); the
 epsilon convention used for foliation distributions is sign det(J - I).
@@ -19,7 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
+
+import numpy as np
 
 from .errors import EnumerationLimitError, InconsistencyError, NotSimpleError, PreconditionError
 from .linalg import (
@@ -67,7 +72,8 @@ class ToralAutomorphism:
 
     def power(self, k: int) -> IntMatrix:
         m = matrix_power(self.matrix, k)
-        assert isinstance(m, IntMatrix)
+        if not isinstance(m, IntMatrix):
+            raise InconsistencyError(f"A^{k} of a unimodular A came back as {type(m).__name__}, not IntMatrix")
         return m
 
 
@@ -135,14 +141,39 @@ def fixed_point_index(j: RationalMatrix | IntMatrix) -> int:
     return 1 if d > 0 else -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointReport:
-    """Fixed points of A^k on the torus; count is None when infinite."""
+    """Fixed points of A^k on the torus; count is None when infinite.
+
+    Point p has coordinates numerators[p] / denom in [0, 1)^n, and the rows
+    are in lexicographic order.  The ``Fraction`` tuples of ``points`` are
+    built from them on first use, so a caller that needs only the count or
+    the indices never builds one.
+    """
 
     count: int | None
-    points: tuple[tuple[Fraction, ...], ...]
+    denom: int
+    numerators: np.ndarray  # int64, one row per point, read-only
     indices: tuple[int, ...]  # classical convention, sign det(I - A^k)
     epsilons: tuple[int, ...]  # paper convention, sign det(A^k - I)
+
+    def __post_init__(self):
+        self.numerators.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, FixedPointReport):
+            return NotImplemented
+        return (self.count, self.denom, self.indices, self.epsilons) == (
+            other.count, other.denom, other.indices, other.epsilons
+        ) and np.array_equal(self.numerators, other.numerators)
+
+    def __hash__(self):
+        return hash((self.count, self.denom, self.numerators.tobytes()))
+
+    @cached_property
+    def points(self) -> tuple[tuple[Fraction, ...], ...]:
+        frac = [Fraction(v, self.denom) for v in range(self.denom)]
+        return tuple(tuple(frac[v] for v in p) for p in self.numerators.tolist())
 
     @property
     def infinite(self) -> bool:
@@ -169,37 +200,36 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
     b = t.power(k) - IntMatrix.identity(n)
     det_b = determinant(b)
     if det_b == 0:
-        return FixedPointReport(None, (), (), ())
+        return FixedPointReport(None, 1, np.zeros((0, n), dtype=np.int64), (), ())
     total = abs(det_b)
     if total > ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"{total} fixed points exceed the enumeration cap {ENUMERATION_CAP}"
         )
     mods, c = smith_transform(b)
-    assert len(mods) == n and prod(mods) == total
+    if len(mods) != n or prod(mods) != total:
+        raise InconsistencyError(
+            f"Smith invariants {mods} of A^{k} - I multiply to {prod(mods)}, not |det| = {total}"
+        )
     # x = C y with y_j in (1/d_j) Z / Z; over the common denominator L the
-    # numerators are x_i L = sum_j c_ij y_j (L / d_j) mod L
+    # numerators are x_i L = sum_j c_ij y_j (L / d_j) mod L.  L divides
+    # total <= ENUMERATION_CAP, so with each step reduced mod L in Python
+    # ints first, every int64 value stays below L^2 + L.
     denom = lcm(*mods)
-    points = [(0,) * n]
+    pts = np.zeros((1, n), dtype=np.int64)
     for j, d in enumerate(mods):
-        step = [c[i, j] * (denom // d) for i in range(n)]
-        shifts = [[y * s for s in step] for y in range(1, d)]
-        points += [
-            tuple((p + s) % denom for p, s in zip(point, shift))
-            for point in points
-            for shift in shifts
-        ]
-    points.sort()
-    assert len(points) == len(set(points)) == total
-    frac = [Fraction(v, denom) for v in range(denom)]
+        step = np.array([c[i, j] * (denom // d) % denom for i in range(n)], dtype=np.int64)
+        shifts = np.arange(d, dtype=np.int64)[:, None] * step
+        pts = ((pts[None] + shifts[:, None]) % denom).reshape(-1, n)
+    pts = np.take(pts, np.lexsort(pts.T[::-1]), axis=0)
+    distinct = 1 + int(np.count_nonzero((pts[1:] != pts[:-1]).any(axis=1)))
+    if distinct != total:
+        raise InconsistencyError(
+            f"enumerated {len(pts)} fixed points of A^{k}, {distinct} distinct, not |det(A^k - I)| = {total}"
+        )
     epsilon = 1 if det_b > 0 else -1
     classical = epsilon * (-1) ** n  # sign det(I - A^k) = (-1)^n sign det(A^k - I)
-    return FixedPointReport(
-        total,
-        tuple(tuple(frac[v] for v in p) for p in points),
-        (classical,) * total,
-        (epsilon,) * total,
-    )
+    return FixedPointReport(total, denom, pts, (classical,) * total, (epsilon,) * total)
 
 
 @dataclass(frozen=True)

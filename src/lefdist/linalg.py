@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, isfinite, lcm
+from math import isfinite, lcm
 from operator import mul
 
-from .errors import PreconditionError
+from .errors import InconsistencyError, PreconditionError
 
 __all__ = [
     "RationalMatrix",
@@ -382,7 +382,7 @@ def smith_transform(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
         t += 1
     for d, e in zip(invariants, invariants[1:]):
         if e % d:
-            raise AssertionError("SNF divisibility chain broken")
+            raise InconsistencyError(f"SNF divisibility chain broken: {d} does not divide {e}")
     return tuple(invariants), IntMatrix(cols)
 
 
@@ -455,7 +455,6 @@ def exterior_power(m: RationalMatrix | IntMatrix, i: int):
             sub = cls([[m.entries[r][c] for c in cols_idx] for r in rows_idx])
             out_row.append(determinant(sub))
         out.append(out_row)
-    assert len(subsets) == comb(n, i)
     return cls(out)
 
 

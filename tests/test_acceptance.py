@@ -11,6 +11,7 @@ import math
 import random
 import time
 
+from lefdist import lefschetz
 from lefdist.cli import main as cli_main
 from lefdist.curvature import (
     const_curvature_chi,
@@ -20,7 +21,7 @@ from lefdist.curvature import (
     sphere_grid,
 )
 from lefdist.distributions import make
-from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
+from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral, verify_classical_lefschetz
 from lefdist.lie_cohomology import catalog_algebra, ce_differential, cohomology_dims, nilpotent_battery
 from lefdist.linalg import IntMatrix, RationalMatrix, determinant, exterior_power
 from lefdist.models import (
@@ -195,3 +196,22 @@ def test_criterion_8_flow_linearity_and_signs(capsys):
         summed = summed + flow_distribution([o], 3)
     assert union == summed
     _report(capsys, 8, "diag(2,1/2) orbit gives -1 atoms at +-1,+-2,+-3; union equals sum exactly")
+
+
+def test_criterion_9_fixed_point_enumeration_at_scale(capsys, monkeypatch):
+    # det(A^14 - I) = L_28 - 2 = 710645 for the cat map, the largest k under ENUMERATION_CAP
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report = fixed_points_toral(CAT, 14)
+        best = min(best, time.perf_counter() - t0)
+    assert report.count == len(report.numerators) == 710645
+    assert best <= 0.5
+    # the classical identity needs the count and one sign, never a Fraction point
+    reports = []
+    enumerate_points = lefschetz.fixed_points_toral
+    monkeypatch.setattr(lefschetz, "fixed_points_toral", lambda t, k: reports.append(enumerate_points(t, k)) or reports[-1])
+    check = verify_classical_lefschetz(CAT, 14)
+    assert check.sum_of_indices == check.lefschetz_number == -710645
+    assert len(reports) == 1 and "points" not in reports[0].__dict__
+    _report(capsys, 9, f"cat map k=14: 710645 fixed points in {best:.2f}s (best of 3), no Fraction built to count them")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lefdist import cli
+from lefdist import cli, lefschetz
 from lefdist.cli import main
 from lefdist.curvature import MAX_GRID_NODES, flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
@@ -102,6 +102,14 @@ class TestMappingTorus:
         rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", '[["1/2",0],[0,1]]')
         assert rc == 1
         assert err.startswith("error: 'matrix': IntMatrix entries must be integers")
+
+    def test_disagreeing_lefschetz_paths_are_an_internal_error(self, capsys, monkeypatch):
+        # toral_lefschetz's trace path, the Berkowitz coefficients of A^k, with one extra term
+        charpoly = lefschetz.charpoly
+        monkeypatch.setattr(lefschetz, "charpoly", lambda m: charpoly(m) + (1,))
+        rc, out, err = run_cli(capsys, "mapping-torus", "--matrix", "[[2,1],[1,1]]", "--window", "2")
+        assert (rc, out) == (3, "")
+        assert err == "internal error: determinant path gave -1, exterior-trace path gave 0\n"
 
     def test_inexact_graded_entry_named_by_degree(self, capsys, tmp_path):
         path = tmp_path / "graded.json"

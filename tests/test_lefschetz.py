@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lefdist import lefschetz
 from lefdist.errors import InconsistencyError, NotSimpleError, PreconditionError
@@ -14,7 +18,7 @@ from lefdist.lefschetz import (
     toral_lefschetz,
     verify_classical_lefschetz,
 )
-from lefdist.linalg import IntMatrix, RationalMatrix, determinant
+from lefdist.linalg import IntMatrix, RationalMatrix, determinant, num_to_str, smith_transform
 from lefdist.verify import brute_force_fixed_point_count
 
 CAT = ToralAutomorphism(IntMatrix([[2, 1], [1, 1]]))
@@ -194,6 +198,21 @@ class TestFixedPoints:
             assert all(e == fixed_point_index(RationalMatrix(t.power(k).entries)) for e in r.epsilons)
 
 
+    def test_reports_with_different_points_compare_unequal(self):
+        r = fixed_points_toral(CAT, 2)
+        assert r == fixed_points_toral(CAT, 2) and hash(r) == hash(fixed_points_toral(CAT, 2))
+        # the transpose has the same count, denominator and signs, but other points
+        other = fixed_points_toral(ToralAutomorphism(IntMatrix([[1, 1], [1, 2]])), 2)
+        assert (other.count, other.denom, other.indices, other.epsilons) == (r.count, r.denom, r.indices, r.epsilons)
+        assert other.points != r.points and other != r
+        assert dataclasses.replace(r, numerators=r.numerators[::-1]) != r
+
+    def test_numerators_are_read_only(self):
+        r = fixed_points_toral(CAT, 2)
+        with pytest.raises(ValueError):
+            r.numerators[0, 0] = 1
+
+
 class TestClassicalIdentity:
     def test_cat_map(self):
         for k, expected in ((1, -1), (2, -5)):
@@ -237,3 +256,61 @@ class TestBattery:
                 continue
             for k in (1, 2, 3):
                 assert toral_lefschetz(t, -k) == toral_lefschetz(t, k)
+
+
+# -- reference: the tuple-and-Fraction enumeration that fixed_points_toral used before its int64 array --
+
+
+def reference_fixed_points(t, k):
+    """(count, points, indices, epsilons), with each point built as a tuple of Python ints first."""
+    n = t.dim
+    b = t.power(k) - IntMatrix.identity(n)
+    det_b = determinant(b)
+    if det_b == 0:
+        return None, (), (), ()
+    total = abs(det_b)
+    mods, c = smith_transform(b)
+    denom = lcm(*mods)
+    points = [(0,) * n]
+    for j, d in enumerate(mods):
+        step = [c[i, j] * (denom // d) for i in range(n)]
+        shifts = [[y * s for s in step] for y in range(1, d)]
+        points += [tuple((p + s) % denom for p, s in zip(point, shift)) for point in points for shift in shifts]
+    points.sort()
+    assert len(points) == len(set(points)) == total
+    frac = [Fraction(v, denom) for v in range(denom)]
+    epsilon = 1 if det_b > 0 else -1
+    classical = epsilon * (-1) ** n
+    return total, tuple(tuple(frac[v] for v in p) for p in points), (classical,) * total, (epsilon,) * total
+
+
+@st.composite
+def toral_automorphisms(draw):
+    """A companion matrix with constant term +-1 (n = 2..4), conjugated by elementary operations."""
+    n = draw(st.integers(2, 4))
+    last = [draw(st.sampled_from((-1, 1)))] + draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    m = [[int(i == j + 1) for j in range(n - 1)] + [last[i]] for i in range(n)]
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        s = draw(st.sampled_from((-1, 1)))
+        m[i] = [a + s * b for a, b in zip(m[i], m[j])]  # E m E^-1 with E = I + s e_ij
+        for row in m:
+            row[j] -= s * row[i]
+    return ToralAutomorphism(IntMatrix(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(toral_automorphisms(), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+def test_array_enumeration_matches_the_tuple_reference(t, k):
+    assume(abs(determinant(t.power(k) - IntMatrix.identity(t.dim))) <= 3000)
+    count, points, indices, epsilons = reference_fixed_points(t, k)
+    r = fixed_points_toral(t, k)
+    assert "points" not in r.__dict__
+    assert (r.count, r.indices, r.epsilons) == (count, indices, epsilons)
+    assert r.points == points
+    assert r.to_json_obj() == {
+        "count": "infinite" if count is None else str(count),
+        "points": [[num_to_str(x) for x in p] for p in points],
+        "indices": list(indices),
+        "epsilons": list(epsilons),
+    }

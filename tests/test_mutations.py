@@ -10,11 +10,15 @@ defect in the oracle's loop must fail ``verify``'s oracle check.
 import dataclasses
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from lefdist import lefschetz, lie_cohomology, linalg, verify
+from lefdist import cli, lefschetz, lie_cohomology, linalg, verify
 from lefdist.errors import InconsistencyError
 from lefdist.lie_cohomology import LieAlgebra, catalog_algebra, cohomology_dims
 from lefdist.models import nil_foliation
@@ -121,3 +125,64 @@ def test_ce_rows_without_the_insertion_sign_fail_the_dd_check(monkeypatch):
     assert mutant(catalog_algebra("filiform:6"), 2) != lie_cohomology._ce_rows(catalog_algebra("filiform:6"), 2)
     monkeypatch.setattr(lie_cohomology, "_ce_rows", mutant)
     assert "d.d = 0 on the nilpotent battery" in failed_checks(verify.run_cohomology_suite(1))
+
+
+# -- the enumeration checks of fixed_points_toral ------------------------------------------
+
+CAT = lefschetz.ToralAutomorphism(linalg.IntMatrix([[2, 1], [1, 1]]))
+
+
+def test_wrong_smith_invariants_fail_the_count_check(monkeypatch):
+    # the true Smith invariants of cat^4 - I are (3, 15): 45 fixed points.  The mutant keeps the
+    # column transform and returns (3, 10), so an unchecked enumeration lists 30 distinct points
+    smith = lefschetz.smith_transform
+    monkeypatch.setattr(lefschetz, "smith_transform", lambda m: ((3, 10), smith(m)[1]))
+    with pytest.raises(InconsistencyError, match=r"\(3, 10\) of A\^4 - I multiply to 30, not \|det\| = 45"):
+        lefschetz.fixed_points_toral(CAT, 4)
+
+
+def test_wrong_smith_invariants_fail_the_count_check_under_python_O():
+    code = textwrap.dedent(
+        """
+        import sys
+        from lefdist import lefschetz
+        from lefdist.errors import InconsistencyError
+        from lefdist.linalg import IntMatrix
+        smith = lefschetz.smith_transform
+        lefschetz.smith_transform = lambda m: ((3, 10), smith(m)[1])
+        try:
+            r = lefschetz.fixed_points_toral(lefschetz.ToralAutomorphism(IntMatrix([[2, 1], [1, 1]])), 4)
+        except InconsistencyError as exc:
+            print(sys.flags.optimize, "raised:", exc)
+        else:
+            print(sys.flags.optimize, "returned count", r.count, "with", len(r.points), "points")
+        """
+    )
+    src = str(pathlib.Path(lefschetz.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 raised: Smith invariants (3, 10) of A^4 - I multiply to 30, not |det| = 45\n"
+
+
+def test_a_repeated_point_fails_the_distinctness_check(monkeypatch, capsys):
+    smith = lefschetz.smith_transform
+
+    def zero_last_column(m):
+        """The transform's column for the largest invariant zeroed: its shifts all land on one point."""
+        invs, c = smith(m)
+        return invs, linalg.IntMatrix([list(row[:-1]) + [0] for row in c.entries])
+
+    monkeypatch.setattr(lefschetz, "smith_transform", zero_last_column)
+    with pytest.raises(InconsistencyError, match=r"enumerated 45 fixed points of A\^4, 3 distinct, not \|det"):
+        lefschetz.fixed_points_toral(CAT, 4)
+    # verify's GL(2, Z) battery enumerates too: the failed check is an internal error, exit 3
+    assert cli.main(["verify", "--suite", "lefschetz"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: enumerated ") and "distinct, not |det(A^k - I)| = " in err
+
+
+def test_a_rational_power_fails_the_ring_check(monkeypatch):
+    monkeypatch.setattr(lefschetz, "matrix_power", lambda m, k: linalg.RationalMatrix(m.entries))
+    with pytest.raises(InconsistencyError, match="A\\^4 of a unimodular A came back as RationalMatrix, not IntMatrix"):
+        CAT.power(4)
