@@ -197,7 +197,6 @@ class TestFixedPoints:
             assert r.epsilons == tuple((-1) ** n * i for i in r.indices)
             assert all(e == fixed_point_index(RationalMatrix(t.power(k).entries)) for e in r.epsilons)
 
-
     def test_reports_with_different_points_compare_unequal(self):
         r = fixed_points_toral(CAT, 2)
         assert r == fixed_points_toral(CAT, 2) and hash(r) == hash(fixed_points_toral(CAT, 2))
