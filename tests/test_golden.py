@@ -1,13 +1,15 @@
 """Byte-identity of CLI and fixed-point output against a stored corpus.
 
 The files under ``tests/golden/`` hold the `mapping-torus` JSON for one
-hyperbolic automorphism in each dimension n = 2..6, the fixed-point reports
+hyperbolic automorphism in each dimension n = 2..6 and for the 8x8 companion
+matrix of x^8 - x - 1 at window 300, the fixed-point reports
 of three (A, k) with 10^2..10^3 points, `nilfoliation` on three catalog
 algebras (filiform6, heisenberg:4, dim 9, and filiform:11), on heisenberg:5 +
 abelian:1 read from JSON (dim 12), on a dense rational change of
 basis of heis3 + filiform4 (dim 7) and on a rational change of basis of
 heis3 + filiform5 (dim 8) whose constants have denominators up to 8588343,
-`mapping-torus --input` with a rational graded map (negative powers invert),
+`mapping-torus --input` with a rational graded map (negative powers invert)
+at windows 4 and 60,
 the default `verify --suite all` report, and the reports that pin how atoms
 merge: `flow` with exact lengths 1 and 3/2 that meet at 3, inexact lengths
 and near-duplicates 5e-9 apart (kept apart by default; merged, with an exact
@@ -23,7 +25,9 @@ heisenberg:4 and dim-8 files before the structure constants became a sparse
 integer table, the filiform:11 and dim-12 files before the CE ranks were
 taken block by block, the flow, selberg and suspension files before `make`
 merged every kind of atom in one loop, the gauss-bonnet and float graded
-files before every input number went through one reader, the others before the exact
+files before every input number went through one reader, the n = 8 and window-60
+graded files before every k-series took its powers from one incremental walk,
+the others before the exact
 elimination kernels were merged; any byte that changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
 output change is intended:
@@ -66,6 +70,20 @@ MAPPING_TORUS = {
         ],
         3,
     ),
+    # the companion matrix of x^8 - x - 1, deep enough that a power walk that drifts shows
+    8: (
+        [
+            [0, 0, 0, 0, 0, 0, 0, 1],
+            [1, 0, 0, 0, 0, 0, 0, 1],
+            [0, 1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 0],
+        ],
+        300,
+    ),
 }
 
 # name -> (matrix, k); every A^k - I has two or more Smith invariants > 1
@@ -92,6 +110,9 @@ CLI = {
     ],
     "mapping_torus_graded": [
         "mapping-torus", "--input", str(INPUTS / "graded_map.json"), "--window", "4"
+    ],
+    "mapping_torus_graded_window60": [
+        "mapping-torus", "--input", str(INPUTS / "graded_map.json"), "--window", "60"
     ],
     "verify_all": ["verify", "--suite", "all"],
     "flow_commensurable": [
