@@ -3,8 +3,8 @@
 Three independent routes to the same integer are kept alive here: the
 alternating trace over induced maps on cohomology, the determinant
 det(I - A^k), and the signed count of fixed points on the torus.  The first
-two are cross-checked inside :func:`toral_lefschetz` on every call; the
-third is exposed by :func:`fixed_points_toral` / :func:`verify_classical_lefschetz`.
+two are cross-checked on every A^k that :func:`toral_lefschetz` or the mapping
+torus builds; :func:`verify_classical_lefschetz` checks the third against them.
 On the torus the trace path is the Berkowitz characteristic polynomial of
 A^k: its coefficients are (-1)^i tr Lambda^i A^k, so their sum is the
 alternating exterior-trace sum, but no Lambda^i matrix is built.  Both paths
@@ -71,10 +71,14 @@ class ToralAutomorphism:
         return self.matrix.rows
 
     def power(self, k: int) -> IntMatrix:
-        m = matrix_power(self.matrix, k)
-        if not isinstance(m, IntMatrix):
-            raise InconsistencyError(f"A^{k} of a unimodular A came back as {type(m).__name__}, not IntMatrix")
-        return m
+        return _integral(matrix_power(self.matrix, k), k)
+
+
+def _integral(ak, k: int) -> IntMatrix:
+    """The ring check: A^k of a unimodular A must come back as an IntMatrix."""
+    if not isinstance(ak, IntMatrix):
+        raise InconsistencyError(f"A^{k} of a unimodular A came back as {type(ak).__name__}, not IntMatrix")
+    return ak
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,6 @@ class GradedMap:
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * d for i, d in enumerate(self.dims))
 
-    def power(self, k: int) -> "GradedMap":
-        return GradedMap(tuple(matrix_power(m, k) for m in self.maps))
-
-    @classmethod
-    def identity(cls, dims) -> "GradedMap":
-        return cls(tuple(RationalMatrix.identity(d) for d in dims))
-
     @classmethod
     def from_toral(cls, t: ToralAutomorphism, k: int = 1) -> "GradedMap":
         """Action of A^k on H^i(T^n) = Lambda^i(R^n)."""
@@ -116,15 +113,19 @@ def lefschetz_number_graded(g: GradedMap) -> Fraction:
 
 
 def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
-    """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum.
+    """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum."""
+    if k == 0:
+        raise PreconditionError("k must be nonzero")
+    return _lefschetz_of_power(matrix_power(t.matrix, k), k)
+
+
+def _lefschetz_of_power(ak, k: int) -> int:
+    """det(I - A^k) of a given A^k, ring-checked and cross-checked against the exterior-trace sum.
 
     The trace path sums the Berkowitz coefficients of A^k, which are the
     signed exterior traces (-1)^i tr Lambda^i A^k.
     """
-    if k == 0:
-        raise PreconditionError("k must be nonzero")
-    ak = t.power(k)
-    via_det = determinant(IntMatrix.identity(t.dim) - ak)
+    via_det = determinant(IntMatrix.identity(ak.rows) - _integral(ak, k))
     via_traces = sum(charpoly(ak))
     if via_det != via_traces:
         raise InconsistencyError(
@@ -143,19 +144,19 @@ def fixed_point_index(j: RationalMatrix | IntMatrix) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FixedPointReport:
-    """Fixed points of A^k on the torus; count is None when infinite.
+    """Fixed points of A^k on the torus; count and both signs are None when infinite.
 
     Point p has coordinates numerators[p] / denom in [0, 1)^n, and the rows
-    are in lexicographic order.  The ``Fraction`` tuples of ``points`` are
-    built from them on first use, so a caller that needs only the count or
-    the indices never builds one.
+    are in lexicographic order.  Every point has the linearization A^k, so
+    one sign per convention serves all.  The ``Fraction`` tuples of ``points``
+    are built on first use; a caller that needs only the count never builds one.
     """
 
     count: int | None
     denom: int
     numerators: np.ndarray  # int64, one row per point, read-only
-    indices: tuple[int, ...]  # classical convention, sign det(I - A^k)
-    epsilons: tuple[int, ...]  # paper convention, sign det(A^k - I)
+    index: int | None  # classical convention, sign det(I - A^k)
+    epsilon: int | None  # paper convention, sign det(A^k - I)
 
     def __post_init__(self):
         self.numerators.flags.writeable = False
@@ -163,8 +164,8 @@ class FixedPointReport:
     def __eq__(self, other):
         if not isinstance(other, FixedPointReport):
             return NotImplemented
-        return (self.count, self.denom, self.indices, self.epsilons) == (
-            other.count, other.denom, other.indices, other.epsilons
+        return (self.count, self.denom, self.index, self.epsilon) == (
+            other.count, other.denom, other.index, other.epsilon
         ) and np.array_equal(self.numerators, other.numerators)
 
     def __hash__(self):
@@ -183,8 +184,8 @@ class FixedPointReport:
         return {
             "count": "infinite" if self.count is None else str(self.count),
             "points": [[num_to_str(x) for x in p] for p in self.points],
-            "indices": list(self.indices),
-            "epsilons": list(self.epsilons),
+            "indices": [self.index] * (self.count or 0),
+            "epsilons": [self.epsilon] * (self.count or 0),
         }
 
 
@@ -200,7 +201,7 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
     b = t.power(k) - IntMatrix.identity(n)
     det_b = determinant(b)
     if det_b == 0:
-        return FixedPointReport(None, 1, np.zeros((0, n), dtype=np.int64), (), ())
+        return FixedPointReport(None, 1, np.zeros((0, n), dtype=np.int64), None, None)
     total = abs(det_b)
     if total > ENUMERATION_CAP:
         raise EnumerationLimitError(
@@ -229,7 +230,7 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
         )
     epsilon = 1 if det_b > 0 else -1
     classical = epsilon * (-1) ** n  # sign det(I - A^k) = (-1)^n sign det(A^k - I)
-    return FixedPointReport(total, denom, pts, (classical,) * total, (epsilon,) * total)
+    return FixedPointReport(total, denom, pts, classical, epsilon)
 
 
 @dataclass(frozen=True)
@@ -242,11 +243,11 @@ class ClassicalCheck:
 
 
 def verify_classical_lefschetz(t: ToralAutomorphism, k: int) -> ClassicalCheck:
-    """Assert sum of classical indices equals L(F^k); returns both sides."""
+    """Assert sum of classical indices (count x the one index) equals L(F^k); returns both sides."""
     report = fixed_points_toral(t, k)
     if report.infinite:
         raise NotSimpleError(f"A^{k} has non-simple fixed points: det(A^k - I) = 0")
-    lhs = sum(report.indices)
+    lhs = report.count * report.index
     rhs = toral_lefschetz(t, k)
     if lhs != rhs:
         raise InconsistencyError(

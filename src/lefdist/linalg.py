@@ -7,7 +7,7 @@ serves every exact solve, and keeps intermediate entries at minor-determinant
 size: ``rank`` and ``determinant`` read its pivots, while ``rank_kernel`` and
 inverses add one fraction-free back substitution on its echelon.  One Smith
 loop serves the Smith invariants and the column transform that parametrizes
-A x = 0 mod Z^n.
+A x = 0 mod Z^n.  One power walk, ``powers``, serves every k-series.
 
 The wire format lives here: ``to_number``, ``exact_number``, ``read_int`` and ``to_float`` read
 every input number, and ``num_to_str`` writes every output number: rationals as ``"p/q"``
@@ -40,6 +40,7 @@ __all__ = [
     "smith_normal_form",
     "smith_transform",
     "matrix_power",
+    "powers",
     "exterior_power",
     "charpoly",
 ]
@@ -430,6 +431,17 @@ def matrix_power(m: RationalMatrix | IntMatrix, k: int):
         if k:
             base = base @ base
     return result
+
+
+def powers(m: RationalMatrix | IntMatrix, n: int):
+    """(m^k, m^-k) for k = 1..n, typed as ``matrix_power``'s: one product per step, one inverse in all."""
+    if n:
+        inverse = matrix_power(m, -1)
+        pos, neg = m, inverse
+        yield pos, neg
+        for _ in range(n - 1):
+            pos, neg = pos @ m, neg @ inverse
+            yield pos, neg
 
 
 def exterior_power(m: RationalMatrix | IntMatrix, i: int):

@@ -8,7 +8,8 @@ Families: mapping tori of toral automorphisms or graded cohomology maps,
 codimension-one flows with prescribed closed orbits, suspensions over compact
 groups, the genus-g hyperbolic surface suspension with its degreewise traces,
 nilpotent homogeneous foliations, and the Selberg-type report for bundles
-over homogeneous spaces.
+over homogeneous spaces.  Every k-series here (mapping-torus atoms, flow
+multiples) takes its powers A^k and A^-k from one walk, ``linalg.powers``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from fractions import Fraction
 
 from .distributions import IDENTITY, AtomicDistribution, LatticePoint, OrbitTerm, RealPoint, make
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
-from .lefschetz import GradedMap, ToralAutomorphism, fixed_point_index, lefschetz_number_graded, toral_lefschetz
+from .lefschetz import GradedMap, ToralAutomorphism, _lefschetz_of_power, fixed_point_index, lefschetz_number_graded
 from .lie_cohomology import GradedDims, LieAlgebra, cohomology_dims, is_nilpotent
-from .linalg import Number, RationalMatrix, determinant, matrix_power, read_int, to_number
+from .linalg import Number, RationalMatrix, determinant, powers, read_int, to_number
 
 __all__ = [
     "MAX_FLOW_MULTIPLES",
@@ -46,26 +47,26 @@ __all__ = [
 def mapping_torus(source: ToralAutomorphism | GradedMap, window: int) -> AtomicDistribution:
     """chi(X) . delta_0 + sum_{0 < |k| <= window} L(F^k) . delta_k on Z.
 
-    For a toral automorphism the coefficients come from
-    :func:`toral_lefschetz` (which cross-checks its two internal paths and
-    stays evaluable even when fixed points degenerate); chi(T^n) = 0.  For a
-    graded cohomology map, L(F^k) is the alternating trace of the k-th powers
-    and chi is the alternating dimension sum.
+    The powers come from ``linalg.powers``.  For a toral automorphism each
+    A^k gets the ring and det-vs-trace checks of :func:`toral_lefschetz`
+    (which stay evaluable even when fixed points degenerate); chi(T^n) = 0.
+    For a graded cohomology map one walk per degree runs in step, L(F^k) is
+    the alternating trace of the k-th powers and chi the alternating dimension sum.
     """
     if window < 0:
         raise PreconditionError("window must be >= 0")
     if isinstance(source, ToralAutomorphism):
-        chi = 0
-        coeff = lambda k: Fraction(toral_lefschetz(source, k))
+        chi, walks = 0, [powers(source.matrix, window)]
+        coeff = lambda maps, k: _lefschetz_of_power(maps[0], k)
     elif isinstance(source, GradedMap):
-        chi = source.euler_characteristic
-        coeff = lambda k: lefschetz_number_graded(source.power(k))
+        chi, walks = source.euler_characteristic, [powers(m, window) for m in source.maps]
+        coeff = lambda maps, k: lefschetz_number_graded(GradedMap(maps))
     else:
         raise PreconditionError("source must be a ToralAutomorphism or a GradedMap")
     atoms = [(LatticePoint(0), Fraction(chi))]
-    for k in range(1, window + 1):
-        atoms.append((LatticePoint(k), coeff(k)))
-        atoms.append((LatticePoint(-k), coeff(-k)))
+    for k, step in enumerate(zip(*walks), 1):
+        pos, neg = zip(*step)  # the k-th and -k-th power of every matrix
+        atoms += [(LatticePoint(k), coeff(pos, k)), (LatticePoint(-k), coeff(neg, -k))]
     return make(atoms, group="Z")
 
 
@@ -131,17 +132,6 @@ class ClosedOrbitSpec:
 MAX_FLOW_MULTIPLES = 200
 
 
-def _powers(p: RationalMatrix, n: int):
-    """(P^k, P^-k) for k = 1..n, each one product from the pair before, with one inverse in all."""
-    if n:
-        inverse = matrix_power(p, -1)
-        pos, neg = p, inverse
-        yield pos, neg
-        for _ in range(n - 1):
-            pos, neg = pos @ p, neg @ inverse
-            yield pos, neg
-
-
 def flow_distribution(
     orbits, window, tolerance: float | None = None
 ) -> AtomicDistribution:
@@ -165,10 +155,10 @@ def flow_distribution(
                 f"{name}: {multiples} multiples fit in the window, more than MAX_FLOW_MULTIPLES = {MAX_FLOW_MULTIPLES}"
             )
         if orbit.return_map is None:
-            powers = [(None, None)] * multiples
+            walk = [(None, None)] * multiples
         else:
-            powers = _powers(orbit.return_map, multiples)
-        for k, (pos, neg) in enumerate(powers, 1):
+            walk = powers(orbit.return_map, multiples)
+        for k, (pos, neg) in enumerate(walk, 1):
             atoms.append((RealPoint(ell * k), ell * orbit.sign(k, name, pos)))
             atoms.append((RealPoint(-ell * k), ell * orbit.sign(-k, name, neg)))
     return make(atoms, group="R", tolerance=tolerance)
@@ -305,9 +295,7 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
     if dims.dims != dims.dims[::-1]:
         raise InconsistencyError(f"nilfoliation Betti numbers {dims.dims} break Poincare duality")
     traces = tuple(make([], smooth_const=b, group="abstract") for b in dims)
-    lefschetz = make([], group="abstract")
-    for i, t in enumerate(traces):
-        lefschetz = lefschetz + t.scale((-1) ** i)
+    lefschetz = make([], smooth_const=sum((-1) ** i * (t.smooth_const or 0) for i, t in enumerate(traces)))
     if not lefschetz.is_zero:
         raise InconsistencyError("alternating sum of nilfoliation traces is not zero")
     return NilFoliationReport(dims, traces, lefschetz, corollary_checks(lefschetz))

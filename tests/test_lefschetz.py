@@ -63,7 +63,7 @@ class TestToralAutomorphism:
 class TestGradedLefschetz:
     def test_identity_on_surface(self):
         for g in (0, 1, 2, 5):
-            gm = GradedMap.identity((1, 2 * g, 1))
+            gm = GradedMap(tuple(RationalMatrix.identity(d) for d in (1, 2 * g, 1)))
             assert lefschetz_number_graded(gm) == 2 - 2 * g
 
     def test_cat_map_graded(self):
@@ -127,13 +127,12 @@ class TestFixedPoints:
         r = fixed_points_toral(CAT, 1)
         assert r.count == 1
         assert r.points == ((Fraction(0), Fraction(0)),)
-        assert r.indices == (-1,)
-        assert r.epsilons == (-1,)
+        assert (r.index, r.epsilon) == (-1, -1)
 
     def test_cat_map_k2(self):
         r = fixed_points_toral(CAT, 2)
         assert r.count == 5
-        assert sum(r.indices) == -5
+        assert r.count * r.index == -5
         for p in r.points:
             b = CAT.power(2) - IntMatrix.identity(2)
             img = tuple(b[i, 0] * p[0] + b[i, 1] * p[1] for i in range(2))
@@ -143,6 +142,7 @@ class TestFixedPoints:
         t = ToralAutomorphism(IntMatrix.identity(2))
         r = fixed_points_toral(t, 3)
         assert r.infinite and r.count is None and r.points == ()
+        assert r.index is None and r.epsilon is None
 
     def test_enumeration_cap(self):
         from lefdist.errors import EnumerationLimitError
@@ -161,7 +161,8 @@ class TestFixedPoints:
             (Fraction(1, 2), Fraction(0)),
             (Fraction(1, 2), Fraction(1, 2)),
         }
-        assert r.indices == (1, 1, 1, 1)
+        assert r.index == 1
+        assert r.to_json_obj()["indices"] == [1, 1, 1, 1]
 
     def test_json(self):
         obj = fixed_points_toral(CAT, 1).to_json_obj()
@@ -171,7 +172,12 @@ class TestFixedPoints:
             "indices": [-1],
             "epsilons": [-1],
         }
-        assert fixed_points_toral(ToralAutomorphism(IntMatrix.identity(2)), 1).to_json_obj()["count"] == "infinite"
+        assert fixed_points_toral(ToralAutomorphism(IntMatrix.identity(2)), 1).to_json_obj() == {
+            "count": "infinite",
+            "points": [],
+            "indices": [],
+            "epsilons": [],
+        }
 
     @pytest.mark.parametrize(
         "matrix,ks",
@@ -191,20 +197,21 @@ class TestFixedPoints:
             assert all(sum(x * y for x, y in zip(row, p)).denominator == 1 for p in r.points for row in b)
             assert all(p < q for p, q in zip(r.points, r.points[1:]))
             assert all(0 <= x < 1 for p in r.points for x in p)
-            assert sum(r.indices) == toral_lefschetz(t, k)
+            assert r.count * r.index == toral_lefschetz(t, k)
             # the two conventions differ by (-1)^n, and epsilon is the paper's index of A^k
             n = t.dim
-            assert r.epsilons == tuple((-1) ** n * i for i in r.indices)
-            assert all(e == fixed_point_index(RationalMatrix(t.power(k).entries)) for e in r.epsilons)
+            assert r.epsilon == (-1) ** n * r.index
+            assert r.epsilon == fixed_point_index(RationalMatrix(t.power(k).entries))
 
     def test_reports_with_different_points_compare_unequal(self):
         r = fixed_points_toral(CAT, 2)
         assert r == fixed_points_toral(CAT, 2) and hash(r) == hash(fixed_points_toral(CAT, 2))
         # the transpose has the same count, denominator and signs, but other points
         other = fixed_points_toral(ToralAutomorphism(IntMatrix([[1, 1], [1, 2]])), 2)
-        assert (other.count, other.denom, other.indices, other.epsilons) == (r.count, r.denom, r.indices, r.epsilons)
+        assert (other.count, other.denom, other.index, other.epsilon) == (r.count, r.denom, r.index, r.epsilon)
         assert other.points != r.points and other != r
         assert dataclasses.replace(r, numerators=r.numerators[::-1]) != r
+        assert dataclasses.replace(r, index=-r.index) != r != dataclasses.replace(r, epsilon=-r.epsilon)
 
     def test_numerators_are_read_only(self):
         r = fixed_points_toral(CAT, 2)
@@ -238,7 +245,7 @@ class TestBattery:
                     continue
                 report = fixed_points_toral(t, k)
                 assert report.count == brute_force_fixed_count(t, k)
-                assert sum(report.indices) == toral_lefschetz(t, k)
+                assert report.count * report.index == toral_lefschetz(t, k)
 
     def test_epsilon_vs_classical(self):
         # epsilon = (-1)^n * classical index, n = 2 here
@@ -246,8 +253,7 @@ class TestBattery:
             r = fixed_points_toral(t, 1)
             if r.infinite:
                 continue
-            for idx, eps in zip(r.indices, r.epsilons):
-                assert eps == idx
+            assert r.epsilon == r.index
 
     def test_negative_k_symmetry_det_one_even_dim(self):
         for t in gl2_battery():
@@ -305,7 +311,7 @@ def test_array_enumeration_matches_the_tuple_reference(t, k):
     count, points, indices, epsilons = reference_fixed_points(t, k)
     r = fixed_points_toral(t, k)
     assert "points" not in r.__dict__
-    assert (r.count, r.indices, r.epsilons) == (count, indices, epsilons)
+    assert (r.count, (r.index,) * len(points), (r.epsilon,) * len(points)) == (count, indices, epsilons)
     assert r.points == points
     assert r.to_json_obj() == {
         "count": "infinite" if count is None else str(count),

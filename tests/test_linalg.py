@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from lefdist import linalg
 from lefdist.errors import PreconditionError
 from lefdist.linalg import (
     MAX_DECIMAL_EXPONENT,
@@ -13,6 +16,7 @@ from lefdist.linalg import (
     exterior_power,
     matrix_power,
     num_to_str,
+    powers,
     rank_kernel,
     rat_from_str,
     read_int,
@@ -162,6 +166,60 @@ class TestMatrixPower:
             assert all(type(e) is int for row in p.entries for e in row)
         assert matrix_power(m, -5) @ matrix_power(m, 5) == IntMatrix.identity(3)
         assert type(determinant(m)) is int
+
+
+@st.composite
+def invertible_matrices(draw):
+    """(kind, m), n = 1..3: a unimodular IntMatrix, an IntMatrix of det +-2, or an invertible RationalMatrix."""
+    kind = draw(st.sampled_from(("unimodular", "det 2", "rational")))
+    n = draw(st.integers(1, 3))
+    if kind == "rational":
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        m = RationalMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+        assume(determinant(m) != 0)
+        return kind, m
+    # a unit lower triangular matrix times an upper triangular one with diagonal +-1, or +-2 once
+    off = lambda: draw(st.integers(-2, 2))
+    diag = [draw(st.sampled_from((-1, 1))) * (2 if kind == "det 2" and i == 0 else 1) for i in range(n)]
+    low = IntMatrix([[off() if j < i else int(j == i) for j in range(n)] for i in range(n)])
+    up = IntMatrix([[off() if j > i else diag[i] if j == i else 0 for j in range(n)] for i in range(n)])
+    return kind, low @ up
+
+
+# the type of (m^k, m^-k) for each kind of matrix
+POWER_TYPES = {
+    "unimodular": (IntMatrix, IntMatrix),
+    "det 2": (IntMatrix, RationalMatrix),
+    "rational": (RationalMatrix, RationalMatrix),
+}
+
+
+class TestPowers:
+    @settings(max_examples=80, deadline=None)
+    @given(invertible_matrices(), st.integers(0, 7))
+    def test_walk_matches_matrix_power(self, kind_m, n):
+        kind, m = kind_m
+        walk = list(powers(m, n))
+        assert len(walk) == n
+        for k, (pos, neg) in enumerate(walk, 1):
+            assert (type(pos), type(neg)) == POWER_TYPES[kind]
+            # _Matrix equality compares the types too
+            assert pos == matrix_power(m, k) and neg == matrix_power(m, -k)
+
+    def test_one_inverse_in_all(self, monkeypatch):
+        calls = []
+        power = linalg.matrix_power
+        monkeypatch.setattr(linalg, "matrix_power", lambda m, k: calls.append(k) or power(m, k))
+        assert len(list(powers(IntMatrix([[2, 1], [1, 1]]), 6))) == 6
+        assert calls == [-1]
+
+    def test_zero_steps_yield_nothing_and_invert_nothing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "matrix_power", lambda m, k: pytest.fail("powers(m, 0) inverted m"))
+        assert list(powers(IntMatrix([[1, 2], [2, 4]]), 0)) == []
+
+    def test_singular_raises(self):
+        with pytest.raises(PreconditionError, match="singular"):
+            next(powers(IntMatrix([[1, 2], [2, 4]]), 3))
 
 
 class TestExteriorPower:

@@ -47,7 +47,7 @@ class TestMappingTorus:
 
     def test_window_zero(self):
         assert mapping_torus(CAT, 0).is_zero
-        gm = GradedMap.identity((1, 4, 1))
+        gm = GradedMap(tuple(RationalMatrix.identity(d) for d in (1, 4, 1)))
         d = mapping_torus(gm, 0)
         assert d.atoms == ((LatticePoint(0), Fraction(-2)),)
 

@@ -12,16 +12,17 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from lefdist import cli, lefschetz, lie_cohomology, linalg, verify
+from lefdist import cli, lefschetz, lie_cohomology, linalg, models, verify
 from lefdist.errors import InconsistencyError
-from lefdist.lie_cohomology import LieAlgebra, catalog_algebra, cohomology_dims
-from lefdist.models import nil_foliation
+from lefdist.lie_cohomology import GradedDims, LieAlgebra, catalog_algebra, cohomology_dims
+from lefdist.models import mapping_torus, nil_foliation
 
 INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
 
@@ -98,7 +99,7 @@ def test_epsilon_check_can_fail(monkeypatch):
 
     def flipped(t, k):
         r = fixed_points(t, k)
-        return dataclasses.replace(r, epsilons=tuple(-e for e in r.epsilons))
+        return r if r.infinite else dataclasses.replace(r, epsilon=-r.epsilon)
 
     monkeypatch.setattr(lefschetz, "fixed_points_toral", flipped)
     assert failed_checks(verify.run_lefschetz_suite(1)) == {"epsilon = (-1)^n * classical index (n = 2)"}
@@ -186,3 +187,55 @@ def test_a_rational_power_fails_the_ring_check(monkeypatch):
     monkeypatch.setattr(lefschetz, "matrix_power", lambda m, k: linalg.RationalMatrix(m.entries))
     with pytest.raises(InconsistencyError, match="A\\^4 of a unimodular A came back as RationalMatrix, not IntMatrix"):
         CAT.power(4)
+
+
+# -- the power walk ---------------------------------------------------------------------------
+
+
+def walk_without_the_inverse(m, n):
+    """``linalg.powers`` with its negative side multiplied by m: m^-1, then m^-1 m = I, then m, ..."""
+    if n:
+        pos, neg = m, linalg.matrix_power(m, -1)
+        yield pos, neg
+        for _ in range(n - 1):
+            pos, neg = pos @ m, neg @ m
+            yield pos, neg
+
+
+def test_a_walk_that_drifts_fails_the_goldens(monkeypatch):
+    import test_golden
+
+    monkeypatch.setattr(linalg, "powers", walk_without_the_inverse)
+    monkeypatch.setattr(models, "powers", walk_without_the_inverse)
+    walked = [(name, produce) for name, produce in test_golden.cases() if name.startswith(("mapping_torus", "flow"))]
+    assert len(walked) == 11
+    for name, produce in walked:
+        try:
+            out = produce()
+        except AssertionError:  # a nonzero exit fails the golden too: the flows' P^-2 = I is not simple
+            continue
+        assert out != (test_golden.GOLDEN / name).read_bytes(), name
+
+
+def test_a_rational_walk_fails_the_ring_check_in_the_mapping_torus(monkeypatch, capsys):
+    # the det and trace paths of a RationalMatrix A^k still agree, so only the ring check sees it
+    walk = models.powers
+    as_rational = lambda m, n: ((linalg.RationalMatrix(p.entries), linalg.RationalMatrix(q.entries)) for p, q in walk(m, n))
+    monkeypatch.setattr(models, "powers", as_rational)
+    message = "A^1 of a unimodular A came back as RationalMatrix, not IntMatrix"
+    with pytest.raises(InconsistencyError, match=re.escape(message)):
+        mapping_torus(CAT, 3)
+    assert cli.main(["mapping-torus", "--matrix", "[[2,1],[1,1]]", "--window", "3"]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+# -- the vanishing check of nil_foliation ------------------------------------------------------
+
+
+def test_betti_numbers_that_do_not_cancel_fail_the_vanishing_check(monkeypatch, capsys):
+    # (1, 3, 1) keeps Poincare duality, so only the vanishing of L = 1 - 3 + 1 can catch it
+    monkeypatch.setattr(models, "cohomology_dims", lambda a: GradedDims((1, 3, 1)))
+    with pytest.raises(InconsistencyError, match="alternating sum of nilfoliation traces is not zero"):
+        nil_foliation(catalog_algebra("filiform:4"))
+    assert cli.main(["nilfoliation", "--algebra", "filiform:4"]) == 3
+    assert capsys.readouterr().err == "internal error: alternating sum of nilfoliation traces is not zero\n"
