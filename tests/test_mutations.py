@@ -219,9 +219,8 @@ def test_a_walk_that_drifts_fails_the_goldens(monkeypatch):
 
 def test_a_rational_walk_fails_the_ring_check_in_the_mapping_torus(monkeypatch, capsys):
     # the det and trace paths of a RationalMatrix A^k still agree, so only the ring check sees it
-    walk = models.powers
-    as_rational = lambda m, n: ((linalg.RationalMatrix(p.entries), linalg.RationalMatrix(q.entries)) for p, q in walk(m, n))
-    monkeypatch.setattr(models, "powers", as_rational)
+    walk, rational = models.powers, lambda m: linalg.RationalMatrix(m.entries)
+    monkeypatch.setattr(models, "powers", lambda m, n: ((rational(p), rational(q)) for p, q in walk(m, n)))
     message = "A^1 of a unimodular A came back as RationalMatrix, not IntMatrix"
     with pytest.raises(InconsistencyError, match=re.escape(message)):
         mapping_torus(CAT, 3)
