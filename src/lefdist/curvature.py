@@ -31,10 +31,7 @@ __all__ = [
     "integrate_curvature",
     "const_curvature_chi",
     "flat_torus_grid",
-    "sheared_flat_grid",
     "sphere_grid",
-    "sphere_patch_grid",
-    "hyperbolic_band_grid",
     "random_torus_metric",
 ]
 
@@ -260,14 +257,6 @@ def flat_torus_grid(n: int = 64) -> MetricGrid:
     return MetricGrid(n, n, du, du, one, np.zeros((n, n)), one.copy(), "torus")
 
 
-def sheared_flat_grid(n: int = 64, e: float = 2.0, f: float = 0.5, g: float = 1.0) -> MetricGrid:
-    du = 2 * math.pi / n
-    shape = (n, n)
-    return MetricGrid(
-        n, n, du, du, np.full(shape, e), np.full(shape, f), np.full(shape, g), "torus"
-    )
-
-
 def sphere_grid(n: int = 256) -> MetricGrid:
     """Unit round sphere as a surface of revolution, cell-centered in u."""
     du = math.pi / n
@@ -277,37 +266,8 @@ def sphere_grid(n: int = 256) -> MetricGrid:
     return MetricGrid(n, n, du, dv, np.ones((n, n)), np.zeros((n, n)), g, "revolution")
 
 
-def sphere_patch_grid(n: int = 256, margin: float = 0.5) -> MetricGrid:
-    """Round-sphere patch E = 1, F = 0, G = sin^2 u over u in [margin, pi - margin].
-
-    Open patch away from the poles (where the chart degenerates); stored with
-    torus topology, so only nodes away from the u seam are meaningful.
-    """
-    if not 0 < margin < math.pi / 2:
-        raise PreconditionError("margin must lie in (0, pi/2)")
-    du = (math.pi - 2 * margin) / n
-    u = margin + np.arange(n) * du
-    g = np.tile(np.sin(u) ** 2, (n, 1)).T
-    return MetricGrid(n, n, du, 2 * math.pi / n, np.ones((n, n)), np.zeros((n, n)), g, "torus")
-
-
-def hyperbolic_band_grid(nu: int = 16, nv: int = 256) -> MetricGrid:
-    """E = G = 1/v^2 band, v in [1, 2); curvature -1 away from the v seam.
-
-    The band is not closed, so only interior curvature values are meaningful;
-    it is stored with torus topology and the seam rows are ignored by
-    callers.
-    """
-    dv = 1.0 / nv
-    v = 1.0 + np.arange(nv) * dv
-    e = np.tile(1.0 / v**2, (nu, 1))
-    return MetricGrid(nu, nv, 1.0 / nu, dv, e, np.zeros((nu, nv)), e.copy(), "torus")
-
-
-def random_torus_metric(
-    rng, n: int = 256, amplitude: float = 0.25, conformal: bool = False
-) -> MetricGrid:
-    """Smooth doubly periodic metric with randomized low-order harmonics.
+def random_torus_metric(rng, n: int = 256, conformal: bool = False) -> MetricGrid:
+    """Smooth doubly periodic metric with randomized low-order harmonics of amplitude 0.25.
 
     Conformal metrics are e^(2 phi) (du^2 + dv^2); otherwise E and G get
     independent conformal factors and F a bounded smooth shear, keeping the
@@ -323,17 +283,14 @@ def random_torus_metric(
             for nn in range(3):
                 if mm == nn == 0:
                     continue
-                amp = amplitude * rng.uniform(0.2, 1.0) / (mm + nn)
+                amp = 0.25 * rng.uniform(0.2, 1.0) / (mm + nn)
                 out += amp * np.cos(mm * uu + nn * vv + rng.uniform(0, 2 * math.pi))
         return out
 
-    phi = trig_poly()
+    e = np.exp(2 * trig_poly())
     if conformal:
-        e = np.exp(2 * phi)
         return MetricGrid(n, n, du, du, e, np.zeros((n, n)), e.copy(), "torus")
-    psi = trig_poly()
-    e = np.exp(2 * phi)
-    g = np.exp(2 * psi)
+    g = np.exp(2 * trig_poly())
     shear = 0.3 * np.sin(uu + vv + rng.uniform(0, 2 * math.pi))
     f = shear * np.sqrt(e * g)
     return MetricGrid(n, n, du, du, e, f, g, "torus")

@@ -227,7 +227,8 @@ def make(
     raise unless ``tolerance`` is passed explicitly, in which case they merge
     to an inexact atom at the float of the first location, or at the inexact
     partner's location when the first is past the float range.  A negative
-    tolerance raises.
+    tolerance raises, and a coefficient that is not a finite number, given or
+    summed, raises a ValueError that names its atom's location.
     """
     explicit_tol = tolerance is not None
     if explicit_tol and tolerance < 0:
@@ -239,7 +240,10 @@ def make(
         if not isinstance(p, (LatticePoint, RealPoint, ConjClass)):
             raise PreconditionError(f"atom location {p!r} is not a group point")
         variants.add(type(p))
-        norm.append((p, to_number(c)))
+        try:
+            norm.append((p, to_number(c, "the coefficient")))
+        except ValueError as exc:  # e.g. a product past the float range: name the atom
+            raise ValueError(f"atom at {p}: {exc}") from None
     if len(variants) > 1:
         names = sorted(v.__name__ for v in variants)
         raise PreconditionError(f"cannot mix group-point variants in one distribution: {names}")
@@ -260,7 +264,7 @@ def make(
                     merged[-1][0] = RealPoint(float(q.x))
                 except OverflowError:  # past the float range: the inexact partner's value
                     merged[-1][0] = p
-            merged[-1][1] = _sum(merged[-1][1], c)
+            merged[-1][1] = _sum(merged[-1][1], c, merged[-1][0])
         else:
             merged.append([p, c])
     merged = [(p, c) for p, c in merged if c != 0]
@@ -276,12 +280,19 @@ def make(
     return AtomicDistribution(tuple(merged), smooth_const, terms, group)
 
 
-def _sum(a: Number, b: Number) -> Number:
-    """a + b; an exact term past the float range is added exactly and the sum rounded once."""
+def _sum(a: Number, b: Number, at: GroupPoint) -> Number:
+    """a + b; an exact term past the float range is added exactly and the sum rounded once.
+    A sum that is still past the float range raises a ValueError naming the location ``at``."""
     try:
-        return a + b
-    except OverflowError:
+        s = a + b
+    except OverflowError:  # an exact term with no float
+        s = math.inf
+    if type(s) is not float or math.isfinite(s):
+        return s
+    try:
         return float(Fraction(a) + Fraction(b))
+    except OverflowError:
+        raise ValueError(f"atom at {at}: the merged coefficient is past the float range") from None
 
 
 def _merges(q: GroupPoint, p: GroupPoint, tol: Fraction, explicit_tol: bool) -> bool:

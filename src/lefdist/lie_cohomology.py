@@ -50,7 +50,6 @@ __all__ = [
     "Violation",
     "validate",
     "is_nilpotent",
-    "Nilpotency",
     "ce_differential",
     "cohomology_dims",
     "abelian",
@@ -150,10 +149,6 @@ class LieAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        """c[i][j][k] with 1-based indices."""
-        return Fraction(dict(self._table[i - 1][j - 1]).get(k - 1, 0), self._den)
-
     def bracket(self, u, v) -> tuple[Fraction, ...]:
         """Bracket of two coordinate vectors (0-based tuples).
 
@@ -231,13 +226,7 @@ def validate(a: LieAlgebra) -> Violation | None:
     return None
 
 
-@dataclass(frozen=True)
-class Nilpotency:
-    nilpotent: bool
-    step: int | None  # smallest s with g^(s+1) = 0; None when not nilpotent
-
-
-def is_nilpotent(a: LieAlgebra) -> Nilpotency:
+def is_nilpotent(a: LieAlgebra) -> bool:
     """Lower central series test: g_1 = g, g_(m+1) = [g, g_m].
 
     Each g_m is spanned by integer rows (L times coordinate vectors): the
@@ -246,12 +235,8 @@ def is_nilpotent(a: LieAlgebra) -> Nilpotency:
     their content, span the next term.
     """
     n, t = a.dim, a._table
-    if n == 0:
-        return Nilpotency(True, 0)
     current = [[int(i == j) for j in range(n)] for i in range(n)]
-    step = 0
     while current:
-        step += 1
         brackets = []
         for ti in t:
             for v in current:
@@ -265,9 +250,9 @@ def is_nilpotent(a: LieAlgebra) -> Nilpotency:
         rows, pivots, _, _ = _bareiss_echelon(brackets)
         nxt = [[x // g for x in row] for row in rows[: len(pivots)] for g in [gcd(*row)]]
         if len(nxt) == len(current):
-            return Nilpotency(False, None)  # series stabilized above zero
+            return False  # series stabilized above zero
         current = nxt
-    return Nilpotency(True, step)
+    return True
 
 
 def _ce_rows(a: LieAlgebra, i: int) -> list[dict[int, int]]:

@@ -49,16 +49,20 @@ __all__ = [
 MAX_DECIMAL_EXPONENT = 1000
 
 
-def rat_from_str(s: str) -> Fraction:
-    """``Fraction(s)``, with a decimal exponent of more than MAX_DECIMAL_EXPONENT
-    rejected as a ValueError before the power of ten is built."""
-    s = s.strip()
+def _exponent_error(s: str) -> str | None:
+    """Why ``Fraction(s)`` is refused, when its decimal exponent is past MAX_DECIMAL_EXPONENT; else None."""
     _, e, exp = s.lower().rpartition("e")
     digits = exp.lstrip("+-").replace("_", "").lstrip("0")
-    if e and digits.isdecimal() and (
-        len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
-    ):
-        raise ValueError(f"the exponent of {s!r:.40} exceeds MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}")
+    past = e and digits.isdecimal() and (
+        len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT)
+    return f"the exponent of {s!r:.40} exceeds MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}" if past else None
+
+
+def rat_from_str(s: str) -> Fraction:
+    """``Fraction(s)``; a decimal exponent past MAX_DECIMAL_EXPONENT raises ValueError before 10**exp is built."""
+    s = s.strip()
+    if error := _exponent_error(s):
+        raise ValueError(error)
     return Fraction(s)
 
 
@@ -70,11 +74,11 @@ def to_number(x, what: str = "a number") -> Number:
     Fraction or a finite float; bool, NaN, +-inf and the rest raise ValueError naming ``what``."""
     if isinstance(x, str):
         s = x.strip()
+        if not s.startswith("~") and (error := _exponent_error(s)):  # well formed, but past the cap: say so
+            raise ValueError(f"{what}: {error}")
         try:
-            x = float(s[1:]) if s.startswith("~") else rat_from_str(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            if "MAX_DECIMAL_EXPONENT" in str(exc):  # well formed, but past the cap: say so
-                raise ValueError(f"{what}: {exc}") from None
+            x = float(s[1:]) if s.startswith("~") else Fraction(s)
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"{what} must be 'p/q' or '~<decimal>', got {x!r:.40}") from None
     if isinstance(x, Fraction) or isinstance(x, float) and isfinite(x):
         return x
@@ -149,10 +153,6 @@ class _Matrix:
     @classmethod
     def identity(cls, n: int):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int):
-        return cls([[0] * cols for _ in range(rows)])
 
     # -- basic queries -----------------------------------------------------
     @property

@@ -286,7 +286,7 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
     b_i = b_(n-i) of the Betti numbers is asserted, and the vanishing of L is
     recomputed from the emitted traces and asserted.
     """
-    if not is_nilpotent(a).nilpotent:
+    if not is_nilpotent(a):
         raise PreconditionError(
             "nil_foliation requires a nilpotent Lie algebra "
             "(nilpotent structural group hypothesis)"

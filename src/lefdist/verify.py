@@ -130,11 +130,10 @@ def brute_force_fixed_point_count(t, k: int) -> int:
 # -- suites -------------------------------------------------------------------
 
 
-def _gl2_battery(bound: int = 3):
+def _gl2_battery():
     from .lefschetz import ToralAutomorphism
 
-    rng = range(-bound, bound + 1)
-    for a, b, c, d in itertools.product(rng, repeat=4):
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
         if abs(a * d - b * c) == 1:
             yield ToralAutomorphism(IntMatrix([[a, b], [c, d]]))
 
@@ -184,7 +183,7 @@ def run_lefschetz_suite(seed: int) -> list[Check]:
     )
     ok_count = ok_sum = ok_eps = True
     cases = 0
-    for t in _gl2_battery(3):
+    for t in _gl2_battery():
         for k in (1, 2, 3):
             report = fixed_points_toral(t, k)
             if report.infinite:

@@ -212,6 +212,22 @@ class TestFlow:
         atoms = [(a["at"], a["coeff"]) for a in json.loads(out)["distribution"]["atoms"]]
         assert atoms == [("~-1.7e+308", coeff), ("~1.7e+308", coeff)]
 
+    @pytest.mark.parametrize(
+        "lengths, window, tolerance",
+        [
+            (("~1.7e308", "~1.6e308"), "2e308", "2e307"),  # two floats sum to inf
+            (("2e308", "~1.7e308"), "3e308", "1e308"),  # an exact and a float sum past the float range
+        ],
+        ids=["inexact", "exact-and-inexact"],
+    )
+    def test_merged_coefficient_past_the_float_range(self, capsys, tmp_path, lengths, window, tolerance):
+        orbits = [{"length": length, "signs": {"1": 1, "-1": 1}} for length in lengths]
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": orbits}))
+        rc, out, err = run_cli(capsys, "flow", "--input", str(path), "--window", window, "--tolerance", tolerance)
+        assert out == ""
+        assert_input_error(rc, err, "atom at ~-1.7e+308: the merged coefficient is past the float range")
+
     def test_equal_exact_lengths_merge_across_a_float_tie(self, capsys, tmp_path):
         # 1/3 + 10^-30 rounds to the float of 1/3; the two orbits of length 1/3 still make one atom
         near = "1000000000000000000000000000001/3000000000000000000000000000000"
@@ -300,6 +316,12 @@ class TestSuspension:
     def test_non_finite_vol(self, capsys):
         rc, _, err = run_cli(capsys, "suspension", "--chi", "2", "--vol", "~nan")
         assert_input_error(rc, err, "--vol")
+
+    def test_coefficient_past_the_float_range(self, capsys):
+        # vol(G) chi(X) = 1e308 * 10 is a float inf: the identity atom names itself
+        rc, out, err = run_cli(capsys, "suspension", "--vol", "~1e308", "--chi", "10")
+        assert out == ""
+        assert_input_error(rc, err, "atom at e: the coefficient must be a finite number, got inf")
 
     def test_vol_exponent_past_the_cap(self, capsys):
         rc, _, err = run_cli(capsys, "suspension", "--chi", "2", "--vol", "1e1001")

@@ -9,12 +9,9 @@ from lefdist.curvature import (
     const_curvature_chi,
     flat_torus_grid,
     gaussian_curvature,
-    hyperbolic_band_grid,
     integrate_curvature,
     random_torus_metric,
-    sheared_flat_grid,
     sphere_grid,
-    sphere_patch_grid,
 )
 from lefdist.errors import PreconditionError
 
@@ -53,17 +50,26 @@ class TestGaussianCurvature:
 
     def test_sheared_flat_is_zero(self):
         # constant E, F, G in sheared coordinates: all derivatives vanish
-        k = gaussian_curvature(sheared_flat_grid(32))
-        assert np.abs(k).max() == 0.0
+        du, shape = 2 * math.pi / 32, (32, 32)
+        m = MetricGrid(32, 32, du, du, np.full(shape, 2.0), np.full(shape, 0.5), np.full(shape, 1.0), "torus")
+        assert np.abs(gaussian_curvature(m)).max() == 0.0
 
     def test_sphere_patch(self):
-        k = gaussian_curvature(sphere_patch_grid(256))
-        assert np.abs(k[2:-2] - 1).max() <= 1e-3
+        # E = 1, F = 0, G = sin^2 u over u in [1/2, pi - 1/2], away from the poles; stored as a
+        # torus, so only the rows away from the u seam are meaningful
+        n = 256
+        du = (math.pi - 1) / n
+        g = np.tile(np.sin(0.5 + np.arange(n) * du) ** 2, (n, 1)).T
+        m = MetricGrid(n, n, du, 2 * math.pi / n, np.ones((n, n)), np.zeros((n, n)), g, "torus")
+        assert np.abs(gaussian_curvature(m)[2:-2] - 1).max() <= 1e-3
 
     def test_hyperbolic_band(self):
-        k = gaussian_curvature(hyperbolic_band_grid(16, 256))
-        # seam rows in v wrap incorrectly by construction; interior is clean
-        assert np.abs(k[:, 2:-3] + 1).max() <= 1e-3
+        # E = G = 1/v^2 over v in [1, 2): curvature -1; the seam rows in v wrap incorrectly
+        # by construction, the interior is clean
+        v = 1.0 + np.arange(256) / 256
+        e = np.tile(1.0 / v**2, (16, 1))
+        m = MetricGrid(16, 256, 1.0 / 16, 1.0 / 256, e, np.zeros((16, 256)), e.copy(), "torus")
+        assert np.abs(gaussian_curvature(m)[:, 2:-3] + 1).max() <= 1e-3
 
 
 class TestIntegrateCurvature:
@@ -87,9 +93,9 @@ class TestIntegrateCurvature:
 
     def test_refinement_convergence(self):
         rng = random.Random(7)
-        coarse = random_torus_metric(rng, 64, amplitude=0.6)
+        coarse = random_torus_metric(rng, 64)
         rng = random.Random(7)
-        fine = random_torus_metric(rng, 128, amplitude=0.6)
+        fine = random_torus_metric(rng, 128)
         e_coarse = abs(integrate_curvature(coarse))
         e_fine = abs(integrate_curvature(fine))
         assert e_coarse >= 3 * e_fine

@@ -67,11 +67,11 @@ class TestGradedLefschetz:
             assert lefschetz_number_graded(gm) == 2 - 2 * g
 
     def test_cat_map_graded(self):
-        gm = GradedMap.from_toral(CAT)
+        gm = GradedMap.from_toral(CAT, 1)
         assert lefschetz_number_graded(gm) == -1  # 1 - 3 + 1
 
     def test_h0_only(self):
-        gm = GradedMap((RationalMatrix([[1]]), RationalMatrix.zeros(2, 2)))
+        gm = GradedMap((RationalMatrix([[1]]), RationalMatrix([[0, 0], [0, 0]])))
         assert lefschetz_number_graded(gm) == 1
 
 
@@ -232,6 +232,20 @@ class TestClassicalIdentity:
     def test_non_simple_rejected(self):
         with pytest.raises(NotSimpleError):
             verify_classical_lefschetz(ToralAutomorphism(IntMatrix.identity(2)), 1)
+
+    @pytest.mark.parametrize("k", [3, -2])
+    def test_one_power_per_check(self, monkeypatch, k):
+        # the enumeration and both Lefschetz paths share one A^k
+        calls, power = [], lefschetz.matrix_power
+        monkeypatch.setattr(lefschetz, "matrix_power", lambda m, j: calls.append(j) or power(m, j))
+        chk = verify_classical_lefschetz(CAT, k)
+        assert calls == [k]
+        assert chk.sum_of_indices == chk.lefschetz_number == toral_lefschetz(CAT, k)
+
+    @pytest.mark.parametrize("f", [fixed_points_toral, toral_lefschetz, verify_classical_lefschetz])
+    def test_zero_power_refused(self, f):
+        with pytest.raises(PreconditionError, match="k must be nonzero"):
+            f(CAT, 0)
 
 
 class TestBattery:

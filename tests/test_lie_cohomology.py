@@ -52,31 +52,26 @@ class TestValidate:
             LieAlgebra(3, {(1, 2): {3: 1}, (2, 1): {3: 0}})
 
     def test_antisymmetric_completion(self):
-        a = heisenberg()
-        assert a.structure_constant(2, 1, 3) == -1
+        # [e_2, e_1] = -e_3 from the listed [e_1, e_2] = e_3
+        assert heisenberg().bracket((0, 1, 0), (1, 0, 0)) == (0, 0, -1)
 
 
 class TestNilpotency:
     def test_abelian(self):
         for n in (1, 2, 5):
-            r = is_nilpotent(abelian(n))
-            assert r.nilpotent and r.step == 1
+            assert is_nilpotent(abelian(n)) is True
 
     def test_heisenberg(self):
-        r = is_nilpotent(heisenberg())
-        assert r.nilpotent and r.step == 2
+        assert is_nilpotent(heisenberg()) is True
 
     def test_filiform(self):
-        r = is_nilpotent(filiform(5))
-        assert r.nilpotent and r.step == 4
+        assert is_nilpotent(filiform(5)) is True
 
     def test_sl2_not_nilpotent(self):
-        r = is_nilpotent(sl2())
-        assert not r.nilpotent and r.step is None
+        assert is_nilpotent(sl2()) is False
 
     def test_zero_dim(self):
-        r = is_nilpotent(abelian(0))
-        assert r.nilpotent and r.step == 0
+        assert is_nilpotent(abelian(0)) is True
 
 
 class TestDifferential:
@@ -137,11 +132,8 @@ class TestCohomologyDims:
 
         for name, a in BATTERY + [("sl2", sl2())]:
             n = a.dim
-            rows = [
-                [a.structure_constant(i, j, k) for k in range(1, n + 1)]
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-            ]
+            units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            rows = [list(a.bracket(units[i], units[j])) for i in range(n) for j in range(i + 1, n)]
             rank = rank_kernel(RationalMatrix(rows))[0] if rows else 0
             assert cohomology_dims(a).dims[1] == n - rank, name
 

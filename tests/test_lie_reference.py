@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from lefdist.errors import InvalidLieAlgebraError
 from lefdist.lie_cohomology import (
     LieAlgebra,
-    Nilpotency,
     Violation,
     _ce_rows,
     _component_rank,
@@ -130,30 +129,27 @@ def component_counts(a):
 
 def weight_rank(a):
     n = a.dim
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     equations = [
         [(x == i) + (x == j) - (x == k) for x in range(n)]
         for i, j in itertools.combinations(range(n), 2)
-        for k in range(n)
-        if a.structure_constant(i + 1, j + 1, k + 1)
+        for k, c in enumerate(a.bracket(units[i], units[j]))
+        if c
     ]
     return rank(IntMatrix(equations)) if equations else 0
 
 
 def dense_is_nilpotent(a):
     n = a.dim
-    if n == 0:
-        return Nilpotency(True, 0)
     full = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
     current = full
-    step = 0
     while current:
-        step += 1
         brackets = (a.bracket(x, y) for x in full for y in current)
         nxt = row_space_basis(RationalMatrix([v for v in brackets if any(v)]))
         if len(nxt) == len(current):
-            return Nilpotency(False, None)
+            return False
         current = nxt
-    return Nilpotency(True, step)
+    return True
 
 
 # -- inputs -------------------------------------------------------------------
@@ -254,8 +250,8 @@ def test_validate_matches_dense_loops(case, data):
         assert exc.violation == dense_validate(c)
         return
     assert dense_validate(c) is None
-    rng = range(1, dim + 1)
-    assert all(a.structure_constant(i, j, k) == c[i - 1][j - 1][k - 1] for i in rng for j in rng for k in rng)
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    assert all(a.bracket(units[i], units[j]) == tuple(c[i][j]) for i in range(dim) for j in range(dim))
     u, v = (data.draw(st.lists(RATIONALS, min_size=dim, max_size=dim)) for _ in range(2))
     dense = [sum(u[i] * v[j] * c[i][j][k] for i in range(dim) for j in range(dim)) for k in range(dim)]
     assert a.bracket(u, v) == tuple(dense)

@@ -38,7 +38,7 @@ class TestRankKernel:
         assert rank == 3 and kernel == []
 
     def test_zero(self):
-        rank, kernel = rank_kernel(RationalMatrix.zeros(2, 2))
+        rank, kernel = rank_kernel(RationalMatrix([[0, 0], [0, 0]]))
         assert rank == 0 and len(kernel) == 2
 
     def test_rank_one(self):
@@ -59,7 +59,7 @@ class TestRankKernel:
     def test_row_space_basis_is_reduced(self):
         m = RationalMatrix([[0, 0, 0], [2, 4, 1], [1, 2, Fraction(1, 3)], [3, 6, 1]])
         assert row_space_basis(m) == [(1, 2, 0), (0, 0, 1)]
-        assert row_space_basis(RationalMatrix.zeros(2, 3)) == []
+        assert row_space_basis(RationalMatrix([[0, 0, 0], [0, 0, 0]])) == []
 
     def test_rank_nullity_battery(self):
         rng = random.Random(SEED)
@@ -71,7 +71,7 @@ class TestRankKernel:
             mr = RationalMatrix(m.entries)
             for v in kernel:
                 col = RationalMatrix([[x] for x in v])
-                assert mr @ col == RationalMatrix.zeros(n, 1)
+                assert mr @ col == RationalMatrix([[0] for _ in range(n)])
 
 
 class TestDeterminant:
@@ -89,7 +89,7 @@ class TestDeterminant:
 
     def test_non_square_rejected(self):
         with pytest.raises(PreconditionError):
-            determinant(RationalMatrix.zeros(2, 3))
+            determinant(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
 
 
 class TestSmithNormalForm:
@@ -108,7 +108,7 @@ class TestSmithNormalForm:
         assert all(mc[i, j] % d == 0 for j, d in enumerate(invariants) for i in range(3))
 
     def test_zero(self):
-        assert smith_normal_form(IntMatrix.zeros(2, 2)) == ()
+        assert smith_normal_form(IntMatrix([[0, 0], [0, 0]])) == ()
 
     def test_det_equals_product_battery(self):
         rng = random.Random(SEED + 1)

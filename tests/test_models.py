@@ -52,7 +52,7 @@ class TestMappingTorus:
         assert d.atoms == ((LatticePoint(0), Fraction(-2)),)
 
     def test_graded_map_source_matches_toral(self):
-        gm = GradedMap.from_toral(CAT)
+        gm = GradedMap.from_toral(CAT, 1)
         assert mapping_torus(gm, 3) == mapping_torus(CAT, 3)
 
     def test_negative_window_rejected(self):

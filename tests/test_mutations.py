@@ -8,6 +8,7 @@ defect in the oracle's loop must fail ``verify``'s oracle check.
 """
 
 import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -126,6 +127,30 @@ def test_ce_rows_without_the_insertion_sign_fail_the_dd_check(monkeypatch):
     assert mutant(catalog_algebra("filiform:6"), 2) != lie_cohomology._ce_rows(catalog_algebra("filiform:6"), 2)
     monkeypatch.setattr(lie_cohomology, "_ce_rows", mutant)
     assert "d.d = 0 on the nilpotent battery" in failed_checks(verify.run_cohomology_suite(1))
+
+
+# -- the divisibility chain of smith_transform -------------------------------------------------
+
+
+def smith_without_the_offender_step():
+    """``linalg.smith_transform`` rebuilt from its source with the step that adds an offending row
+    to the pivot row switched off, so a pivot that does not divide the block below it is kept."""
+    source = inspect.getsource(linalg.smith_transform)
+    assert source.count("if offender is not None:") == 1
+    namespace = dict(vars(linalg))
+    exec(source.replace("if offender is not None:", "if False:"), namespace)
+    return namespace["smith_transform"]
+
+
+def test_smith_without_the_offender_step_fails_the_chain_check(monkeypatch, capsys):
+    diag = linalg.IntMatrix([[2, 0], [0, 3]])
+    assert linalg.smith_transform(diag)[0] == (1, 6)
+    mutant = smith_without_the_offender_step()
+    with pytest.raises(InconsistencyError, match="SNF divisibility chain broken: 2 does not divide 3"):
+        mutant(diag)
+    monkeypatch.setattr(verify, "smith_transform", mutant)
+    assert cli.main(["verify", "--suite", "linalg"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: SNF divisibility chain broken: ")
 
 
 # -- the enumeration checks of fixed_points_toral ------------------------------------------
