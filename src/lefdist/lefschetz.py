@@ -195,15 +195,10 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
     When det(A^k - I) = 0 the fixed-point set is infinite and the report is
     the explicit degenerate variant (no enumeration is attempted).
     """
-    return _fixed_points_of_power(t.power(k), k)
-
-
-def _fixed_points_of_power(ak: IntMatrix, k: int) -> FixedPointReport:
-    """The report of ``fixed_points_toral`` from a given A^k; k names it in the messages."""
     if k == 0:
         raise PreconditionError("k must be nonzero")
-    n = ak.rows
-    b = ak - IntMatrix.identity(n)
+    n = t.dim
+    b = t.power(k) - IntMatrix.identity(n)
     det_b = determinant(b)
     if det_b == 0:
         return FixedPointReport(None, 1, np.zeros((0, n), dtype=np.int64), None, None)
@@ -248,13 +243,12 @@ class ClassicalCheck:
 
 
 def verify_classical_lefschetz(t: ToralAutomorphism, k: int) -> ClassicalCheck:
-    """Assert sum of classical indices (count x the one index) equals L(F^k), both from one A^k."""
-    ak = t.power(k)
-    report = _fixed_points_of_power(ak, k)
+    """Assert sum of classical indices (count x the one index) equals L(F^k); returns both sides."""
+    report = fixed_points_toral(t, k)
     if report.infinite:
         raise NotSimpleError(f"A^{k} has non-simple fixed points: det(A^k - I) = 0")
     lhs = report.count * report.index
-    rhs = _lefschetz_of_power(ak, k)
+    rhs = toral_lefschetz(t, k)
     if lhs != rhs:
         raise InconsistencyError(
             f"index sum {lhs} disagrees with Lefschetz number {rhs}"

@@ -27,7 +27,6 @@ __all__ = [
     "RationalMatrix",
     "IntMatrix",
     "MAX_DECIMAL_EXPONENT",
-    "rat_from_str",
     "to_number",
     "exact_number",
     "read_int",
@@ -49,23 +48,6 @@ __all__ = [
 MAX_DECIMAL_EXPONENT = 1000
 
 
-def _exponent_error(s: str) -> str | None:
-    """Why ``Fraction(s)`` is refused, when its decimal exponent is past MAX_DECIMAL_EXPONENT; else None."""
-    _, e, exp = s.lower().rpartition("e")
-    digits = exp.lstrip("+-").replace("_", "").lstrip("0")
-    past = e and digits.isdecimal() and (
-        len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT)
-    return f"the exponent of {s!r:.40} exceeds MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}" if past else None
-
-
-def rat_from_str(s: str) -> Fraction:
-    """``Fraction(s)``; a decimal exponent past MAX_DECIMAL_EXPONENT raises ValueError before 10**exp is built."""
-    s = s.strip()
-    if error := _exponent_error(s):
-        raise ValueError(error)
-    return Fraction(s)
-
-
 Number = Fraction | float
 
 
@@ -74,8 +56,12 @@ def to_number(x, what: str = "a number") -> Number:
     Fraction or a finite float; bool, NaN, +-inf and the rest raise ValueError naming ``what``."""
     if isinstance(x, str):
         s = x.strip()
-        if not s.startswith("~") and (error := _exponent_error(s)):  # well formed, but past the cap: say so
-            raise ValueError(f"{what}: {error}")
+        _, e, exp = s.lower().rpartition("e")
+        digits = exp.lstrip("+-").replace("_", "").lstrip("0")
+        if not s.startswith("~") and e and digits.isdecimal() and (  # well formed, but past the cap: say so
+            len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+        ):
+            raise ValueError(f"{what}: the exponent of {s!r:.40} exceeds MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}")
         try:
             x = float(s[1:]) if s.startswith("~") else Fraction(s)
         except (ValueError, ZeroDivisionError):

@@ -210,8 +210,8 @@ def test_criterion_9_fixed_point_enumeration_at_scale(capsys, monkeypatch):
     assert best <= 0.5
     # the classical identity needs the count and one sign, never a Fraction point
     reports = []
-    enumerate_points = lefschetz._fixed_points_of_power
-    monkeypatch.setattr(lefschetz, "_fixed_points_of_power", lambda ak, k: reports.append(enumerate_points(ak, k)) or reports[-1])
+    enumerate_points = lefschetz.fixed_points_toral
+    monkeypatch.setattr(lefschetz, "fixed_points_toral", lambda t, k: reports.append(enumerate_points(t, k)) or reports[-1])
     check = verify_classical_lefschetz(CAT, 14)
     assert check.sum_of_indices == check.lefschetz_number == -710645
     assert len(reports) == 1 and "points" not in reports[0].__dict__

@@ -233,15 +233,6 @@ class TestClassicalIdentity:
         with pytest.raises(NotSimpleError):
             verify_classical_lefschetz(ToralAutomorphism(IntMatrix.identity(2)), 1)
 
-    @pytest.mark.parametrize("k", [3, -2])
-    def test_one_power_per_check(self, monkeypatch, k):
-        # the enumeration and both Lefschetz paths share one A^k
-        calls, power = [], lefschetz.matrix_power
-        monkeypatch.setattr(lefschetz, "matrix_power", lambda m, j: calls.append(j) or power(m, j))
-        chk = verify_classical_lefschetz(CAT, k)
-        assert calls == [k]
-        assert chk.sum_of_indices == chk.lefschetz_number == toral_lefschetz(CAT, k)
-
     @pytest.mark.parametrize("f", [fixed_points_toral, toral_lefschetz, verify_classical_lefschetz])
     def test_zero_power_refused(self, f):
         with pytest.raises(PreconditionError, match="k must be nonzero"):

@@ -18,10 +18,10 @@ from lefdist.linalg import (
     num_to_str,
     powers,
     rank_kernel,
-    rat_from_str,
     read_int,
     smith_normal_form,
     smith_transform,
+    to_number,
 )
 from row_space import row_space_basis
 
@@ -256,8 +256,8 @@ class TestSerialization:
         assert num_to_str(Fraction(-3, 6)) == "-1/2"
         assert num_to_str(Fraction(4, 2)) == num_to_str(2) == "2"
         assert num_to_str(0.5) == "~0.5"
-        assert rat_from_str("-1/2") == Fraction(-1, 2)
-        assert rat_from_str("7") == 7
+        assert to_number("-1/2") == Fraction(-1, 2)
+        assert to_number("7") == 7
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -269,13 +269,13 @@ class TestSerialization:
         ],
     )
     def test_exponent_strings_parse_exactly(self, text, expected):
-        assert rat_from_str(text) == expected
+        assert to_number(text) == expected
 
     @pytest.mark.parametrize("sign", ["", "-", "+000"])
     def test_exponent_past_the_cap_is_rejected(self, sign):
         exp = f"{sign}{MAX_DECIMAL_EXPONENT + 1}"
         with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
-            rat_from_str(f"1e{exp}")
+            to_number(f"1e{exp}")
         with pytest.raises(ValueError, match="MAX_DECIMAL_EXPONENT"):
             RationalMatrix.from_json_obj([[f"2.5E{exp}"]])
 
