@@ -15,6 +15,7 @@ variable LEFSCHETZ_SEED fixes the randomized verify battery.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -132,12 +133,12 @@ def _cmd_flow(args) -> dict:
     d = flow_distribution(orbits, window, tolerance=tolerance)
     meta = {
         "orbits": len(orbits),
-        "truncation": f"atoms emitted for |k l(c)| <= {args.window}",
+        "truncation": f"atoms emitted for |k l(c)| <= {num_to_str(window)}",
         "convention": "paper",
     }
     if tolerance is not None:
         meta["tolerance"] = tolerance
-    return _wrap("flow", d, meta, window=args.window)
+    return _wrap("flow", d, meta, window=num_to_str(window))
 
 
 def _cmd_suspension(args) -> dict:
@@ -188,11 +189,7 @@ def _cmd_nilfoliation(args) -> dict:
     out = {"model": "nil_foliation", "dims": list(r.dims), "metadata": meta}
     out["traces"] = {str(i): t.to_json_obj() for i, t in enumerate(r.traces)}
     out["distribution"] = r.lefschetz.to_json_obj()
-    out["corollary_check"] = {
-        "applicable": r.corollary.applicable,
-        "passed": r.corollary.passed,
-        "detail": r.corollary.detail,
-    }
+    out["corollary_check"] = dataclasses.asdict(r.corollary)
     return out
 
 
@@ -277,9 +274,7 @@ def _cmd_verify(args) -> dict:
         "suite": args.suite,
         "seed": seed,
         "passed": all(c.passed for c in checks),
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in checks],
     }
 
 

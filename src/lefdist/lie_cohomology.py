@@ -32,16 +32,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import InvalidLieAlgebraError, PreconditionError
-from .linalg import (
-    IntMatrix,
-    RationalMatrix,
-    _bareiss_echelon,
-    exact_number,
-    expect,
-    num_to_str,
-    rank,
-    read_int,
-)
+from .linalg import RationalMatrix, _bareiss_echelon, exact_number, expect, num_to_str, read_int
 
 __all__ = [
     "MAX_ALGEBRA_DIM",
@@ -95,12 +86,6 @@ class GradedDims:
 
     def __iter__(self):
         return iter(self.dims)
-
-    def __getitem__(self, i):
-        return self.dims[i]
-
-    def __len__(self):
-        return len(self.dims)
 
     @property
     def euler_characteristic(self) -> int:
@@ -166,8 +151,6 @@ class LieAlgebra:
                 uv = u[i] * v[j]
                 for k, num in self._table[i][j]:
                     out[k] += uv * num
-        if self._den == 1:
-            return tuple(out)
         return tuple(x / self._den if x else x for x in out)
 
     def __eq__(self, other):
@@ -329,7 +312,7 @@ def _component_rank(rows: list[dict[int, int]]) -> int:
             total += 1
         else:
             cols = sorted(set().union(*comp))
-            total += rank(IntMatrix([[row.get(c, 0) for c in cols] for row in comp]))
+            total += len(_bareiss_echelon([[row.get(c, 0) for c in cols] for row in comp])[1])
     return total
 
 

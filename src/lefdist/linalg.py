@@ -4,7 +4,7 @@ Everything here is arbitrary precision: matrices hold ``fractions.Fraction``
 or Python ``int`` entries, stored row-major in immutable tuples.  One
 forward-only fraction-free (Bareiss) elimination loop on integer-scaled rows
 serves every exact solve, and keeps intermediate entries at minor-determinant
-size: ``rank`` and ``determinant`` read its pivots, while ``rank_kernel`` and
+size: ranks and ``determinant`` read its pivots, while ``rank_kernel`` and
 inverses add one fraction-free back substitution on its echelon.  One Smith
 loop serves the Smith invariants and the column transform that parametrizes
 A x = 0 mod Z^n.  One power walk, ``powers``, serves every k-series.
@@ -33,7 +33,6 @@ __all__ = [
     "to_float",
     "expect",
     "num_to_str",
-    "rank",
     "rank_kernel",
     "determinant",
     "smith_normal_form",
@@ -274,11 +273,6 @@ def determinant(m: RationalMatrix | IntMatrix):
     if isinstance(m, IntMatrix):
         return det
     return Fraction(det, scale)
-
-
-def rank(m: RationalMatrix | IntMatrix) -> int:
-    """Rank, the number of Bareiss pivots (no kernel is built)."""
-    return len(_bareiss_echelon(m.entries)[1])
 
 
 def _kernel(entries) -> tuple[list[int], int, list[list[int]]]:

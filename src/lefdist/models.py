@@ -306,7 +306,11 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
 
 @dataclass(frozen=True)
 class ConjugacyClassData:
-    """One conjugacy class gamma: its Lefschetz number and centralizer volume."""
+    """One conjugacy class gamma: its Lefschetz number and centralizer volume.
+
+    ``lefschetz`` is given as a number or as a graded map, whose Lefschetz
+    number is taken when the class is built; only the identity may omit it.
+    """
 
     label: str
     lefschetz: Number | GradedMap | None
@@ -314,20 +318,15 @@ class ConjugacyClassData:
     is_identity: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.lefschetz, (GradedMap, type(None))):
+        if isinstance(self.lefschetz, GradedMap):
+            object.__setattr__(self, "lefschetz", lefschetz_number_graded(self.lefschetz))
+        elif self.lefschetz is not None:
             object.__setattr__(self, "lefschetz", to_number(self.lefschetz))
+        elif not self.is_identity:
+            raise PreconditionError(f"class {self.label!r}: a Lefschetz number or graded map is required")
         object.__setattr__(self, "vol_centralizer", to_number(self.vol_centralizer))
         if self.vol_centralizer <= 0:
             raise PreconditionError("centralizer volume must be positive")
-
-    def lefschetz_value(self) -> Number:
-        if self.lefschetz is None:
-            raise PreconditionError(
-                f"class {self.label!r}: a Lefschetz number or graded map is required"
-            )
-        if isinstance(self.lefschetz, GradedMap):
-            return lefschetz_number_graded(self.lefschetz)
-        return self.lefschetz
 
 
 @dataclass(frozen=True)
@@ -378,10 +377,8 @@ def selberg_report(h: HomogeneousSpec) -> AtomicDistribution:
             if k in labels:
                 raise PreconditionError(f"class labels {labels[k]!r} and {c.label!r} both name k = {k}")
             labels[k] = c.label
-            atoms.append((LatticePoint(k), c.lefschetz_value() * c.vol_centralizer))
+            atoms.append((LatticePoint(k), c.lefschetz * c.vol_centralizer))
         return make(atoms, group="Z")
     atoms = [(IDENTITY, identity_coeff)]
-    terms = tuple(
-        OrbitTerm(c.label, c.lefschetz_value(), c.vol_centralizer) for c in nontrivial
-    )
+    terms = tuple(OrbitTerm(c.label, c.lefschetz, c.vol_centralizer) for c in nontrivial)
     return make(atoms, orbit_terms=terms, group="abstract")

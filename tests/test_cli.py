@@ -18,6 +18,7 @@ from lefdist.cli import main
 from lefdist.curvature import MAX_GRID_NODES, flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
 from lefdist.linalg import to_number
+from wire_format import assert_numbers_read_back
 
 BIG = 10**400  # an integer too large for a float
 
@@ -257,6 +258,14 @@ class TestFlow:
         path.write_text(json.dumps(obj))
         rc, _, err = run_cli(capsys, "flow", "--input", str(path), "--window", "1")
         assert_input_error(rc, err, field)
+
+    @pytest.mark.parametrize("window", ["6/2", "30e-1", " 3", "3.0"])
+    def test_window_printed_as_the_number_read(self, capsys, tmp_path, window):
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps({"orbits": [{"length": "1", "return_map": [["2", "0"], ["0", "1/2"]]}]}))
+        assert run_cli(capsys, "flow", "--input", str(path), "--window", window) == run_cli(
+            capsys, "flow", "--input", str(path), "--window", "3"
+        )
 
     @pytest.mark.parametrize("window", ["~inf", "~nan", "1/0", "x"])
     def test_bad_window(self, capsys, tmp_path, window):
@@ -945,7 +954,8 @@ def _paths(obj, prefix=()):
 def test_loader_fuzz_exits_0_1_or_2(command, tmp_path, data):
     """Swap one value for one of another JSON kind, or, inside an array and not an object,
     for any value, a nested copy or a shorter array.  Every run exits 0, 1 or 2; a number
-    swapped for a boolean or null never exits 0; an exit 2 names the field."""
+    swapped for a boolean or null never exits 0; an exit 2 names the field.  Every number an
+    exit 0 prints reads back through its reader to the same string."""
     valid, flag, rest = VALID_INPUTS[command]
     path, old = data.draw(st.sampled_from(list(_paths(valid))))
     # BIG, too large for a float, everywhere but in a class label, where it would ask for A^BIG
@@ -962,10 +972,12 @@ def test_loader_fuzz_exits_0_1_or_2(command, tmp_path, data):
     parent[path[-1]] = new
     file = tmp_path / "input.json"
     file.write_text(json.dumps(obj))
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         rc = main([command, flag, str(file), *rest])
     assert rc in (0, 1, 2)
+    if rc == 0:
+        assert_numbers_read_back(json.loads(out.getvalue()))
     if _holds_number(old) and type(new) in (bool, type(None)):
         assert rc != 0, (path, new)
     if rc == 2:

@@ -49,6 +49,7 @@ from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
 from lefdist.lie_cohomology import LieAlgebra, catalog_algebra, cohomology_dims
 from lefdist.linalg import IntMatrix
 from lefdist.verify import ce_dims_reversed_basis
+from wire_format import NUMBER_KEYS, assert_numbers_read_back
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -202,6 +203,14 @@ def test_every_golden_and_input_belongs_to_a_case():
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(name for name, _ in cases())
     named = {pathlib.Path(arg).name for argv in CLI.values() for arg in argv}
     assert {p.name for p in INPUTS.iterdir()} <= named
+
+
+def test_every_printed_number_reads_back():
+    # the wire format is closed: what num_to_str prints, to_number or read_int reads back as printed
+    seen = set()
+    for p in GOLDEN.glob("*.json"):
+        seen |= assert_numbers_read_back(json.loads(p.read_text()))
+    assert seen == NUMBER_KEYS | {"at", "count"}
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from lefdist.lefschetz import (
     toral_lefschetz,
     verify_classical_lefschetz,
 )
-from lefdist.linalg import IntMatrix, RationalMatrix, determinant, num_to_str, smith_transform
+from lefdist.linalg import IntMatrix, RationalMatrix, determinant, matrix_power, num_to_str, smith_transform
 from lefdist.verify import brute_force_fixed_point_count
 
 CAT = ToralAutomorphism(IntMatrix([[2, 1], [1, 1]]))
@@ -324,3 +324,27 @@ def test_array_enumeration_matches_the_tuple_reference(t, k):
         "indices": list(indices),
         "epsilons": list(epsilons),
     }
+
+
+@st.composite
+def conjugators(draw, n):
+    """P in GL(n, Z): a product of elementary matrices I + s e_ij, then a diagonal sign matrix."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 2 * n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        s = draw(st.sampled_from((-1, 1)))
+        p[i] = [a + s * b for a, b in zip(p[i], p[j])]  # (I + s e_ij) p
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    return IntMatrix([[s * x for x in row] for s, row in zip(signs, p)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(toral_automorphisms(), st.sampled_from((-3, -2, -1, 1, 2, 3)), st.data())
+def test_conjugation_keeps_lefschetz_count_and_index(t, k, data):
+    # L(F^k), the fixed-point count and the index depend only on the conjugacy class of A in GL(n, Z)
+    assume(abs(determinant(t.power(k) - IntMatrix.identity(t.dim))) <= 3000)
+    p = data.draw(conjugators(t.dim))
+    c = ToralAutomorphism(p @ t.matrix @ matrix_power(p, -1))
+    r, rc = fixed_points_toral(t, k), fixed_points_toral(c, k)
+    assert toral_lefschetz(c, k) == toral_lefschetz(t, k)
+    assert (rc.count, rc.index) == (r.count, r.index)

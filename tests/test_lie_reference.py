@@ -39,7 +39,7 @@ from lefdist.lie_cohomology import (
     is_nilpotent,
     nilpotent_battery,
 )
-from lefdist.linalg import IntMatrix, RationalMatrix, matrix_power, rank, rank_kernel
+from lefdist.linalg import IntMatrix, RationalMatrix, matrix_power, rank_kernel
 from lefdist.verify import ce_dims_reversed_basis
 from row_space import row_space_basis
 
@@ -136,7 +136,7 @@ def weight_rank(a):
         for k, c in enumerate(a.bracket(units[i], units[j]))
         if c
     ]
-    return rank(IntMatrix(equations)) if equations else 0
+    return rank_kernel(IntMatrix(equations))[0] if equations else 0
 
 
 def dense_is_nilpotent(a):

@@ -332,6 +332,10 @@ class TestSelberg:
         with pytest.raises(PreconditionError, match="distinct"):
             HomogeneousSpec(1, 0, classes)
 
+    def test_nontrivial_class_needs_a_lefschetz_number(self):
+        with pytest.raises(PreconditionError, match="'g': a Lefschetz number or graded map is required"):
+            ConjugacyClassData("g", None)
+
     def test_graded_map_lefschetz_agrees_with_toral(self):
         c = ConjugacyClassData("3", GradedMap.from_toral(CAT, 3))
-        assert c.lefschetz_value() == toral_lefschetz(CAT, 3)
+        assert c.lefschetz == toral_lefschetz(CAT, 3)

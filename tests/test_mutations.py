@@ -153,6 +153,31 @@ def test_smith_without_the_offender_step_fails_the_chain_check(monkeypatch, caps
     assert capsys.readouterr().err.startswith("internal error: SNF divisibility chain broken: ")
 
 
+def surface_first_trace_off_by_one():
+    """``models.surface_suspension_traces`` rebuilt from its source with the atom of Tr^1 at
+    (2g - 1) vol(G) in place of (2g - 2) vol(G), so the traces no longer resum to L."""
+    source = inspect.getsource(models.surface_suspension_traces)
+    tr1 = "(IDENTITY, (2 * genus - 2) * vol_g)"
+    assert source.count(tr1) == 1
+    namespace = dict(vars(models))
+    exec(source.replace(tr1, "(IDENTITY, (2 * genus - 1) * vol_g)"), namespace)
+    return namespace["surface_suspension_traces"]
+
+
+def test_wrong_first_surface_trace_fails_the_resummation_check(monkeypatch, capsys):
+    message = "alternating trace sum disagrees with the suspension formula"
+    mutant = surface_first_trace_off_by_one()
+    with pytest.raises(InconsistencyError, match=message):
+        mutant(3)
+    # cli binds the name at import; verify imports it from models when its suite runs
+    monkeypatch.setattr(models, "surface_suspension_traces", mutant)
+    monkeypatch.setattr(cli, "surface_suspension_traces", mutant)
+    assert cli.main(["surface-suspension", "--genus", "3"]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+    assert cli.main(["verify", "--suite", "models"]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
 # -- the enumeration checks of fixed_points_toral ------------------------------------------
 
 CAT = lefschetz.ToralAutomorphism(linalg.IntMatrix([[2, 1], [1, 1]]))
