@@ -101,6 +101,41 @@ class TestIntegrateCurvature:
         assert e_coarse >= 3 * e_fine
 
 
+def meshgrid_torus_metric(rng, n, conformal):
+    """The reference random metric: every harmonic evaluated on the full meshgrid."""
+    du = 2 * math.pi / n
+    u = np.arange(n) * du
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+
+    def trig_poly():
+        out = np.zeros((n, n))
+        for mm in range(3):
+            for nn in range(3):
+                if mm == nn == 0:
+                    continue
+                amp = 0.25 * rng.uniform(0.2, 1.0) / (mm + nn)
+                out += amp * np.cos(mm * uu + nn * vv + rng.uniform(0, 2 * math.pi))
+        return out
+
+    e = np.exp(2 * trig_poly())
+    if conformal:
+        return e, np.zeros((n, n)), e.copy()
+    g = np.exp(2 * trig_poly())
+    shear = 0.3 * np.sin(uu + vv + rng.uniform(0, 2 * math.pi))
+    return e, shear * np.sqrt(e * g), g
+
+
+@pytest.mark.parametrize("conformal", [True, False])
+@pytest.mark.parametrize("n", [8, 48, 256])
+@pytest.mark.parametrize("seed", range(5))
+def test_random_metric_is_bit_identical_to_the_meshgrid_reference(seed, n, conformal):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    m = random_torus_metric(rng, n, conformal=conformal)
+    e, f, g = meshgrid_torus_metric(ref_rng, n, conformal)
+    assert np.array_equal(m.E, e) and np.array_equal(m.F, f) and np.array_equal(m.G, g)
+    assert rng.random() == ref_rng.random()  # the same draws, in the same order
+
+
 class TestConstCurvature:
     def test_hyperbolic_genus_values(self):
         for g in range(2, 6):
