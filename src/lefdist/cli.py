@@ -26,9 +26,9 @@ import time
 from .curvature import (
     MAX_GRID_NODES,
     MetricGrid,
+    _integrate,
     flat_torus_grid,
     gaussian_curvature,
-    integrate_curvature,
     random_torus_metric,
     require_resolution,
     sphere_grid,
@@ -252,7 +252,7 @@ def _cmd_gauss_bonnet(args) -> dict:
         grid = _BUILTIN_GRIDS[args.builtin](n)
         source = f"builtin:{args.builtin}"
     k = gaussian_curvature(grid)
-    integral = integrate_curvature(grid)
+    integral = _integrate(grid, k)
     return {
         "model": "gauss_bonnet",
         "source": source,

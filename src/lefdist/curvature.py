@@ -236,7 +236,11 @@ def integrate_curvature(m: MetricGrid) -> float:
     revolution grids use the midpoint rule in the profile direction, whose
     cell-centered samples exclude the poles while covering their area.
     """
-    k = gaussian_curvature(m)
+    return _integrate(m, gaussian_curvature(m))
+
+
+def _integrate(m: MetricGrid, k: np.ndarray) -> float:
+    """(1 / 2 pi) * integral of the per-node curvature ``k`` of ``m``."""
     total = float(np.sum(k * m.area_element)) * m.du * m.dv
     return total / (2 * math.pi)
 
@@ -275,7 +279,6 @@ def random_torus_metric(rng, n: int = 256, conformal: bool = False) -> MetricGri
     """
     du = 2 * math.pi / n
     u = np.arange(n) * du
-    uu, vv = np.meshgrid(u, u, indexing="ij")
 
     def trig_poly():
         out = np.zeros((n, n))
@@ -284,13 +287,20 @@ def random_torus_metric(rng, n: int = 256, conformal: bool = False) -> MetricGri
                 if mm == nn == 0:
                     continue
                 amp = 0.25 * rng.uniform(0.2, 1.0) / (mm + nn)
-                out += amp * np.cos(mm * uu + nn * vv + rng.uniform(0, 2 * math.pi))
+                phase = rng.uniform(0, 2 * math.pi)
+                # a harmonic in one coordinate is one cosine of n values, broadcast
+                if mm == 0:
+                    out += amp * np.cos(nn * u + phase)
+                elif nn == 0:
+                    out += (amp * np.cos(mm * u + phase))[:, None]
+                else:
+                    out += amp * np.cos((mm * u)[:, None] + (nn * u)[None, :] + phase)
         return out
 
     e = np.exp(2 * trig_poly())
     if conformal:
         return MetricGrid(n, n, du, du, e, np.zeros((n, n)), e.copy(), "torus")
     g = np.exp(2 * trig_poly())
-    shear = 0.3 * np.sin(uu + vv + rng.uniform(0, 2 * math.pi))
+    shear = 0.3 * np.sin(u[:, None] + u[None, :] + rng.uniform(0, 2 * math.pi))
     f = shear * np.sqrt(e * g)
     return MetricGrid(n, n, du, du, e, f, g, "torus")

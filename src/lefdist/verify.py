@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+import numpy as np
+
+from .errors import EnumerationLimitError
+from .lefschetz import ENUMERATION_CAP
 from .lie_cohomology import LieAlgebra, catalog_algebra, nilpotent_battery
 from .linalg import IntMatrix, RationalMatrix, determinant, exterior_power, read_int, smith_transform
 
@@ -112,19 +116,23 @@ def brute_force_fixed_point_count(t, k: int) -> int:
     """Count solutions of (A^k - I) x in Z^n by scanning the 1/d lattice.
 
     Every solution on the torus has coordinates in (1/d) Z with
-    d = |det(A^k - I)|, so an integer residue scan is exhaustive.  Exponential
-    in n; meant for the n = 2 battery.
+    d = |det(A^k - I)|, so a scan of all d^n integer residues is exhaustive.
+    The scan is one numpy int64 pass over the residues, bounded by
+    ``ENUMERATION_CAP``; it shares nothing with the Smith-form enumeration.
     """
     b = t.power(k) - IntMatrix.identity(t.dim)
     d = abs(determinant(b))
     if d == 0:
         raise ValueError("degenerate: infinitely many fixed points")
-    rows = b.entries
-    count = 0
-    for combo in itertools.product(range(d), repeat=t.dim):
-        if all(sum(x * y for x, y in zip(row, combo)) % d == 0 for row in rows):
-            count += 1
-    return count
+    n = t.dim
+    if d**n > ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"brute-force scan of {d}^{n} residues exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
+    # entries reduced mod d in Python ints, so each row-times-residue sum stays below n * d^2
+    rows = np.array([[x % d for x in row] for row in b.entries], dtype=np.int64)
+    residues = np.indices((d,) * n).reshape(n, -1)
+    return int(np.count_nonzero(((rows @ residues) % d == 0).all(axis=0)))
 
 
 # -- suites -------------------------------------------------------------------

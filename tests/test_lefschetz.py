@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -19,6 +20,7 @@ from lefdist.lefschetz import (
     verify_classical_lefschetz,
 )
 from lefdist.linalg import IntMatrix, RationalMatrix, determinant, matrix_power, num_to_str, smith_transform
+from lefdist.lefschetz import ENUMERATION_CAP
 from lefdist.verify import brute_force_fixed_point_count
 
 CAT = ToralAutomorphism(IntMatrix([[2, 1], [1, 1]]))
@@ -36,17 +38,15 @@ def gl2_battery(bound=3):
 
 
 def brute_force_fixed_count(t, k):
-    """Independent oracle: scan x = (a/d, b/d) and test (A^k - I) x in Z^2."""
-    b = t.power(k) - IntMatrix.identity(2)
+    """Reference oracle: the residue scan of ``verify.brute_force_fixed_point_count`` as a nested
+    Python loop, testing (A^k - I) x in Z^n at every x in ((1/d) Z / Z)^n."""
+    b = t.power(k) - IntMatrix.identity(t.dim)
     d = abs(determinant(b))
     assert d != 0
     count = 0
-    for a in range(d):
-        for bb in range(d):
-            if (b[0, 0] * a + b[0, 1] * bb) % d == 0 and (
-                b[1, 0] * a + b[1, 1] * bb
-            ) % d == 0:
-                count += 1
+    for combo in itertools.product(range(d), repeat=t.dim):
+        if all(sum(x * y for x, y in zip(row, combo)) % d == 0 for row in b.entries):
+            count += 1
     return count
 
 
@@ -348,3 +348,36 @@ def test_conjugation_keeps_lefschetz_count_and_index(t, k, data):
     r, rc = fixed_points_toral(t, k), fixed_points_toral(c, k)
     assert toral_lefschetz(c, k) == toral_lefschetz(t, k)
     assert (rc.count, rc.index) == (r.count, r.index)
+
+
+@st.composite
+def small_unimodular(draw, n):
+    """A in GL(n, Z) with every entry in -3..3: n - 1 free rows, then a last row with det +-1."""
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n - 1)]
+    # det is linear in the last row x: det = sum_j x_j * det(rows + [e_j])
+    cof = [determinant(IntMatrix(rows + [[int(i == j) for i in range(n)]])) for j in range(n)]
+    last = [r for r in itertools.product(range(-3, 4), repeat=n) if abs(sum(map(int.__mul__, r, cof))) == 1]
+    assume(last)
+    return ToralAutomorphism(IntMatrix(rows + [list(draw(st.sampled_from(last)))]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(small_unimodular), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+def test_vectorised_scan_matches_the_nested_loop(t, k):
+    d = abs(determinant(t.power(k) - IntMatrix.identity(t.dim)))
+    assume(0 < d**t.dim <= 20_000)
+    assert brute_force_fixed_point_count(t, k) == brute_force_fixed_count(t, k)
+
+
+@pytest.mark.parametrize("k", [8, 10, 300])
+def test_scan_past_the_cap_is_refused_at_once(k):
+    # |det(cat^k - I)| = L_2k - 2: 2205^2 at k = 8 is the first square past ENUMERATION_CAP
+    t0 = time.monotonic()
+    with pytest.raises(PreconditionError, match=f"exceeds the enumeration cap {ENUMERATION_CAP}"):
+        brute_force_fixed_point_count(CAT, k)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_scan_just_under_the_cap_runs():
+    # |det(cat^7 - I)| = 841 and 841^2 = 707,281 residues: the cap admits it
+    assert brute_force_fixed_point_count(CAT, 7) == 841 == fixed_points_toral(CAT, 7).count

@@ -20,7 +20,7 @@ import textwrap
 
 import pytest
 
-from lefdist import cli, lefschetz, lie_cohomology, linalg, models, verify
+from lefdist import cli, curvature, lefschetz, lie_cohomology, linalg, models, verify
 from lefdist.errors import InconsistencyError
 from lefdist.lie_cohomology import GradedDims, LieAlgebra, catalog_algebra, cohomology_dims
 from lefdist.models import mapping_torus, nil_foliation
@@ -237,6 +237,49 @@ def test_a_rational_power_fails_the_ring_check(monkeypatch):
     monkeypatch.setattr(lefschetz, "matrix_power", lambda m, k: linalg.RationalMatrix(m.entries))
     with pytest.raises(InconsistencyError, match="A\\^4 of a unimodular A came back as RationalMatrix, not IntMatrix"):
         CAT.power(4)
+
+
+# -- verify's brute-force and quadrature oracles -----------------------------------------------
+
+
+def scan_without_the_zero_residue():
+    """``verify.brute_force_fixed_point_count`` rebuilt from its source with the residue 0, the
+    fixed point at the origin, left out of the scan."""
+    source = inspect.getsource(verify.brute_force_fixed_point_count)
+    scan = "np.indices((d,) * n).reshape(n, -1)"
+    assert source.count(scan) == 1
+    namespace = dict(vars(verify))
+    exec(source.replace(scan, scan + "[:, 1:]"), namespace)
+    return namespace["brute_force_fixed_point_count"]
+
+
+def test_a_scan_that_skips_the_zero_residue_fails_the_count_check(monkeypatch, capsys):
+    mutant = scan_without_the_zero_residue()
+    assert mutant(CAT, 4) == 44 == verify.brute_force_fixed_point_count(CAT, 4) - 1
+    monkeypatch.setattr(verify, "brute_force_fixed_point_count", mutant)
+    assert cli.main(["verify", "--suite", "lefschetz"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not report["passed"]
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"GL(2,Z) battery: SNF count equals brute-force enumeration"}
+
+
+def curvature_without_the_fuv_term():
+    """``curvature.gaussian_curvature`` rebuilt from its source with the mixed second derivative
+    F_uv left out of the Brioschi determinant."""
+    source = inspect.getsource(curvature.gaussian_curvature)
+    a11 = "a11 = -0.5 * Evv + Fuv - 0.5 * Guu"
+    assert source.count(a11) == 1
+    namespace = dict(vars(curvature))
+    exec(source.replace(a11, "a11 = -0.5 * Evv - 0.5 * Guu"), namespace)
+    return namespace["gaussian_curvature"]
+
+
+def test_curvature_without_the_fuv_term_fails_the_random_metric_check(monkeypatch):
+    # the flat torus and the sphere have F = 0, so only the sheared random metrics can see it
+    monkeypatch.setattr(curvature, "gaussian_curvature", curvature_without_the_fuv_term())
+    failed = failed_checks(verify.run_curvature_suite(1))
+    assert failed == {"20 random doubly periodic metrics integrate to 0 +- 1e-3"}
 
 
 # -- the power walk ---------------------------------------------------------------------------
