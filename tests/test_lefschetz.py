@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lefdist import lefschetz
 from lefdist.errors import InconsistencyError, NotSimpleError, PreconditionError
 from lefdist.lefschetz import (
+    ENUMERATION_CAP,
     GradedMap,
     ToralAutomorphism,
     fixed_point_index,
@@ -20,7 +21,6 @@ from lefdist.lefschetz import (
     verify_classical_lefschetz,
 )
 from lefdist.linalg import IntMatrix, RationalMatrix, determinant, matrix_power, num_to_str, smith_transform
-from lefdist.lefschetz import ENUMERATION_CAP
 from lefdist.verify import brute_force_fixed_point_count
 
 CAT = ToralAutomorphism(IntMatrix([[2, 1], [1, 1]]))
@@ -356,7 +356,7 @@ def small_unimodular(draw, n):
     rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n - 1)]
     # det is linear in the last row x: det = sum_j x_j * det(rows + [e_j])
     cof = [determinant(IntMatrix(rows + [[int(i == j) for i in range(n)]])) for j in range(n)]
-    last = [r for r in itertools.product(range(-3, 4), repeat=n) if abs(sum(map(int.__mul__, r, cof))) == 1]
+    last = [r for r in itertools.product(range(-3, 4), repeat=n) if abs(sum(x * c for x, c in zip(r, cof))) == 1]
     assume(last)
     return ToralAutomorphism(IntMatrix(rows + [list(draw(st.sampled_from(last)))]))
 
