@@ -5,23 +5,11 @@ example families (mapping tori, codimension-one flows, suspensions,
 homogeneous and nilpotent homogeneous foliations), backed by arbitrary
 precision linear algebra, plus a numerical Gauss-Bonnet cross-check in leaf
 dimension two.
+
+The package re-exports the names of README's library example and the
+exception classes; every other name is imported from its module.
 """
 
-from .curvature import (
-    MetricGrid,
-    const_curvature_chi,
-    gaussian_curvature,
-    integrate_curvature,
-)
-from .distributions import (
-    AtomicDistribution,
-    ConjClass,
-    IDENTITY,
-    LatticePoint,
-    OrbitTerm,
-    RealPoint,
-    make,
-)
 from .errors import (
     EnumerationLimitError,
     InconsistencyError,
@@ -29,96 +17,22 @@ from .errors import (
     NotSimpleError,
     PreconditionError,
 )
-from .lefschetz import (
-    FixedPointReport,
-    GradedMap,
-    ToralAutomorphism,
-    fixed_point_index,
-    fixed_points_toral,
-    lefschetz_number_graded,
-    toral_lefschetz,
-    verify_classical_lefschetz,
-)
-from .lie_cohomology import (
-    GradedDims,
-    LieAlgebra,
-    ce_differential,
-    cohomology_dims,
-    is_nilpotent,
-    validate,
-)
-from .linalg import (
-    IntMatrix,
-    RationalMatrix,
-    determinant,
-    exterior_power,
-    matrix_power,
-    rank_kernel,
-    smith_normal_form,
-)
-from .models import (
-    ClosedOrbitSpec,
-    ConjugacyClassData,
-    HomogeneousSpec,
-    SuspensionSpec,
-    corollary_checks,
-    flow_distribution,
-    mapping_torus,
-    nil_foliation,
-    selberg_report,
-    surface_suspension_traces,
-    suspension,
-)
+from .lefschetz import ToralAutomorphism, fixed_points_toral, toral_lefschetz
+from .linalg import IntMatrix, RationalMatrix
+from .models import mapping_torus
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicDistribution",
-    "ClosedOrbitSpec",
-    "ConjClass",
-    "ConjugacyClassData",
     "EnumerationLimitError",
-    "FixedPointReport",
-    "GradedDims",
-    "GradedMap",
-    "HomogeneousSpec",
-    "IDENTITY",
     "InconsistencyError",
     "IntMatrix",
     "InvalidLieAlgebraError",
-    "LatticePoint",
-    "LieAlgebra",
-    "MetricGrid",
     "NotSimpleError",
-    "OrbitTerm",
     "PreconditionError",
     "RationalMatrix",
-    "RealPoint",
-    "SuspensionSpec",
     "ToralAutomorphism",
-    "ce_differential",
-    "cohomology_dims",
-    "const_curvature_chi",
-    "corollary_checks",
-    "determinant",
-    "exterior_power",
-    "fixed_point_index",
     "fixed_points_toral",
-    "flow_distribution",
-    "gaussian_curvature",
-    "integrate_curvature",
-    "is_nilpotent",
-    "lefschetz_number_graded",
-    "make",
     "mapping_torus",
-    "matrix_power",
-    "nil_foliation",
-    "rank_kernel",
-    "selberg_report",
-    "smith_normal_form",
-    "surface_suspension_traces",
-    "suspension",
     "toral_lefschetz",
-    "validate",
-    "verify_classical_lefschetz",
 ]

@@ -56,13 +56,15 @@ ENUMERATION_CAP = 10**6
 
 @dataclass(frozen=True)
 class ToralAutomorphism:
-    """Integer matrix A in GL(n, Z) acting on the torus R^n / Z^n."""
+    """Integer matrix A in GL(n, Z), n >= 1, acting on the torus R^n / Z^n."""
 
     matrix: IntMatrix
 
     def __post_init__(self):
         if not self.matrix.is_square:
             raise PreconditionError("toral automorphism matrix must be square")
+        if self.matrix.rows == 0:
+            raise PreconditionError("toral automorphism needs a torus of dimension n >= 1, got n = 0")
         if abs(determinant(self.matrix)) != 1:
             raise PreconditionError("toral automorphism must have determinant +-1")
 

@@ -281,11 +281,13 @@ class NilFoliationReport:
 def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
     """Tr^i = dim H^i(k) as constant densities; L = alternating sum = 0.
 
-    Requires a nilpotent algebra (the example family lives on a nilmanifold
-    with simply connected nilpotent structural group).  Poincare duality
-    b_i = b_(n-i) of the Betti numbers is asserted, and the vanishing of L is
-    recomputed from the emitted traces and asserted.
+    Requires a nilpotent algebra of dimension >= 1 (the example family lives
+    on a nilmanifold with simply connected nilpotent structural group).
+    Poincare duality b_i = b_(n-i) of the Betti numbers is asserted, and the
+    vanishing of L is recomputed from the emitted traces and asserted.
     """
+    if a.dim == 0:
+        raise PreconditionError("nil_foliation requires a Lie algebra of dimension >= 1, got dimension 0")
     if not is_nilpotent(a):
         raise PreconditionError(
             "nil_foliation requires a nilpotent Lie algebra "

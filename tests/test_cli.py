@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lefdist import cli, lefschetz
+from lefdist import cli, lefschetz, verify
 from lefdist.cli import main
 from lefdist.curvature import MAX_GRID_NODES, flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
@@ -68,6 +68,12 @@ class TestMappingTorus:
         rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", "[[2,0],[0,1]]")
         assert rc == 1
         assert "determinant" in err
+
+    def test_zero_dimensional_torus_refused(self, capsys):
+        # chi(T^0) = 1, not the chi(T^n) = 0 that the atom at 0 assumes
+        rc, out, err = run_cli(capsys, "mapping-torus", "--matrix", "[]", "--window", "1")
+        assert rc == 1 and out == ""
+        assert err == "error: toral automorphism needs a torus of dimension n >= 1, got n = 0\n"
 
     def test_bad_inline_json(self, capsys):
         rc, _, err = run_cli(capsys, "mapping-torus", "--matrix", "[[2,1],[1,")
@@ -415,6 +421,17 @@ class TestNilfoliation:
         assert rc == 1
         assert "nilpotent" in err
 
+    @pytest.mark.parametrize("spec", ["abelian:0", {"dim": 0}], ids=["catalog", "file"])
+    def test_zero_dimensional_algebra_refused(self, capsys, tmp_path, spec):
+        # b^0 = 1 on a point, so the vanishing check of L would fail: refused before any rank is taken
+        if isinstance(spec, dict):
+            path = tmp_path / "dim0.json"
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        rc, out, err = run_cli(capsys, "nilfoliation", "--algebra", spec)
+        assert rc == 1 and out == ""
+        assert err == "error: nil_foliation requires a Lie algebra of dimension >= 1, got dimension 0\n"
+
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", "no/such/file.json")
         assert rc == 2
@@ -571,6 +588,7 @@ class TestSelberg:
                 [{"label": "1", "matrix": [["1/2", "0"], ["0", "1"]]}],
                 "class 'matrix': IntMatrix entries must be integers",
             ),
+            ([{"label": "1", "matrix": []}], "toral automorphism needs a torus of dimension n >= 1, got n = 0"),
         ],
     )
     def test_r_class_refused(self, capsys, tmp_path, nontrivial, message):
@@ -672,6 +690,12 @@ class TestGaussBonnet:
         rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
         assert_input_error(rc, err, field)
 
+    def test_csv_without_data_rows(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("nu,nv,du,dv,topology\ni,j,E,F,G\n")
+        rc, _, err = run_cli(capsys, "gauss-bonnet", "--input", str(path))
+        assert_input_error(rc, err, "CSV contains no data rows")
+
     @pytest.mark.parametrize("column, field", [(2, "CSV 'du'"), (3, "CSV 'dv'")])
     def test_csv_spacing_too_large_for_a_float(self, capsys, tmp_path, column, field):
         lines = flat_torus_grid(16).to_csv().splitlines()
@@ -758,6 +782,17 @@ class TestVerify:
         obj = json.loads(out)
         assert obj["passed"] is True and len(obj["checks"]) >= 20
 
+    def test_table_format_marks_each_check(self, capsys, monkeypatch):
+        checks = [verify.Check("kept", True, "3 cases"), verify.Check("broken", False)]
+        monkeypatch.setitem(verify.SUITES, "linalg", lambda seed: checks)
+        monkeypatch.setenv("LEFSCHETZ_SEED", "7")
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "linalg", "--format", "table")
+        assert rc == 1
+        assert out == (
+            "model: verify\nsuite: linalg\nseed: 7\npassed: False\n"
+            "checks:\n  PASS  kept  [3 cases]\n  FAIL  broken\n"
+        )
+
 
 class TestPlumbing:
     def test_output_file(self, capsys, tmp_path):
@@ -767,6 +802,20 @@ class TestPlumbing:
         )
         assert rc == 0 and out == ""
         assert json.loads(path.read_text())["model"] == "suspension"
+
+    def test_output_into_a_missing_directory(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, "suspension", "--chi", "2", "--output", str(tmp_path / "no" / "out.json"))
+        assert_input_error(rc, err, "No such file or directory")
+        assert out == ""
+
+    def test_module_runs_as_a_script(self):
+        src = pathlib.Path(cli.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lefdist.cli", "--help"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: lefdist")
 
     def test_table_format(self, capsys):
         rc, out, _ = run_cli(

@@ -59,6 +59,11 @@ class TestToralAutomorphism:
         with pytest.raises(PreconditionError):
             ToralAutomorphism(IntMatrix([[1, 0, 0], [0, 1, 0]]))
 
+    def test_requires_positive_dimension(self):
+        # the 0x0 matrix has determinant 1, but T^0 is a point: no lattice to enumerate
+        with pytest.raises(PreconditionError, match=r"dimension n >= 1, got n = 0"):
+            fixed_points_toral(ToralAutomorphism(IntMatrix([])), 1)
+
 
 class TestGradedLefschetz:
     def test_identity_on_surface(self):

@@ -282,6 +282,47 @@ def test_curvature_without_the_fuv_term_fails_the_random_metric_check(monkeypatc
     assert failed == {"20 random doubly periodic metrics integrate to 0 +- 1e-3"}
 
 
+def test_curvature_off_by_a_constant_fails_the_flat_torus_and_sphere_checks(monkeypatch):
+    # K + 1e-3 moves each integral by 1e-3 * area / 2 pi: 2e-3 on the unit sphere
+    gaussian_curvature = curvature.gaussian_curvature
+    monkeypatch.setattr(curvature, "gaussian_curvature", lambda m: gaussian_curvature(m) + 1e-3)
+    assert failed_checks(verify.run_suite("curvature", 1)) == {
+        "flat torus integrates to exactly 0",
+        "unit sphere integrates to 2 +- 1e-3",
+        "20 random doubly periodic metrics integrate to 0 +- 1e-3",
+    }
+
+
+# -- the cohomology and model checks, one suite at a time --------------------------------------
+
+
+def test_a_bumped_top_betti_number_fails_the_duality_check(monkeypatch):
+    betti = lie_cohomology.cohomology_dims
+
+    def mutant(a):
+        dims = betti(a).dims
+        return GradedDims(dims[:-1] + (dims[-1] + 1,))
+
+    monkeypatch.setattr(lie_cohomology, "cohomology_dims", mutant)
+    assert "Poincare duality on nilpotent algebras" in failed_checks(verify.run_suite("cohomology", 1))
+
+
+def test_a_short_component_rank_fails_the_heisenberg_check(monkeypatch):
+    # b_i = C(n,i) - r_i - r_(i-1) sums alternately to 0 whatever the ranks, and every r_i short
+    # by one keeps b_i = b_(n-i): only the known answer and the oracle catch it
+    rank = lie_cohomology._component_rank
+    monkeypatch.setattr(lie_cohomology, "_component_rank", lambda rows: rank(rows) - 1)
+    assert failed_checks(verify.run_suite("cohomology", 1)) == {
+        "Heisenberg Betti numbers (1,2,2,1)",
+        "reversed-basis CE oracle agrees (dim <= 6)",
+    }
+
+
+def test_a_constant_fixed_point_index_fails_the_flow_sign_check(monkeypatch):
+    monkeypatch.setattr(models, "fixed_point_index", lambda j: 1)
+    assert failed_checks(verify.run_suite("models", 1)) == {"flow signs from diag(2,1/2) return map"}
+
+
 # -- the power walk ---------------------------------------------------------------------------
 
 
