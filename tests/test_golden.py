@@ -8,6 +8,10 @@ algebras (filiform6, heisenberg:4, dim 9, and filiform:11), on heisenberg:5 +
 abelian:1 read from JSON (dim 12), on a dense rational change of
 basis of heis3 + filiform4 (dim 7) and on a rational change of basis of
 heis3 + filiform5 (dim 8) whose constants have denominators up to 8588343,
+on three unimodular scrambles from the benchmark's nil_scrambled recipe
+(filiform:12, heisenberg:5 + abelian:1, and the non-stratifiable L_5,6 +
+abelian:1, whose brackets are [e1,e2] = e3, [e1,e3] = e4, [e1,e4] = e5 and
+[e2,e3] = e5),
 `mapping-torus --input` with a rational graded map (negative powers invert)
 at windows 4 and 60,
 the default `verify --suite all` report, and the reports that pin how atoms
@@ -29,6 +33,7 @@ merged every kind of atom in one loop, the gauss-bonnet and float graded
 files before every input number went through one reader, the builtin random
 one before `random_torus_metric` stopped building a meshgrid, the n = 8 and window-60
 graded files before every k-series took its powers from one incremental walk,
+the three scrambles before `cohomology_dims` ranked a scrambled algebra in its Carnot layers,
 the others before the exact
 elimination kernels were merged; any byte that changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
@@ -110,6 +115,16 @@ CLI = {
     ],
     "nilfoliation_scrambled_dim7": [
         "nilfoliation", "--algebra", str(INPUTS / "scrambled_algebra_dim7.json")
+    ],
+    # the nil_scrambled recipe, scrambled_constants(a, 0, random.Random(1)) in perfbench/workloads.py
+    "nilfoliation_scrambled_filiform12": [
+        "nilfoliation", "--algebra", str(INPUTS / "scrambled_filiform12.json")
+    ],
+    "nilfoliation_scrambled_heisenberg5_abelian1": [
+        "nilfoliation", "--algebra", str(INPUTS / "scrambled_heisenberg5_abelian1.json")
+    ],
+    "nilfoliation_scrambled_l56_abelian1": [
+        "nilfoliation", "--algebra", str(INPUTS / "scrambled_l56_abelian1.json")
     ],
     "mapping_torus_graded": [
         "mapping-torus", "--input", str(INPUTS / "graded_map.json"), "--window", "4"
