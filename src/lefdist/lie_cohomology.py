@@ -20,6 +20,14 @@ realized as an exact matrix in the basis of lexicographically ordered index
 subsets: sparse integer rows scaled by L.  For the Betti numbers each d_i is
 ranked one connected component of its nonzero pattern at a time; the same
 rows over L give the full rational matrix.
+
+A grading w_i + w_j = w_k splits those components by weight, but a change of
+basis can hide it.  When the middle differential has a component of more than
+CARNOT_GATE_ROWS rows, ``cohomology_dims`` looks for Carnot layers
+g = V_1 + ... + V_s with [V_1, V_k] = V_(k+1) (``_carnot_rebase``, exact and
+in integers, every step checked) and ranks the algebra in that basis; the
+Betti numbers do not depend on it.  A nilpotent algebra that is not
+stratifiable keeps its given basis.
 """
 
 from __future__ import annotations
@@ -30,9 +38,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
-from .errors import InvalidLieAlgebraError, PreconditionError
-from .linalg import RationalMatrix, _bareiss_echelon, exact_number, expect, num_to_str, read_int
+from .errors import InconsistencyError, InvalidLieAlgebraError, PreconditionError
+from .linalg import IntMatrix, RationalMatrix, _bareiss_echelon, _inverse, exact_number, expect, num_to_str, read_int
 
 __all__ = [
     "MAX_ALGEBRA_DIM",
@@ -56,6 +65,11 @@ __all__ = [
 # The constant table is sparse, but the CE complex has 2**dim basis forms (at 12 the
 # largest differential is 924 x 792): 12 is the size the exact Betti numbers aim for.
 MAX_ALGEBRA_DIM = 12
+
+# cohomology_dims looks for Carnot layers only when the middle differential has a connected
+# component of more rows than this.  The catalog bases up to dim 9 stay at 8 rows or fewer
+# (filiform:9); a unimodular scramble of filiform:6 already reaches 16.
+CARNOT_GATE_ROWS = 12
 
 
 def _require_dim(dim: int) -> None:
@@ -124,8 +138,12 @@ class LieAlgebra:
         table = [[()] * dim for _ in range(dim)]
         for (i, j), row in c.items():
             table[i][j] = tuple((k, v.numerator * (den // v.denominator)) for k, v in sorted(row.items()) if v)
+        self._fill(dim, tuple(map(tuple, table)), den)
+
+    def _fill(self, dim: int, table, den: int) -> None:
+        """Set the canonical table (see the class comment) and validate it."""
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_table", tuple(map(tuple, table)))
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_den", den)
         v = validate(self)
         if v is not None:
@@ -209,29 +227,56 @@ def validate(a: LieAlgebra) -> Violation | None:
     return None
 
 
+def _brackets(t, left, right):
+    """L [e_i, v] for each i in ``left`` and each integer row v of ``right``, summed from the table."""
+    n = len(t)
+    for i in left:
+        ti = t[i]
+        for v in right:
+            out = [0] * n
+            for tij, vj in zip(ti, v):
+                if vj:
+                    for k, num in tij:
+                        out[k] += vj * num
+            yield out
+
+
+def _span(vectors) -> tuple[list[list[int]], list[int]]:
+    """A basis of the span of integer rows, and its pivot columns.
+
+    The basis is the nonzero rows of the forward-only Bareiss echelon, each
+    divided by its content (the gcd of its entries).
+    """
+    rows, pivots, _, _ = _bareiss_echelon([v for v in vectors if any(v)])
+    return [[x // g for x in row] for row in rows[: len(pivots)] for g in [gcd(*row)]], pivots
+
+
+def _derived(a: LieAlgebra) -> tuple[list[list[int]], list[int]]:
+    """[g, g]: the ``_span`` of the table rows L [e_i, e_j], i < j."""
+    n, t = a.dim, a._table
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        if t[i][j]:
+            row = [0] * n
+            for k, num in t[i][j]:
+                row[k] = num
+            rows.append(row)
+    return _span(rows)
+
+
 def is_nilpotent(a: LieAlgebra) -> bool:
     """Lower central series test: g_1 = g, g_(m+1) = [g, g_m].
 
-    Each g_m is spanned by integer rows (L times coordinate vectors): the
-    brackets [e_i, v] over the rows v of g_(m-1) are summed from the table,
-    and the nonzero rows of their forward-only Bareiss echelon, divided by
-    their content, span the next term.
+    g_2 = [g, g] is ``_derived``; each later g_m is spanned by the integer
+    rows of the ``_span`` of the brackets of every basis vector with the rows
+    of g_(m-1).  The series must reach zero.
     """
-    n, t = a.dim, a._table
-    current = [[int(i == j) for j in range(n)] for i in range(n)]
+    n = a.dim
+    current, _ = _derived(a)
+    if n and len(current) == n:
+        return False  # [g, g] = g
     while current:
-        brackets = []
-        for ti in t:
-            for v in current:
-                out = [0] * n
-                for tij, vj in zip(ti, v):
-                    if vj:
-                        for k, num in tij:
-                            out[k] += vj * num
-                if any(out):
-                    brackets.append(out)
-        rows, pivots, _, _ = _bareiss_echelon(brackets)
-        nxt = [[x // g for x in row] for row in rows[: len(pivots)] for g in [gcd(*row)]]
+        nxt, _ = _span(_brackets(a._table, range(n), current))
         if len(nxt) == len(current):
             return False  # series stabilized above zero
         current = nxt
@@ -282,13 +327,12 @@ def ce_differential(a: LieAlgebra, i: int) -> RationalMatrix:
     return RationalMatrix([[Fraction(row.get(c, 0), a._den) for c in cols] for row in _ce_rows(a, i)])
 
 
-def _component_rank(rows: list[dict[int, int]]) -> int:
-    """Rank of a sparse matrix: the sum of the ranks of its connected components.
+def _components(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
+    """The nonzero rows of a sparse matrix, grouped into the connected components of its pattern.
 
     Rows that share a column are joined, so no nonzero entry lies between two
     components and the matrix is block-diagonal over them up to a permutation
-    of rows and columns.  A one-row component has rank 1; larger ones are
-    densified on their own columns and ranked by forward-only elimination.
+    of rows and columns.
     """
     parent: dict[int, int] = {}
 
@@ -306,8 +350,17 @@ def _component_rank(rows: list[dict[int, int]]) -> int:
     components: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         components.setdefault(root(next(iter(row))), []).append(row)
+    return list(components.values())
+
+
+def _component_rank(components: list[list[dict[int, int]]]) -> int:
+    """Rank of a sparse matrix: the sum of the ranks of its connected ``_components``.
+
+    A one-row component has rank 1; larger ones are densified on their own
+    columns and ranked by forward-only elimination.
+    """
     total = 0
-    for comp in components.values():
+    for comp in components:
         if len(comp) == 1:
             total += 1
         else:
@@ -316,17 +369,88 @@ def _component_rank(rows: list[dict[int, int]]) -> int:
     return total
 
 
+def _carnot_rebase(a: LieAlgebra) -> LieAlgebra | None:
+    """``a`` in a basis adapted to Carnot layers g = V_1 + ... + V_s, or None if this cheap try fails.
+
+    V_1 is spanned by the given basis vectors off the pivot columns of
+    [g, g] (``_derived``), and V_(k+1) by the ``_span`` of the ``_brackets``
+    [V_1, V_k].  The layers must stack to n integer rows b_1..b_n of full
+    rank.  Each [b_i, b_j] is expressed in them through the exact inverse,
+    and every nonzero constant c_ij^k must have w_i + w_j = w_k, w being the
+    layer index: then the new basis grades the algebra and the CE components
+    split by weight again.  A nilpotent algebra that is not stratifiable, or
+    a central direction outside [g, g] that mixes with it, fails one of
+    these checks.  The rebased table is validated once more; since it comes
+    from a checked basis, a failure there is a defect of this function and
+    raises :class:`InconsistencyError`.
+    """
+    n, t = a.dim, a._table
+    _, derived = _derived(a)
+    first = [c for c in range(n) if c not in derived]
+    layers = [[[int(i == c) for i in range(n)] for c in first]]
+    total = len(first)
+    while total < n:
+        nxt, _ = _span(_brackets(t, first, layers[-1]))
+        if not nxt:
+            break
+        layers.append(nxt)
+        total += len(nxt)
+    if total != n:
+        return None
+    basis = [b for layer in layers for b in layer]
+    weight = [w for w, layer in enumerate(layers, 1) for _ in layer]
+    try:
+        inverse = _inverse(IntMatrix(basis)).entries  # x in e-coordinates is x B^-1 in the b_k
+    except PreconditionError:
+        return None
+    d = lcm(*(x.denominator for row in inverse for x in row))
+    columns = [[int(x * d) for x in col] for col in zip(*inverse)]  # of d B^-1
+    around = list(_brackets(t, range(n), basis))  # around[m * n + j] = L [e_m, b_j]
+    nums = {}  # (i, j) -> ((k, d L c_ij^k), ...) in the new basis, i < j
+    for i, j in itertools.combinations(range(n), 2):
+        x = [0] * n  # L [b_i, b_j] in e-coordinates
+        for m, bim in enumerate(basis[i]):
+            if bim:
+                x = [u + bim * v for u, v in zip(x, around[m * n + j])]
+        out = tuple((k, num) for k, col in enumerate(columns) for num in [sum(map(mul, x, col))] if num)
+        if any(weight[i] + weight[j] != weight[k] for k, _ in out):
+            return None
+        nums[i, j] = out
+    g = gcd(d * a._den, *(num for out in nums.values() for _, num in out))
+    table = [[()] * n for _ in range(n)]
+    for (i, j), out in nums.items():
+        table[i][j] = tuple((k, num // g) for k, num in out)
+        table[j][i] = tuple((k, -num // g) for k, num in out)
+    graded = object.__new__(LieAlgebra)
+    try:
+        graded._fill(n, tuple(map(tuple, table)), d * a._den // g)
+    except InvalidLieAlgebraError as exc:
+        raise InconsistencyError(f"the Carnot layers of a Lie algebra gave no Lie algebra: {exc}") from exc
+    return graded
+
+
 def cohomology_dims(a: LieAlgebra) -> GradedDims:
     """Betti numbers b^i = dim ker d_i - rank d_(i-1) of the CE complex.
 
     Each rank is the sum over the connected components of the nonzero
     pattern of d_i (``_component_rank`` on the rows of ``_ce_rows``).  A
     grading splits d_i at least as finely: if w_i + w_j = w_k for every
-    nonzero c_ij^k, an entry joins only subsets of equal total weight.  A dense
-    change of basis usually leaves one component per degree, the full matrix.
+    nonzero c_ij^k, an entry joins only subsets of equal total weight.  A
+    change of basis can hide the grading and leave one dense component per
+    degree.  So d_i is split at the middle degree i = (n-1)//2 first; if its
+    largest component has more than CARNOT_GATE_ROWS rows, the algebra is
+    ranked in the basis of ``_carnot_rebase`` when that succeeds.  The Betti
+    numbers over Q do not depend on the basis.  Otherwise, and whenever the
+    rebase fails, the given basis is ranked, reusing the middle components.
     """
     n = a.dim
-    ranks = [_component_rank(_ce_rows(a, i)) for i in range(n)] + [0]
+    mid = (n - 1) // 2
+    middle = _components(_ce_rows(a, mid)) if n else []
+    if max(map(len, middle), default=0) > CARNOT_GATE_ROWS:
+        graded = _carnot_rebase(a)
+        if graded is not None:
+            a, middle = graded, _components(_ce_rows(graded, mid))
+    ranks = [_component_rank(middle if i == mid else _components(_ce_rows(a, i))) for i in range(n)] + [0]
     return GradedDims(tuple(comb(n, i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(n + 1)))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .distributions import IDENTITY, AtomicDistribution, LatticePoint, OrbitTerm, RealPoint, make
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism, _lefschetz_of_power, fixed_point_index, lefschetz_number_graded
-from .lie_cohomology import GradedDims, LieAlgebra, cohomology_dims, is_nilpotent
+from .lie_cohomology import GradedDims, LieAlgebra, _derived, cohomology_dims, is_nilpotent
 from .linalg import Number, RationalMatrix, determinant, powers, read_int, to_number
 
 __all__ = [
@@ -284,7 +284,10 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
     Requires a nilpotent algebra of dimension >= 1 (the example family lives
     on a nilmanifold with simply connected nilpotent structural group).
     Poincare duality b_i = b_(n-i) of the Betti numbers is asserted, and the
-    vanishing of L is recomputed from the emitted traces and asserted.
+    vanishing of L is recomputed from the emitted traces and asserted.  Both
+    hold whatever the CE ranks r_i are, since b_i = C(n,i) - r_i - r_(i-1);
+    so b_1 = n - dim [g, g], taken from the bracket span instead of a rank, is
+    asserted too.
     """
     if a.dim == 0:
         raise PreconditionError("nil_foliation requires a Lie algebra of dimension >= 1, got dimension 0")
@@ -300,6 +303,11 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
     lefschetz = make([], smooth_const=sum((-1) ** i * (t.smooth_const or 0) for i, t in enumerate(traces)))
     if not lefschetz.is_zero:
         raise InconsistencyError("alternating sum of nilfoliation traces is not zero")
+    derived = len(_derived(a)[1])
+    if dims.dims[1] != a.dim - derived:
+        raise InconsistencyError(
+            f"nilfoliation b^1 = {dims.dims[1]}, but dim g - dim [g, g] = {a.dim} - {derived}"
+        )
     return NilFoliationReport(dims, traces, lefschetz, corollary_checks(lefschetz))
 
 

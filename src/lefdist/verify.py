@@ -233,14 +233,22 @@ def run_cohomology_suite(seed: int) -> list[Check]:
             ok_chi &= dims.euler_characteristic == 0
         ok_pd &= dims.dims == dims.dims[::-1]
         ok_oracle &= dims.dims == ce_dims_reversed_basis(a)
-    # filiform:6 in a unimodular change of basis: one CE component has 16 rows, while the graded
-    # catalog bases above split every differential into components of at most 12
+    # two unimodular changes of basis, each with a CE component of more than CARNOT_GATE_ROWS rows
+    # at degree 2, while the graded catalog bases above keep every component at 12 rows or fewer.
+    # filiform:6 (16 rows) is ranked in its Carnot layers; L_5,6 + abelian:1 (17 rows), where
+    # [e1,e2] = e3, [e1,e3] = e4, [e1,e4] = e5 and [e2,e3] = e5, has none, and keeps its basis
     scrambled = LieAlgebra(6, {
         (1, 2): {1: 1, 4: -1, 5: 1, 6: 1}, (1, 3): {3: 1, 4: 1}, (1, 4): {3: -1, 4: -1, 5: 1, 6: 1},
         (1, 5): {6: -1}, (2, 3): {1: 1, 3: -1, 4: -2, 5: 1, 6: 1}, (2, 4): {1: -1, 3: 1, 4: 2, 5: -2, 6: -2},
         (2, 5): {6: 1}, (3, 4): {5: -1, 6: -1}, (3, 5): {6: 1}, (4, 5): {6: -1},
     })
-    ok_oracle &= cohomology_dims(scrambled).dims == ce_dims_reversed_basis(scrambled)
+    unstratified = LieAlgebra(6, {
+        (1, 2): {3: 1}, (1, 3): {2: 2, 4: 1, 5: -1}, (1, 4): {2: -1, 3: -1, 5: 1}, (1, 5): {3: 1},
+        (1, 6): {2: -2, 4: -1, 5: 1}, (2, 3): {2: 1, 5: -1}, (2, 6): {2: -1, 5: 1}, (3, 4): {2: 1, 5: -1},
+        (3, 5): {2: -1, 5: 1}, (4, 6): {2: 1, 5: -1}, (5, 6): {2: -1, 5: 1},
+    })
+    for a in (scrambled, unstratified):
+        ok_oracle &= cohomology_dims(a).dims == ce_dims_reversed_basis(a)
     checks.append(Check("d.d = 0 on the nilpotent battery", ok_dd))
     checks.append(Check("alternating Betti sum vanishes", ok_chi))
     checks.append(Check("Poincare duality on nilpotent algebras", ok_pd))

@@ -68,8 +68,9 @@ def test_bareiss_defect_is_caught_on_a_scrambled_algebra(bareiss_drops_a_pivot):
 
 
 def test_bareiss_defect_fails_the_oracle_check(bareiss_drops_a_pivot):
-    # the oracle check's scrambled filiform:6 has a 16-row CE component, so the mutant gives it
-    # (1,2,4,6,4,2,1); the catalog algebras keep every component at 12 rows or fewer
+    # the oracle check's scrambled L_5,6 + abelian:1 has no Carnot layers and keeps a 17-row CE
+    # component, which the mutant ranks short; the scrambled filiform:6 is ranked in its layers,
+    # and the catalog algebras keep every component at 12 rows or fewer
     assert failed_checks(verify.run_cohomology_suite(1)) == {"reversed-basis CE oracle agrees (dim <= 6)"}
 
 
@@ -316,6 +317,72 @@ def test_a_short_component_rank_fails_the_heisenberg_check(monkeypatch):
         "Heisenberg Betti numbers (1,2,2,1)",
         "reversed-basis CE oracle agrees (dim <= 6)",
     }
+
+
+def test_a_short_component_rank_makes_nilfoliation_exit_3(monkeypatch, capsys):
+    # duality and the vanishing of L hold whatever the ranks; b^1 = dim g - dim [g, g] does not
+    rank = lie_cohomology._component_rank
+    monkeypatch.setattr(lie_cohomology, "_component_rank", lambda components: rank(components) - 1)
+    with pytest.raises(InconsistencyError, match=re.escape("b^1 = 4, but dim g - dim [g, g] = 4 - 2")):
+        nil_foliation(catalog_algebra("filiform:4"))
+    assert cli.main(["nilfoliation", "--algebra", "filiform:4"]) == 3
+    assert capsys.readouterr().err == "internal error: nilfoliation b^1 = 4, but dim g - dim [g, g] = 4 - 2\n"
+
+
+# -- the Carnot rebase of cohomology_dims ------------------------------------------------------
+
+
+@pytest.fixture
+def rebases(monkeypatch):
+    """Every ``_carnot_rebase`` result of the test, None for a fallback."""
+    seen, rebase = [], lie_cohomology._carnot_rebase
+
+    def spy(a):
+        seen.append(rebase(a))
+        return seen[-1]
+
+    monkeypatch.setattr(lie_cohomology, "_carnot_rebase", spy)
+    return seen
+
+
+def patch_inverse(monkeypatch, wrong):
+    """``lie_cohomology._inverse`` replaced by ``wrong`` of the true inverse's entries and B."""
+    inverse = linalg._inverse
+    monkeypatch.setattr(lie_cohomology, "_inverse", lambda m: linalg.RationalMatrix(wrong(inverse(m).entries, m)))
+
+
+def test_a_transposed_inverse_is_refused_by_the_weight_check(monkeypatch, rebases):
+    # B^T for B^-1 puts [b_i, b_j] on layers of the wrong weight, so both scrambles keep their basis
+    patch_inverse(monkeypatch, lambda inv, m: [list(col) for col in zip(*m.entries)])
+    assert failed_checks(verify.run_suite("cohomology", 1)) == set()
+    assert rebases == [None, None]
+
+
+def test_an_inverse_that_loses_the_top_layer_fails_the_oracle_check(monkeypatch, rebases):
+    # zero coordinates on b_n drop every bracket into the top layer: the weights still add up and
+    # Jacobi still holds, so only the reversed-basis oracle, ranking the given basis, sees it
+    patch_inverse(monkeypatch, lambda inv, m: [list(row[:-1]) + [0] for row in inv])
+    assert failed_checks(verify.run_suite("cohomology", 1)) == {"reversed-basis CE oracle agrees (dim <= 6)"}
+    assert rebases[0] is not None and rebases[1] is None
+
+
+# filiform:4 + heisenberg:1 after the nil_scrambled change of basis (copy 2, seed 1)
+FILIFORM4_HEISENBERG1 = LieAlgebra(7, {
+    (1, 2): {3: 1}, (1, 3): {4: 1, 6: 1}, (1, 7): {4: -1, 6: -1}, (2, 4): {3: -1, 4: -1, 6: -1, 7: -1},
+    (2, 6): {3: 1, 4: 1, 6: 1, 7: 1}, (4, 5): {3: 1, 4: 1, 6: 1, 7: 1}, (5, 6): {3: 1, 4: 1, 6: 1, 7: 1},
+})
+
+
+def test_an_inverse_that_breaks_jacobi_exits_3(monkeypatch, capsys, tmp_path):
+    # doubling one coordinate keeps every weight, but the rebased table fails validate
+    assert cohomology_dims(FILIFORM4_HEISENBERG1).dims == (1, 4, 8, 11, 11, 8, 4, 1)
+    patch_inverse(monkeypatch, lambda inv, m: [[2 * x if c == 4 else x for c, x in enumerate(row)] for row in inv])
+    with pytest.raises(InconsistencyError, match="the Carnot layers of a Lie algebra gave no Lie algebra"):
+        cohomology_dims(FILIFORM4_HEISENBERG1)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(FILIFORM4_HEISENBERG1.to_json_obj()))
+    assert cli.main(["nilfoliation", "--algebra", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: the Carnot layers of a Lie algebra gave no Lie algebra: ")
 
 
 def test_a_constant_fixed_point_index_fails_the_flow_sign_check(monkeypatch):
