@@ -22,7 +22,8 @@ once abstract (orbit terms) and once with `group_kind` R (lattice atoms), and
 `suspension` and `surface-suspension` with an inexact volume, and the
 reports that pin the number readers: `gauss-bonnet --input` on a seeded
 random torus grid in JSON and on a round-sphere grid in CSV, and
-`gauss-bonnet --builtin random --grid 64` on the default seed, and
+`gauss-bonnet --builtin random --grid 64` and `--grid 128` on the default seed
+and `gauss-bonnet --builtin sphere --grid 192`, and
 `mapping-torus --input` on a graded map whose JSON floats 0.5, 0.1 and 0.05
 read as the exact 1/2, 1/10 and 1/20.  The toral
 files were written before the toral kernels became integer-native, the
@@ -31,7 +32,8 @@ integer table, the filiform:11 and dim-12 files before the CE ranks were
 taken block by block, the flow, selberg and suspension files before `make`
 merged every kind of atom in one loop, the gauss-bonnet and float graded
 files before every input number went through one reader, the builtin random
-one before `random_torus_metric` stopped building a meshgrid, the n = 8 and window-60
+one before `random_torus_metric` stopped building a meshgrid, the builtin sphere-192 and
+random-128 files before the curvature kernel worked in place, the n = 8 and window-60
 graded files before every k-series took its powers from one incremental walk,
 the three scrambles before `cohomology_dims` ranked a scrambled algebra in its Carnot layers,
 the others before the exact
@@ -148,6 +150,9 @@ CLI = {
     "gauss_bonnet_torus_json": ["gauss-bonnet", "--input", "torus_grid_32.json"],
     "gauss_bonnet_sphere_csv": ["gauss-bonnet", "--input", "sphere_grid_24.csv"],
     "gauss_bonnet_builtin_random": ["gauss-bonnet", "--builtin", "random", "--grid", "64"],
+    # two of the builtin grid sizes of the benchmark's cli_mix workload
+    "gauss_bonnet_builtin_sphere192": ["gauss-bonnet", "--builtin", "sphere", "--grid", "192"],
+    "gauss_bonnet_builtin_random128": ["gauss-bonnet", "--builtin", "random", "--grid", "128"],
     "suspension_inexact": ["suspension", "--vol", "~1.5", "--chi", "-2"],
     "surface_suspension_genus3": ["surface-suspension", "--genus", "3", "--vol", "~1.5"],
 }
