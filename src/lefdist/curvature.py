@@ -63,20 +63,27 @@ class MetricGrid:
         if not (0 < self.du < math.inf and 0 < self.dv < math.inf):
             raise PreconditionError("grid spacings must be positive and finite")
         for name in ("E", "F", "G"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != (self.nu, self.nv):
                 raise PreconditionError(f"{name} must have shape (nu, nv) = {(self.nu, self.nv)}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite at every node")
             object.__setattr__(self, name, arr)
-        if not np.all(self.E > 0) or not np.all(self.E * self.G - self.F**2 > 0):
+        if not np.all(self.E > 0) or not np.all(self._form_det() > 0):
             raise PreconditionError(
                 "first fundamental form must be positive definite at every node"
             )
 
+    def _form_det(self) -> np.ndarray:
+        """E G - F^2 at every node, in a new array."""
+        out = np.multiply(self.E, self.G)
+        out -= np.multiply(self.F, self.F)
+        return out
+
     @property
     def area_element(self) -> np.ndarray:
-        return np.sqrt(self.E * self.G - self.F**2)
+        det = self._form_det()
+        return np.sqrt(det, out=det)
 
     # -- serialization ------------------------------------------------------
     def to_json_obj(self) -> dict:
@@ -169,28 +176,34 @@ def require_resolution(nu: int, nv: int) -> None:
         raise PreconditionError("grid must satisfy nu, nv >= 8 for meaningful second differences")
 
 
-def _d_periodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2 * h)
+def _d(f: np.ndarray, h: float, axis: int, periodic: bool = True) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / 2h along ``axis``: cyclic, or one-sided at both ends when not ``periodic``."""
+    f = f.T if axis else f
+    out = np.empty_like(f)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    if periodic:
+        np.subtract(f[1], f[-1], out=out[0])
+        np.subtract(f[0], f[-2], out=out[-1])
+    else:
+        out[0] = -3 * f[0] + 4 * f[1] - f[2]
+        out[-1] = 3 * f[-1] - 4 * f[-2] + f[-3]
+    out /= 2 * h
+    return out.T if axis else out
 
 
-def _dd_periodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(f, -1, axis) + np.roll(f, 1, axis) - 2 * f) / (h * h)
-
-
-def _d_u(f: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    out = _d_periodic(f, h, 0)
+def _dd(f: np.ndarray, h: float, axis: int, periodic: bool = True) -> np.ndarray:
+    """(f[i+1] + f[i-1] - 2 f[i]) / h^2 along ``axis``: cyclic, or one-sided at both ends when not ``periodic``."""
+    f = f.T if axis else f
+    out = np.empty_like(f)
+    np.add(f[2:], f[:-2], out=out[1:-1])
+    np.add(f[1], f[-1], out=out[0])
+    np.add(f[0], f[-2], out=out[-1])
+    out -= 2 * f
     if not periodic:
-        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-    return out
-
-
-def _dd_u(f: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    out = _dd_periodic(f, h, 0)
-    if not periodic:
-        out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h)
-        out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / (h * h)
-    return out
+        out[0] = 2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]
+        out[-1] = 2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]
+    out /= h * h
+    return out.T if axis else out
 
 
 def gaussian_curvature(m: MetricGrid) -> np.ndarray:
@@ -202,31 +215,56 @@ def gaussian_curvature(m: MetricGrid) -> np.ndarray:
     """
     require_resolution(m.nu, m.nv)
     periodic_u = m.topology == "torus"
-    E, F, G = m.E, m.F, m.G
-    Eu = _d_u(E, m.du, periodic_u)
-    Ev = _d_periodic(E, m.dv, 1)
-    Evv = _dd_periodic(E, m.dv, 1)
-    Gu = _d_u(G, m.du, periodic_u)
-    Gv = _d_periodic(G, m.dv, 1)
-    Guu = _dd_u(G, m.du, periodic_u)
-    Fu = _d_u(F, m.du, periodic_u)
-    Fv = _d_periodic(F, m.dv, 1)
-    Fuv = _d_periodic(Fu, m.dv, 1)
+    E, F, G, du, dv = m.E, m.F, m.G, m.du, m.dv
 
     # Brioschi determinants, rows [a11, a12, a13; a21, E, F; a31, F, G] and
-    # [0, b12, b13; b12, E, F; b13, F, G], expanded along the first row
-    a11 = -0.5 * Evv + Fuv - 0.5 * Guu
-    a12 = 0.5 * Eu
-    a13 = Fu - 0.5 * Ev
-    a21 = Fv - 0.5 * Gu
-    a31 = 0.5 * Gv
-    b12 = 0.5 * Ev
-    b13 = 0.5 * Gu
-
-    w = E * G - F * F
-    det1 = a11 * w - a12 * (a21 * G - F * a31) + a13 * (a21 * F - E * a31)
-    det2 = -b12 * (b12 * G - F * b13) + b13 * (b12 * F - E * b13)
-    return (det1 - det2) / (w * w)
+    # [0, b12, b13; b12, E, F; b13, F, G], expanded along the first row:
+    #   a11 = -0.5 Evv + Fuv - 0.5 Guu, a12 = 0.5 Eu, a13 = Fu - 0.5 Ev, a21 = Fv - 0.5 Gu,
+    #   a31 = 0.5 Gv, b12 = 0.5 Ev, b13 = 0.5 Gu, w = E G - F F,
+    #   det1 = a11 w - a12 (a21 G - F a31) + a13 (a21 F - E a31),
+    #   det2 = -b12 (b12 G - F b13) + b13 (b12 F - E b13), K = (det1 - det2) / w^2.
+    # Each derivative is taken where it is first needed, and each array is overwritten
+    # once it is consumed (see the module docstring); the comments give the new values.
+    Fu = _d(F, du, 0, periodic_u)
+    det1 = _dd(E, dv, 1)
+    det1 *= -0.5
+    det1 += _d(Fu, dv, 1)
+    w = _dd(G, du, 0, periodic_u)
+    det1 -= np.multiply(w, 0.5, out=w)  # a11
+    np.multiply(E, G, out=w)
+    w -= np.multiply(F, F)
+    det1 *= w  # a11 w
+    b12 = _d(E, dv, 1)
+    b12 *= 0.5
+    a13 = np.subtract(Fu, b12, out=Fu)
+    b13 = _d(G, du, 0, periodic_u)
+    b13 *= 0.5
+    a21 = _d(F, dv, 1)
+    a21 -= b13
+    a31 = _d(G, dv, 1)
+    a31 *= 0.5
+    t = np.multiply(a21, G)
+    t -= np.multiply(F, a31)
+    a12 = _d(E, du, 0, periodic_u)
+    a12 *= 0.5
+    a12 *= t  # a12 (a21 G - F a31)
+    det1 -= a12
+    a21 *= F
+    a21 -= np.multiply(E, a31, out=a31)
+    a13 *= a21  # a13 (a21 F - E a31)
+    det1 += a13
+    # det2 as b13 (b12 F - E b13) - b12 (b12 G - F b13), since -b12 X = -(b12 X) exactly
+    s = np.multiply(b12, G, out=t)
+    s -= np.multiply(F, b13, out=a12)
+    s *= b12
+    det2 = np.multiply(b12, F, out=a13)
+    det2 -= np.multiply(E, b13, out=a21)
+    det2 *= b13
+    det2 -= s
+    det1 -= det2
+    w *= w
+    det1 /= w
+    return det1
 
 
 def integrate_curvature(m: MetricGrid) -> float:
@@ -241,7 +279,9 @@ def integrate_curvature(m: MetricGrid) -> float:
 
 def _integrate(m: MetricGrid, k: np.ndarray) -> float:
     """(1 / 2 pi) * integral of the per-node curvature ``k`` of ``m``."""
-    total = float(np.sum(k * m.area_element)) * m.du * m.dv
+    weighted = m.area_element
+    weighted *= k
+    total = float(np.sum(weighted)) * m.du * m.dv
     return total / (2 * math.pi)
 
 
@@ -266,7 +306,7 @@ def sphere_grid(n: int = 256) -> MetricGrid:
     du = math.pi / n
     dv = 2 * math.pi / n
     u = (np.arange(n) + 0.5) * du
-    g = np.tile(np.sin(u) ** 2, (n, 1)).T
+    g = np.repeat((np.sin(u) ** 2)[:, None], n, axis=1)
     return MetricGrid(n, n, du, dv, np.ones((n, n)), np.zeros((n, n)), g, "revolution")
 
 
@@ -280,8 +320,9 @@ def random_torus_metric(rng, n: int = 256, conformal: bool = False) -> MetricGri
     du = 2 * math.pi / n
     u = np.arange(n) * du
 
-    def trig_poly():
-        out = np.zeros((n, n))
+    def conformal_factor():
+        """exp(2 sum amp cos(mm u + nn v + phase)), built in place in ``out`` and one 2-D buffer."""
+        out, wave = np.zeros((n, n)), np.empty((n, n))
         for mm in range(3):
             for nn in range(3):
                 if mm == nn == 0:
@@ -294,13 +335,22 @@ def random_torus_metric(rng, n: int = 256, conformal: bool = False) -> MetricGri
                 elif nn == 0:
                     out += (amp * np.cos(mm * u + phase))[:, None]
                 else:
-                    out += amp * np.cos((mm * u)[:, None] + (nn * u)[None, :] + phase)
-        return out
+                    np.add.outer(mm * u, nn * u, out=wave)
+                    wave += phase
+                    np.cos(wave, out=wave)
+                    wave *= amp
+                    out += wave
+        out *= 2
+        return np.exp(out, out=out)
 
-    e = np.exp(2 * trig_poly())
+    e = conformal_factor()
     if conformal:
         return MetricGrid(n, n, du, du, e, np.zeros((n, n)), e.copy(), "torus")
-    g = np.exp(2 * trig_poly())
-    shear = 0.3 * np.sin(u[:, None] + u[None, :] + rng.uniform(0, 2 * math.pi))
-    f = shear * np.sqrt(e * g)
+    g = conformal_factor()
+    f = np.add.outer(u, u)
+    f += rng.uniform(0, 2 * math.pi)
+    np.sin(f, out=f)
+    f *= 0.3  # a shear of amplitude 0.3, times sqrt(E G)
+    root = np.multiply(e, g)
+    f *= np.sqrt(root, out=root)
     return MetricGrid(n, n, du, du, e, f, g, "torus")

@@ -169,10 +169,16 @@ class _Matrix:
         return self._ring(other)([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
     def __matmul__(self, other):
+        """(A / a)(B / b) = AB / (ab): one integer product over the two common denominators."""
         if self.cols != other.rows:
             raise PreconditionError("matrix product requires cols(A) = rows(B)")
-        bt = list(zip(*other.entries)) if other.entries else []
-        return self._ring(other)([[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries])
+        (a, da), (b, db) = _integer_entries(self), _integer_entries(other)
+        bt = list(zip(*b))
+        ab = [[sum(map(mul, row, col)) for col in bt] for row in a]
+        if self._ring(other) is IntMatrix:
+            return IntMatrix(ab)
+        d = da * db
+        return RationalMatrix([[Fraction(x, d) for x in row] for row in ab])
 
     def trace(self):
         if not self.is_square:
@@ -209,6 +215,14 @@ class IntMatrix(_Matrix):
         if isinstance(x, Fraction) and x.denominator == 1:
             return x.numerator
         raise PreconditionError(f"IntMatrix entries must be integers, got {x!r:.40}")
+
+
+def _integer_entries(m: _Matrix) -> tuple:
+    """Integer rows and a denominator d with m = rows / d: d = 1 for an IntMatrix, else the lcm of m's denominators."""
+    if isinstance(m, IntMatrix):
+        return m.entries, 1
+    d = lcm(*(e.denominator for row in m.entries for e in row))
+    return [[e.numerator * (d // e.denominator) for e in row] for row in m.entries], d
 
 
 def _bareiss_echelon(entries) -> tuple[list[list[int]], list[int], int, int]:

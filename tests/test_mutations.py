@@ -269,10 +269,10 @@ def curvature_without_the_fuv_term():
     """``curvature.gaussian_curvature`` rebuilt from its source with the mixed second derivative
     F_uv left out of the Brioschi determinant."""
     source = inspect.getsource(curvature.gaussian_curvature)
-    a11 = "a11 = -0.5 * Evv + Fuv - 0.5 * Guu"
-    assert source.count(a11) == 1
+    fuv = "    det1 += _d(Fu, dv, 1)\n"  # a11 = -0.5 Evv + Fuv - 0.5 Guu, built in place
+    assert source.count(fuv) == 1
     namespace = dict(vars(curvature))
-    exec(source.replace(a11, "a11 = -0.5 * Evv - 0.5 * Guu"), namespace)
+    exec(source.replace(fuv, ""), namespace)
     return namespace["gaussian_curvature"]
 
 
