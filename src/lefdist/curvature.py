@@ -10,6 +10,16 @@ second-order finite differences: periodic central stencils, one-sided at the
 profile ends of a revolution grid.  Integrating K over the surface and
 dividing by 2 pi reproduces the Euler characteristic, which is the
 coefficient of the identity atom of the Lefschetz distribution.
+
+The kernel works in place.  Each derivative is one new array filled from
+slices, and the Brioschi determinants are accumulated with ``out=`` and
+in-place operators into arrays already consumed.  A fresh array per NumPy
+operation would cost more in page faults than in arithmetic: freed memory
+goes back to the system between calls and is faulted in again.  The order
+of the floating-point operations is fixed: each in-place step is an
+operation of the formula, in its grouping, so K is bit for bit what the
+formula gives when evaluated term by term.  The random metrics and the
+area element are built the same way.
 """
 
 from __future__ import annotations

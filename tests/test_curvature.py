@@ -42,6 +42,23 @@ class TestValidation:
         with pytest.raises(PreconditionError, match="shape"):
             MetricGrid(8, 8, 0.1, 0.1, np.ones((8, 7)), np.zeros((8, 8)), np.ones((8, 8)), "torus")
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            flat_torus_grid,
+            sphere_grid,
+            lambda n: random_torus_metric(random.Random(1), n),
+            lambda n: random_torus_metric(random.Random(1), n, conformal=True),
+            # transposed input: the grid stores a C-ordered copy of equal values
+            lambda n: MetricGrid(n, n, 0.1, 0.1, np.ones((n, n)).T, np.zeros((n, n)).T, np.eye(n).T + 1, "torus"),
+        ],
+        ids=["flat", "sphere", "random", "conformal", "fortran input"],
+    )
+    def test_every_grid_is_c_contiguous(self, make):
+        # a kernel pass that mixes C- and Fortran-ordered arrays takes strided passes
+        m = make(24)
+        assert all(getattr(m, name).flags.c_contiguous for name in "EFG")
+
 
 class TestGaussianCurvature:
     def test_flat_is_exactly_zero(self):

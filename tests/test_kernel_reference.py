@@ -1,0 +1,190 @@
+"""The in-place curvature kernel and the integer-product ``@`` against the code they replaced.
+
+``roll_gaussian_curvature`` is a copy of the Brioschi kernel that took each
+derivative from two ``np.roll`` copies and built every term as a new array;
+``one_axis_torus_metric`` is a copy of ``random_torus_metric`` before it
+built its 2-D harmonics in place; ``fraction_sum_product`` is a copy of
+``_Matrix.__matmul__`` before it multiplied integers over common
+denominators, summing ``Fraction`` products one by one.  They are kept here
+as the reference: the new code must give the same bits, the same entries and
+the same result type.
+"""
+
+import math
+import random
+import types
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lefdist.curvature import MetricGrid, gaussian_curvature, random_torus_metric
+from lefdist.linalg import IntMatrix, RationalMatrix
+
+# -- the roll-based kernel and the one-axis metric ---------------------------------------------
+
+
+def _d_periodic(f, h, axis):
+    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2 * h)
+
+
+def _dd_periodic(f, h, axis):
+    return (np.roll(f, -1, axis) + np.roll(f, 1, axis) - 2 * f) / (h * h)
+
+
+def _d_u(f, h, periodic):
+    out = _d_periodic(f, h, 0)
+    if not periodic:
+        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
+        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
+    return out
+
+
+def _dd_u(f, h, periodic):
+    out = _dd_periodic(f, h, 0)
+    if not periodic:
+        out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h)
+        out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / (h * h)
+    return out
+
+
+def roll_gaussian_curvature(m):
+    periodic_u = m.topology == "torus"
+    E, F, G = m.E, m.F, m.G
+    Eu = _d_u(E, m.du, periodic_u)
+    Ev = _d_periodic(E, m.dv, 1)
+    Evv = _dd_periodic(E, m.dv, 1)
+    Gu = _d_u(G, m.du, periodic_u)
+    Gv = _d_periodic(G, m.dv, 1)
+    Guu = _dd_u(G, m.du, periodic_u)
+    Fu = _d_u(F, m.du, periodic_u)
+    Fv = _d_periodic(F, m.dv, 1)
+    Fuv = _d_periodic(Fu, m.dv, 1)
+    a11 = -0.5 * Evv + Fuv - 0.5 * Guu
+    a12 = 0.5 * Eu
+    a13 = Fu - 0.5 * Ev
+    a21 = Fv - 0.5 * Gu
+    a31 = 0.5 * Gv
+    b12 = 0.5 * Ev
+    b13 = 0.5 * Gu
+    w = E * G - F * F
+    det1 = a11 * w - a12 * (a21 * G - F * a31) + a13 * (a21 * F - E * a31)
+    det2 = -b12 * (b12 * G - F * b13) + b13 * (b12 * F - E * b13)
+    return (det1 - det2) / (w * w)
+
+
+def one_axis_torus_metric(rng, n, conformal):
+    """(E, F, G) of ``random_torus_metric`` as it was built before it worked in place."""
+    du = 2 * math.pi / n
+    u = np.arange(n) * du
+
+    def trig_poly():
+        out = np.zeros((n, n))
+        for mm in range(3):
+            for nn in range(3):
+                if mm == nn == 0:
+                    continue
+                amp = 0.25 * rng.uniform(0.2, 1.0) / (mm + nn)
+                phase = rng.uniform(0, 2 * math.pi)
+                if mm == 0:
+                    out += amp * np.cos(nn * u + phase)
+                elif nn == 0:
+                    out += (amp * np.cos(mm * u + phase))[:, None]
+                else:
+                    out += amp * np.cos((mm * u)[:, None] + (nn * u)[None, :] + phase)
+        return out
+
+    e = np.exp(2 * trig_poly())
+    if conformal:
+        return e, np.zeros((n, n)), e.copy()
+    g = np.exp(2 * trig_poly())
+    shear = 0.3 * np.sin(u[:, None] + u[None, :] + rng.uniform(0, 2 * math.pi))
+    return e, shear * np.sqrt(e * g), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nu=st.integers(8, 64),
+    nv=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    topology=st.sampled_from(["torus", "revolution"]),
+    order=st.sampled_from("CF"),
+)
+def test_the_in_place_kernel_gives_the_roll_kernel_bits(nu, nv, seed, topology, order):
+    # a positive definite form with noisy entries: every difference and product is exercised
+    rng = np.random.default_rng(seed)
+    E, G = (np.asarray(1 + rng.random((nu, nv)), order=order) for _ in "EG")
+    F = np.asarray(0.9 * (rng.random((nu, nv)) - 0.5), order=order)
+    du, dv = 0.1 + rng.random(), 0.1 + rng.random()
+    # the reference reads the arrays as given; MetricGrid stores C-ordered copies
+    given_arrays = types.SimpleNamespace(nu=nu, nv=nv, du=du, dv=dv, E=E, F=F, G=G, topology=topology)
+    k = gaussian_curvature(MetricGrid(nu, nv, du, dv, E, F, G, topology))
+    assert k.tobytes() == roll_gaussian_curvature(given_arrays).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 64), conformal=st.booleans())
+def test_the_in_place_metric_gives_the_one_axis_bits(seed, n, conformal):
+    m = random_torus_metric(random.Random(seed), n, conformal)
+    for name, ref in zip("EFG", one_axis_torus_metric(random.Random(seed), n, conformal)):
+        assert getattr(m, name).tobytes() == ref.tobytes(), name
+    assert m.E.flags.c_contiguous and m.F.flags.c_contiguous and m.G.flags.c_contiguous
+    assert gaussian_curvature(m).tobytes() == roll_gaussian_curvature(m).tobytes()
+
+
+# -- the Fraction-sum product ---------------------------------------------------------------------
+
+
+def fraction_sum_product(a, b):
+    bt = list(zip(*b.entries)) if b.entries else []
+    return a._ring(b)([[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.entries])
+
+
+INTS = st.integers(-30, 30) | st.integers(-(2**70), 2**70)
+# integral rationals now and then, so that some rational products are integral
+RATIONALS = st.builds(Fraction, INTS, st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12, 2**40]))
+
+
+@st.composite
+def operands(draw):
+    """(A, B) with cols(A) = rows(B), each an IntMatrix or a RationalMatrix; 0 rows and 0 columns included."""
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    kinds = [draw(st.sampled_from([IntMatrix, RationalMatrix])) for _ in "AB"]
+
+    def matrix(kind, r, c):
+        return kind([[draw(INTS if kind is IntMatrix else RATIONALS) for _ in range(c)] for _ in range(r)])
+
+    a = matrix(kinds[0], rows, inner)
+    return a, matrix(kinds[1], a.cols, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+def test_the_integer_product_gives_the_fraction_sum(ab):
+    a, b = ab
+    got, ref = a @ b, fraction_sum_product(a, b)
+    assert type(got) is type(ref)
+    assert (got.rows, got.cols) == (ref.rows, ref.cols)
+    assert got.entries == ref.entries
+    assert [type(x) for row in got.entries for x in row] == [type(x) for row in ref.entries for x in row]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (RationalMatrix([[Fraction(1, 2), Fraction(1, 3)]]), RationalMatrix([[2], [3]])),  # 2, rational
+        (IntMatrix([[2, 0], [0, 3]]), RationalMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])),  # I
+        (RationalMatrix([[Fraction(3, 2)]]), IntMatrix([[4]])),
+        (RationalMatrix([[], []]), RationalMatrix([])),  # 2 x 0 times 0 x 0
+        (IntMatrix([[1, 2], [3, 4]]), IntMatrix([[], []])),  # 2 x 2 times 2 x 0
+        (IntMatrix([]), RationalMatrix([])),  # 0 x 0
+    ],
+    ids=["integral dot", "integral identity", "rational times int", "2x0", "2x2 by 2x0", "0x0"],
+)
+def test_integral_and_empty_products_keep_the_ring(a, b):
+    got, ref = a @ b, fraction_sum_product(a, b)
+    assert type(got) is type(ref) is type(a)._ring(a, b)
+    assert (got.rows, got.cols, got.entries) == (ref.rows, ref.cols, ref.entries)
+    assert all(type(x) is (int if type(got) is IntMatrix else Fraction) for row in got.entries for x in row)

@@ -283,6 +283,22 @@ def test_curvature_without_the_fuv_term_fails_the_random_metric_check(monkeypatc
     assert failed == {"20 random doubly periodic metrics integrate to 0 +- 1e-3"}
 
 
+def chi_with_a_precedence_slip():
+    """``curvature.const_curvature_chi`` rebuilt from its source as K area / 2 * pi."""
+    source = inspect.getsource(curvature.const_curvature_chi)
+    formula = "curvature * area / (2 * math.pi)"
+    assert source.count(formula) == 1
+    namespace = dict(vars(curvature))
+    exec(source.replace(formula, "curvature * area / 2 * math.pi"), namespace)
+    return namespace["const_curvature_chi"]
+
+
+def test_a_chi_formula_with_a_precedence_slip_fails_the_constant_curvature_check(monkeypatch):
+    # K = -1 on area 4 pi (g - 1) gives -2 pi^2 (g - 1), not 2 - 2g
+    monkeypatch.setattr(curvature, "const_curvature_chi", chi_with_a_precedence_slip())
+    assert failed_checks(verify.run_suite("curvature", 1)) == {"constant-curvature chi exact for g = 2..5"}
+
+
 def test_curvature_off_by_a_constant_fails_the_flat_torus_and_sphere_checks(monkeypatch):
     # K + 1e-3 moves each integral by 1e-3 * area / 2 pi: 2e-3 on the unit sphere
     gaussian_curvature = curvature.gaussian_curvature
@@ -390,6 +406,22 @@ def test_a_constant_fixed_point_index_fails_the_flow_sign_check(monkeypatch):
     assert failed_checks(verify.run_suite("models", 1)) == {"flow signs from diag(2,1/2) return map"}
 
 
+def flows_of_the_first_orbit_only():
+    """``models.flow_distribution`` rebuilt from its source with a loop that stops after the first orbit."""
+    source = inspect.getsource(models.flow_distribution)
+    loop = "for idx, orbit in enumerate(orbits):"
+    assert source.count(loop) == 1
+    namespace = dict(vars(models))
+    exec(source.replace(loop, "for idx, orbit in enumerate(orbits[:1]):"), namespace)
+    return namespace["flow_distribution"]
+
+
+def test_a_flow_that_drops_later_orbits_fails_the_linearity_check(monkeypatch):
+    # the sign check has one orbit, so only the union of two orbits sees the lost one
+    monkeypatch.setattr(models, "flow_distribution", flows_of_the_first_orbit_only())
+    assert failed_checks(verify.run_suite("models", 1)) == {"flow distribution is linear in the orbit list"}
+
+
 # -- the power walk ---------------------------------------------------------------------------
 
 
@@ -427,6 +459,45 @@ def test_a_rational_walk_fails_the_ring_check_in_the_mapping_torus(monkeypatch, 
         mapping_torus(CAT, 3)
     assert cli.main(["mapping-torus", "--matrix", "[[2,1],[1,1]]", "--window", "3"]) == 3
     assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+# -- the exact product --------------------------------------------------------------------------
+
+
+def product_without_the_right_denominator():
+    """``_Matrix.__matmul__`` rebuilt from its source with (A / a)(B / b) = AB / a: the common
+    denominator of the right operand is dropped."""
+    source = textwrap.dedent(inspect.getsource(linalg._Matrix.__matmul__))
+    denominator = "d = da * db"
+    assert source.count(denominator) == 1
+    namespace = dict(vars(linalg))
+    exec(source.replace(denominator, "d = da"), namespace)
+    return namespace["__matmul__"]
+
+
+def test_a_product_that_drops_a_denominator_fails_verify_and_the_goldens(monkeypatch, capsys):
+    import test_golden
+
+    monkeypatch.setattr(linalg._Matrix, "__matmul__", product_without_the_right_denominator())
+    # an integer product is untouched; P^-1 = I P^-1 of diag(2, 1/2) comes out as diag(1, 4)
+    assert CAT.power(3) == linalg.IntMatrix([[13, 8], [8, 5]])
+    assert cli.main(["verify", "--suite", "models"]) == 1
+    message = "error: orbit 0 (length 1) is not simple at multiple k=-1: det(P^k - I) = 0\n"
+    assert capsys.readouterr().err == message
+    changed = set()
+    for name, produce in test_golden.cases():
+        if name.startswith(("mapping_torus", "flow", "selberg", "verify")):
+            try:
+                same = produce() == (test_golden.GOLDEN / name).read_bytes()
+            except AssertionError:  # a nonzero exit fails the golden too
+                same = False
+            if not same:
+                changed.add(name)
+    # every golden with a rational product; the toral and selberg ones multiply integers
+    assert changed == {
+        "flow_commensurable.json", "flow_tolerance.json", "verify_all.json",
+        "mapping_torus_graded.json", "mapping_torus_graded_window60.json", "mapping_torus_graded_floats.json",
+    }
 
 
 # -- the vanishing check of nil_foliation ------------------------------------------------------
