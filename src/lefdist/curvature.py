@@ -331,7 +331,7 @@ def random_torus_metric(rng, n: int = 256, conformal: bool = False) -> MetricGri
     u = np.arange(n) * du
 
     def conformal_factor():
-        """exp(2 sum amp cos(mm u + nn v + phase)), built in place in ``out`` and one 2-D buffer."""
+        """exp(2 sum amp cos(mm u + nn v + phase)) on the grid."""
         out, wave = np.zeros((n, n)), np.empty((n, n))
         for mm in range(3):
             for nn in range(3):

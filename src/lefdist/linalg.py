@@ -7,7 +7,9 @@ serves every exact solve, and keeps intermediate entries at minor-determinant
 size: ranks and ``determinant`` read its pivots, while ``rank_kernel`` and
 inverses add one fraction-free back substitution on its echelon.  One Smith
 loop serves the Smith invariants and the column transform that parametrizes
-A x = 0 mod Z^n.  One power walk, ``powers``, serves every k-series.
+A x = 0 mod Z^n.  One power walk, ``powers``, serves every k-series.  A
+product multiplies integer matrices: each rational operand is scaled by the
+lcm of its denominators, and each entry of the result is one ``Fraction``.
 
 The wire format lives here: ``to_number``, ``exact_number``, ``read_int`` and ``to_float`` read
 every input number, and ``num_to_str`` writes every output number: rationals as ``"p/q"``
