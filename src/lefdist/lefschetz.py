@@ -138,7 +138,7 @@ def _lefschetz_of_power(ak, k: int) -> int:
 
 def fixed_point_index(j: RationalMatrix | IntMatrix) -> int:
     """The paper's epsilon at a simple fixed point with linearization J: sign det(J - I)."""
-    d = determinant(j - RationalMatrix.identity(j.rows))
+    d = determinant(j - type(j).identity(j.rows))
     if d == 0:
         raise NotSimpleError("fixed point is not simple: det(J - I) = 0")
     return 1 if d > 0 else -1

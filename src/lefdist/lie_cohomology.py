@@ -7,9 +7,10 @@ reports, JSON), matching the usual mathematical notation; storage is 0-based.
 
 The constants are stored once, as a sparse integer table: for each ordered
 pair (i, j) the nonzero outputs k with their integer numerators over one
-common denominator L, the lcm of the denominators of the constants.  The form
-is canonical, so equal algebras have equal tables.  The Jacobi check and the
-CE differential work in plain ints over the nonzero entries only.
+common denominator L, the lcm of the denominators of the constants.  One
+writer, ``LieAlgebra._fill``, makes every table canonical (constructor, direct
+sums, Carnot rebases), so equal algebras have equal tables.  The Jacobi check
+and the CE differential work in plain ints over the nonzero entries only.
 
 The differential on the dual exterior algebra is the standard one,
 
@@ -41,7 +42,9 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import InconsistencyError, InvalidLieAlgebraError, PreconditionError
-from .linalg import IntMatrix, RationalMatrix, _bareiss_echelon, _inverse, exact_number, expect, num_to_str, read_int
+from .linalg import (
+    IntMatrix, RationalMatrix, _bareiss_echelon, _integer_entries, _inverse, exact_number, expect, num_to_str, read_int
+)
 
 __all__ = [
     "MAX_ALGEBRA_DIM",
@@ -131,22 +134,30 @@ class LieAlgebra:
                 if not 1 <= k <= dim:
                     raise PreconditionError(f"bracket output index {k} out of range 1..{dim}")
                 row[k - 1] = Fraction(coeff)
-        for (i, j), row in list(c.items()):
-            if (j, i) not in c:
-                c[j, i] = {k: -v for k, v in row.items()}
         den = lcm(*(v.denominator for row in c.values() for v in row.values()))
-        table = [[()] * dim for _ in range(dim)]
-        for (i, j), row in c.items():
-            table[i][j] = tuple((k, v.numerator * (den // v.denominator)) for k, v in sorted(row.items()) if v)
-        self._fill(dim, tuple(map(tuple, table)), den)
+        self._fill(dim, {ij: [(k, v.numerator * den // v.denominator) for k, v in c[ij].items()] for ij in c}, den)
 
-    def _fill(self, dim: int, table, den: int) -> None:
-        """Set the canonical table (see the class comment) and validate it."""
+    @classmethod
+    def _from_numerators(cls, dim: int, nums, den: int) -> "LieAlgebra":
+        """The algebra with c[i][j][k] = num / den for each (k, num) in nums[i, j] (0-based); see ``_fill``."""
+        a = object.__new__(cls)
+        a._fill(dim, nums, den)
+        return a
+
+    def _fill(self, dim: int, nums, den: int) -> None:
+        """The one writer of the table: check dim, fill each pair missing from ``nums`` by antisymmetry,
+        divide out gcd(den, numerators), drop zeros, sort by k (the canonical form above) and validate."""
+        _require_dim(dim)
+        g = gcd(den, *(num for out in nums.values() for _, num in out))
+        table = [[()] * dim for _ in range(dim)]
+        for (i, j), out in nums.items():
+            table[i][j] = row = tuple(sorted((k, num // g) for k, num in out if num))
+            if (j, i) not in nums:
+                table[j][i] = tuple((k, -num) for k, num in row)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_den", den)
-        v = validate(self)
-        if v is not None:
+        object.__setattr__(self, "_table", tuple(map(tuple, table)))
+        object.__setattr__(self, "_den", den // g)
+        if (v := validate(self)) is not None:
             raise InvalidLieAlgebraError(v)
 
     def __setattr__(self, name, value):
@@ -273,8 +284,6 @@ def is_nilpotent(a: LieAlgebra) -> bool:
     """
     n = a.dim
     current, _ = _derived(a)
-    if n and len(current) == n:
-        return False  # [g, g] = g
     while current:
         nxt, _ = _span(_brackets(a._table, range(n), current))
         if len(nxt) == len(current):
@@ -400,11 +409,10 @@ def _carnot_rebase(a: LieAlgebra) -> LieAlgebra | None:
     basis = [b for layer in layers for b in layer]
     weight = [w for w, layer in enumerate(layers, 1) for _ in layer]
     try:
-        inverse = _inverse(IntMatrix(basis)).entries  # x in e-coordinates is x B^-1 in the b_k
+        inverse, d = _integer_entries(_inverse(IntMatrix(basis)))  # d B^-1; x in e-coordinates is x B^-1 in the b_k
     except PreconditionError:
         return None
-    d = lcm(*(x.denominator for row in inverse for x in row))
-    columns = [[int(x * d) for x in col] for col in zip(*inverse)]  # of d B^-1
+    columns = list(zip(*inverse))
     around = list(_brackets(t, range(n), basis))  # around[m * n + j] = L [e_m, b_j]
     nums = {}  # (i, j) -> ((k, d L c_ij^k), ...) in the new basis, i < j
     for i, j in itertools.combinations(range(n), 2):
@@ -416,17 +424,10 @@ def _carnot_rebase(a: LieAlgebra) -> LieAlgebra | None:
         if any(weight[i] + weight[j] != weight[k] for k, _ in out):
             return None
         nums[i, j] = out
-    g = gcd(d * a._den, *(num for out in nums.values() for _, num in out))
-    table = [[()] * n for _ in range(n)]
-    for (i, j), out in nums.items():
-        table[i][j] = tuple((k, num // g) for k, num in out)
-        table[j][i] = tuple((k, -num // g) for k, num in out)
-    graded = object.__new__(LieAlgebra)
     try:
-        graded._fill(n, tuple(map(tuple, table)), d * a._den // g)
+        return LieAlgebra._from_numerators(n, nums, d * a._den)
     except InvalidLieAlgebraError as exc:
         raise InconsistencyError(f"the Carnot layers of a Lie algebra gave no Lie algebra: {exc}") from exc
-    return graded
 
 
 def cohomology_dims(a: LieAlgebra) -> GradedDims:
@@ -482,15 +483,13 @@ def sl2() -> LieAlgebra:
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    brackets = {}
-    for shift, x in ((0, a), (a.dim, b)):
-        for i in range(x.dim):
-            for j in range(i + 1, x.dim):
-                if x._table[i][j]:
-                    brackets[shift + i + 1, shift + j + 1] = {
-                        shift + k + 1: Fraction(num, x._den) for k, num in x._table[i][j]
-                    }
-    return LieAlgebra(a.dim + b.dim, brackets)
+    """a on the first a.dim basis vectors, b on the rest: both tables over lcm(a._den, b._den)."""
+    den = lcm(a._den, b._den)
+    nums = {
+        (s + i, s + j): [(s + k, num * den // x._den) for k, num in out]
+        for s, x in ((0, a), (a.dim, b)) for i, row in enumerate(x._table) for j, out in enumerate(row)
+    }
+    return LieAlgebra._from_numerators(a.dim + b.dim, nums, den)
 
 
 # name -> (constructor, the name of its argument or "" if it takes none, the argument of a bare name)

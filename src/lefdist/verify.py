@@ -4,6 +4,15 @@ Each check pits a library computation path against a deliberately separate
 implementation (different basis conventions, raw enumeration, numerical
 quadrature against known answers).  The CLI ``verify`` subcommand and the
 test suite both run these.
+
+The suites import the library names they check inside each function, on
+purpose.  A mutation test patches a name in its source module
+(``models.flow_distribution``, ``lefschetz.fixed_points_toral``,
+``lie_cohomology.cohomology_dims``, ``curvature.const_curvature_chi``), and a
+suite sees the patch only because it looks the name up when it runs; an
+import hoisted to the top of this module would bind the original at load time
+and disarm those tests.  The names that are imported at the top (such as
+``smith_transform`` and ``exterior_power``) are patched on this module.
 """
 
 from __future__ import annotations

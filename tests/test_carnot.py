@@ -4,9 +4,10 @@
 the largest connected component of its middle CE differential has more than
 ``CARNOT_GATE_ROWS`` rows.  These tests hold the Betti numbers to
 ``full_matrix_dims`` (every CE matrix ranked whole by ``rank_kernel``) under
-unimodular and rational changes of basis, check that the algebras which the
-cheap try cannot grade fall back to their given basis with the same numbers,
-and that no catalog basis of the benchmark or of ``verify`` reaches the
+unimodular and rational changes of basis, check that every rebase that
+succeeds gives a canonical table (``is_canonical``), that the algebras which
+the cheap try cannot grade fall back to their given basis with the same
+numbers, and that no catalog basis of the benchmark or of ``verify`` reaches the
 rebase at all.  The scrambles come from the benchmark's own recipe,
 ``perfbench/workloads.scrambled_constants``.
 """
@@ -34,7 +35,7 @@ from lefdist.lie_cohomology import (
     nilpotent_battery,
 )
 from lefdist.models import nil_foliation
-from test_lie_reference import BASES, brackets_of, change_basis, full_matrix_dims, random_basis
+from test_lie_reference import BASES, brackets_of, change_basis, full_matrix_dims, is_canonical, random_basis
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
@@ -87,6 +88,7 @@ def test_betti_numbers_match_the_full_matrices_after_a_change_of_basis(base, rat
     # below the gate too: a rebase that succeeds keeps every Betti number
     graded = _carnot_rebase(b)
     if graded is not None:
+        assert is_canonical(graded)
         assert full_matrix_dims(graded) == full_matrix_dims(b)
 
 
@@ -104,7 +106,7 @@ def test_a_hidden_grading_is_found_again(name, algebra):
     a = algebra()
     assert largest_middle_component(a) > CARNOT_GATE_ROWS, name
     graded = _carnot_rebase(a)
-    assert graded is not None, name
+    assert graded is not None and is_canonical(graded), name
     # an eighth of the rows or fewer: 462 -> 32 at dim 12, 105 -> 8 and 126 -> 12 at dim 9
     assert 8 * largest_middle_component(graded) <= largest_middle_component(a), name
     assert cohomology_dims(a) == cohomology_dims(filiform(a.dim)), name

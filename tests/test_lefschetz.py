@@ -126,6 +126,14 @@ class TestFixedPointIndex:
         with pytest.raises(NotSimpleError):
             fixed_point_index(RationalMatrix.identity(2))
 
+    def test_an_integer_linearization_stays_in_integers(self, monkeypatch):
+        # J - I is taken in J's own ring, so the determinant of an IntMatrix J is an int
+        seen = []
+        monkeypatch.setattr(lefschetz, "determinant", lambda m: seen.append(determinant(m)) or seen[-1])
+        assert fixed_point_index(CAT.power(2)) == -1  # det([[4, 3], [3, 1]]) = -5
+        assert fixed_point_index(RationalMatrix(CAT.power(2).entries)) == -1
+        assert seen == [-5, -5] and [type(d) for d in seen] == [int, Fraction]
+
 
 class TestFixedPoints:
     def test_cat_map_k1(self):

@@ -14,19 +14,22 @@ connected component at a time; ``component_counts`` finds those
 components by merging column sets, and ``weight_rank`` is the rank of the
 grading equations w_i + w_j = w_k (dim when only w = 0 solves them).
 ``dense_is_nilpotent`` is the lower central series over ``Fraction`` vectors
-that ``is_nilpotent`` replaced.
+that ``is_nilpotent`` replaced, and ``fraction_direct_sum`` the direct sum that
+sent both tables back through the constructor as ``Fraction`` brackets.
 """
 
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefdist.errors import InvalidLieAlgebraError
+from lefdist.errors import InvalidLieAlgebraError, PreconditionError
 from lefdist.lie_cohomology import (
     LieAlgebra,
     Violation,
@@ -36,6 +39,7 @@ from lefdist.lie_cohomology import (
     catalog_algebra,
     ce_differential,
     cohomology_dims,
+    direct_sum,
     filiform,
     is_nilpotent,
     nilpotent_battery,
@@ -44,6 +48,7 @@ from lefdist.linalg import IntMatrix, RationalMatrix, matrix_power, rank_kernel
 from lefdist.verify import ce_dims_reversed_basis
 from row_space import row_space_basis
 
+INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
 BASES = [(spec, catalog_algebra(spec)) for spec in (*nilpotent_battery(), "sl2", "heisenberg:1+filiform:4")]
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
 
@@ -151,6 +156,25 @@ def dense_is_nilpotent(a):
             return False
         current = nxt
     return True
+
+
+def fraction_direct_sum(a, b):
+    """a + b by Fraction brackets: the i < j constants of both tables, shifted, through the constructor."""
+    brackets = {}
+    for shift, x in ((0, a), (a.dim, b)):
+        for i in range(x.dim):
+            for j in range(i + 1, x.dim):
+                if x._table[i][j]:
+                    brackets[shift + i + 1, shift + j + 1] = {
+                        shift + k + 1: Fraction(num, x._den) for k, num in x._table[i][j]
+                    }
+    return LieAlgebra(a.dim + b.dim, brackets)
+
+
+def is_canonical(a):
+    """den > 0 and gcd(den, numerators) = 1, so the JSON round trip rebuilds the same table."""
+    nums = (num for row in a._table for out in row for _, num in out)
+    return a._den > 0 and gcd(a._den, *nums) == 1 and a == LieAlgebra.from_json_obj(a.to_json_obj())
 
 
 # -- inputs -------------------------------------------------------------------
@@ -356,3 +380,25 @@ def test_component_rank_matches_the_dense_rank(case):
     n, rows = case
     dense = [[row.get(c, 0) for c in range(n)] for row in rows]
     assert _component_rank(_components(rows)) == rank_kernel(IntMatrix(dense))[0]
+
+
+def sum_or_refusal(direct, a, b):
+    try:
+        return direct(a, b)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_direct_sum_matches_the_fraction_route():
+    rational = LieAlgebra.from_json_obj(json.loads((INPUTS / "rational_algebra_dim8.json").read_text()))
+    heis = catalog_algebra("heisenberg:1")
+    seventh = LieAlgebra(3, {(1, 2): {3: Fraction(2, 7)}})  # 7 does not divide the dim-8 denominator
+    too_big = (catalog_algebra("filiform:12"), catalog_algebra("abelian:1"))
+    pairs = [(a, b) for (_, a), (_, b) in itertools.product(BASES, repeat=2)]
+    pairs += [(rational, heis), (heis, rational), (rational, seventh), too_big]
+    for a, b in pairs:
+        ours = sum_or_refusal(direct_sum, a, b)
+        assert ours == sum_or_refusal(fraction_direct_sum, a, b), (a.dim, b.dim)
+        assert not isinstance(ours, LieAlgebra) or is_canonical(ours)
+    assert direct_sum(rational, seventh)._den == 7 * rational._den
+    assert sum_or_refusal(direct_sum, *too_big) == "dimension 13 must lie in 0..MAX_ALGEBRA_DIM = 12"

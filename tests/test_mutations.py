@@ -179,6 +179,34 @@ def test_wrong_first_surface_trace_fails_the_resummation_check(monkeypatch, caps
     assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
+def test_a_doubled_last_invariant_fails_the_determinant_check(monkeypatch):
+    # 2 d_r is still a multiple of d_(r-1), so the chain holds; only |det| = d_1 ... d_r sees it
+    smith = verify.smith_transform
+
+    def mutant(m):
+        invs, c = smith(m)
+        return invs[:-1] + tuple(2 * d for d in invs[-1:]), c
+
+    monkeypatch.setattr(verify, "smith_transform", mutant)
+    assert failed_checks(verify.run_suite("linalg", 1)) == {"determinant equals product of SNF invariants"}
+
+
+def test_a_wrong_first_exterior_power_fails_the_exterior_trace_check(monkeypatch):
+    # tr Lambda^1 m one too large moves the alternating trace sum by -1, and det(I - m) not at all
+    exterior_power = verify.exterior_power
+
+    def mutant(m, i):
+        power = exterior_power(m, i)
+        if i != 1:
+            return power
+        rows = [list(row) for row in power.entries]
+        rows[0][0] += 1
+        return type(power)(rows)
+
+    monkeypatch.setattr(verify, "exterior_power", mutant)
+    assert failed_checks(verify.run_suite("linalg", 1)) == {"det(I - m) equals alternating exterior traces"}
+
+
 # -- the enumeration checks of fixed_points_toral ------------------------------------------
 
 CAT = lefschetz.ToralAutomorphism(linalg.IntMatrix([[2, 1], [1, 1]]))
@@ -238,6 +266,21 @@ def test_a_rational_power_fails_the_ring_check(monkeypatch):
     monkeypatch.setattr(lefschetz, "matrix_power", lambda m, k: linalg.RationalMatrix(m.entries))
     with pytest.raises(InconsistencyError, match="A\\^4 of a unimodular A came back as RationalMatrix, not IntMatrix"):
         CAT.power(4)
+
+
+def test_a_lefschetz_number_off_by_one_fails_the_cat_map_and_index_sum_checks(monkeypatch):
+    # L(F^2) + 1 for the maps of trace +-3 only, the cat map among them; count * index of the
+    # enumerated fixed points stays right, so the two checks that compare with it fail
+    toral_lefschetz = lefschetz.toral_lefschetz
+
+    def mutant(t, k):
+        return toral_lefschetz(t, k) + (k == 2 and abs(t.matrix.trace()) == 3)
+
+    monkeypatch.setattr(lefschetz, "toral_lefschetz", mutant)
+    assert failed_checks(verify.run_suite("all", 1)) == {
+        "cat map L(F^k), k=1..5, three ways",
+        "GL(2,Z) battery: index sum equals Lefschetz number",
+    }
 
 
 # -- verify's brute-force and quadrature oracles -----------------------------------------------
@@ -422,6 +465,20 @@ def test_a_flow_that_drops_later_orbits_fails_the_linearity_check(monkeypatch):
     assert failed_checks(verify.run_suite("models", 1)) == {"flow distribution is linear in the orbit list"}
 
 
+def test_a_mapping_torus_coefficient_off_by_one_fails_the_selberg_check(monkeypatch):
+    # mapping_torus takes L(F^k) from _lefschetz_of_power; the Selberg classes take it from the
+    # exterior traces of GradedMap.from_toral, so only their comparison sees the atom at k = 2
+    lefschetz_of_power = models._lefschetz_of_power
+    monkeypatch.setattr(models, "_lefschetz_of_power", lambda ak, k: lefschetz_of_power(ak, k) + (k == 2))
+    assert failed_checks(verify.run_suite("all", 1)) == {"Selberg G=R specialization equals mapping torus"}
+
+
+def test_a_corollary_check_that_always_passes_fails_the_corrupted_density_check(monkeypatch):
+    # every nilfoliation L is zero, so the nilfoliation check passes with or without the criterion
+    monkeypatch.setattr(models, "corollary_checks", lambda d: models.CorollaryReport(True, True, ""))
+    assert failed_checks(verify.run_suite("all", 1)) == {"corrupted constant density is flagged"}
+
+
 # -- the power walk ---------------------------------------------------------------------------
 
 
@@ -510,3 +567,27 @@ def test_betti_numbers_that_do_not_cancel_fail_the_vanishing_check(monkeypatch, 
         nil_foliation(catalog_algebra("filiform:4"))
     assert cli.main(["nilfoliation", "--algebra", "filiform:4"]) == 3
     assert capsys.readouterr().err == "internal error: alternating sum of nilfoliation traces is not zero\n"
+
+
+def nil_foliation_without_the_sign():
+    """``models.nil_foliation`` rebuilt from its source with L = sum of the traces, not their alternating sum."""
+    source = inspect.getsource(models.nil_foliation)
+    sign = "(-1) ** i * "
+    assert source.count(sign) == 1
+    namespace = dict(vars(models))
+    exec(source.replace(sign, ""), namespace)
+    return namespace["nil_foliation"]
+
+
+def test_a_nilfoliation_without_the_sign_fails_the_vanishing_check(monkeypatch, capsys):
+    # b^0 + ... + b^n > 0: the mutant trips its own check before verify's "L vanishes" can run
+    message = "alternating sum of nilfoliation traces is not zero"
+    mutant = nil_foliation_without_the_sign()
+    with pytest.raises(InconsistencyError, match=message):
+        mutant(catalog_algebra("heisenberg:1"))
+    # verify imports the name from models when its suite runs
+    monkeypatch.setattr(models, "nil_foliation", mutant)
+    with pytest.raises(InconsistencyError, match=message):
+        verify.run_suite("models", 1)
+    assert cli.main(["verify", "--suite", "models"]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
