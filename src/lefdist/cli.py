@@ -74,10 +74,13 @@ def _graded_from_json(maps) -> GradedMap:
     return GradedMap(tuple(RationalMatrix.from_json_obj(m, f"'graded' degree {i}") for i, m in enumerate(maps)))
 
 
-def _wrap(model: str, distribution: AtomicDistribution, metadata: dict, **extra) -> dict:
+def _wrap(model: str, distribution: AtomicDistribution, metadata: dict, traces=None, **extra) -> dict:
+    """The report of a distribution: model, ``extra`` fields, metadata, the traces Tr^i if given, distribution."""
     out = {"model": model}
     out.update(extra)
     out["metadata"] = metadata
+    if traces is not None:
+        out["traces"] = {str(i): t.to_json_obj() for i, t in enumerate(traces)}
     out["distribution"] = distribution.to_json_obj()
     return out
 
@@ -118,8 +121,12 @@ def _orbit_from_json(idx: int, obj: dict) -> ClosedOrbitSpec:
         if "return_map" in obj:
             return_map = RationalMatrix.from_json_obj(obj["return_map"], "orbit 'return_map'")
             return ClosedOrbitSpec(length, return_map=return_map)
-        signs = expect(obj["signs"], dict, "orbit 'signs'")
-        signs = {read_int(k, "orbit 'signs' key"): read_int(v, "orbit sign") for k, v in signs.items()}
+        signs, keys = {}, {}
+        for key, sign in expect(obj["signs"], dict, "orbit 'signs'").items():
+            k = read_int(key, "orbit 'signs' key")
+            if k in keys:
+                raise ValueError(f"orbit 'signs' keys {keys[k]!r} and {key!r} both name k = {k}")
+            keys[k], signs[k] = key, read_int(sign, "orbit sign")
         return ClosedOrbitSpec(length, signs=signs)
     except ValueError as exc:  # PreconditionError too, so the exit code stays
         raise type(exc)(f"orbit {idx}: {exc}") from None
@@ -173,10 +180,7 @@ def _cmd_surface_suspension(args) -> dict:
         "chi_lambda": num_to_str(s.chi_lambda),
         "interpretation": SMOOTH_NOTE,
     }
-    out = {"model": "surface_suspension", "genus": s.genus, "metadata": meta}
-    out["traces"] = {str(i): t.to_json_obj() for i, t in enumerate(s.traces)}
-    out["distribution"] = s.lefschetz.to_json_obj()
-    return out
+    return _wrap("surface_suspension", s.lefschetz, meta, s.traces, genus=s.genus)
 
 
 def _cmd_nilfoliation(args) -> dict:
@@ -185,10 +189,7 @@ def _cmd_nilfoliation(args) -> dict:
     else:
         a = catalog_algebra(args.algebra)
     r = nil_foliation(a)
-    meta = {"interpretation": SMOOTH_NOTE}
-    out = {"model": "nil_foliation", "dims": list(r.dims), "metadata": meta}
-    out["traces"] = {str(i): t.to_json_obj() for i, t in enumerate(r.traces)}
-    out["distribution"] = r.lefschetz.to_json_obj()
+    out = _wrap("nil_foliation", r.lefschetz, {"interpretation": SMOOTH_NOTE}, r.traces, dims=list(r.dims))
     out["corollary_check"] = dataclasses.asdict(r.corollary)
     return out
 

@@ -203,11 +203,21 @@ class LieAlgebra:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LieAlgebra":
-        brackets = {}
+        """The algebra of a JSON object; a pair (i, j), or an output k of one bracket, given twice is refused."""
+        brackets, pairs = {}, {}
         for b in expect(obj.get("brackets", []), list, "'brackets'", each=dict):
-            out = brackets[read_int(b["i"], "bracket 'i'"), read_int(b["j"], "bracket 'j'")] = {}
+            ij = read_int(b["i"], "bracket 'i'"), read_int(b["j"], "bracket 'j'")
+            if ij in pairs:
+                raise ValueError(f"bracket pairs {pairs[ij]} and {b['i'], b['j']} both name (i, j) = {ij}")
+            pairs[ij] = b["i"], b["j"]
+            out = brackets[ij] = {}
+            outputs = {}
             for o in expect(b["out"], list, "bracket 'out'", each=dict):
-                out[read_int(o["k"], "bracket output 'k'")] = exact_number(o["c"], "bracket output 'c'")
+                k = read_int(o["k"], "bracket output 'k'")
+                if k in outputs:
+                    raise ValueError(f"bracket {ij} outputs {outputs[k]!r} and {o['k']!r} both name k = {k}")
+                outputs[k] = o["k"]
+                out[k] = exact_number(o["c"], "bracket output 'c'")
         return cls(read_int(obj["dim"], "'dim'"), brackets)
 
 

@@ -188,8 +188,9 @@ class TestFlow:
             ({"signs": {"1": 2}}, 1, "error: orbit 2: sign for k=1 must be +-1, got 2"),
             ({"return_map": [["1", "2"], ["1/2", "1"]]}, 1, "error: orbit 2: return map is singular"),
             ({"signs": {"1": "x"}}, 2, "input error: orbit 2: orbit sign must be an integer, got 'x'"),
+            ({"signs": {"1": 1, "01": 1}}, 2, "input error: orbit 2: orbit 'signs' keys '1' and '01' both name k = 1"),
         ],
-        ids=["sign", "singular", "parse"],
+        ids=["sign", "singular", "parse", "repeated"],
     )
     def test_orbit_errors_name_the_orbit(self, capsys, tmp_path, bad, rc, message):
         # the error type, and so the exit code, is the one the orbit raised
@@ -457,6 +458,23 @@ class TestNilfoliation:
         path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": c}]}]}))
         rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", str(path))
         assert_input_error(rc, err, "bracket output 'c'")
+
+    @pytest.mark.parametrize(
+        "brackets, message",
+        [
+            ([[1, 2, 3], [1, 2, 3]], "bracket pairs (1, 2) and (1, 2) both name (i, j) = (1, 2)"),
+            ([[1, 2, 3], ["01", 2, 3]], "bracket pairs (1, 2) and ('01', 2) both name (i, j) = (1, 2)"),
+            ([[1, 2, 3, "03"]], "bracket (1, 2) outputs 3 and '03' both name k = 3"),
+        ],
+        ids=["pair", "pair-spelled-apart", "output"],
+    )
+    def test_repeated_key_refused_naming_both(self, capsys, tmp_path, brackets, message):
+        # each would otherwise overwrite the one before it
+        path = tmp_path / "alg.json"
+        out = [{"i": i, "j": j, "out": [{"k": k, "c": "1"} for k in ks]} for i, j, *ks in brackets]
+        path.write_text(json.dumps({"dim": 3, "brackets": out}))
+        rc, _, err = run_cli(capsys, "nilfoliation", "--algebra", str(path))
+        assert (rc, err) == (2, f"input error: {message}\n")
 
     def test_dimension_cap(self, capsys, tmp_path):
         path = tmp_path / "alg.json"

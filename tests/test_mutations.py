@@ -170,7 +170,7 @@ def test_wrong_first_surface_trace_fails_the_resummation_check(monkeypatch, caps
     mutant = surface_first_trace_off_by_one()
     with pytest.raises(InconsistencyError, match=message):
         mutant(3)
-    # cli binds the name at import; verify imports it from models when its suite runs
+    # cli binds the name at import; verify looks it up on models when its suite runs
     monkeypatch.setattr(models, "surface_suspension_traces", mutant)
     monkeypatch.setattr(cli, "surface_suspension_traces", mutant)
     assert cli.main(["surface-suspension", "--genus", "3"]) == 3
@@ -368,12 +368,13 @@ def test_a_bumped_top_betti_number_fails_the_duality_check(monkeypatch):
 
 
 def test_a_short_component_rank_fails_the_heisenberg_check(monkeypatch):
-    # b_i = C(n,i) - r_i - r_(i-1) sums alternately to 0 whatever the ranks, and every r_i short
-    # by one keeps b_i = b_(n-i): only the known answer and the oracle catch it
+    # every r_i short by one keeps b_i = b_(n-i): only the known answer, b^1 from [g, g] and
+    # the oracle catch it
     rank = lie_cohomology._component_rank
     monkeypatch.setattr(lie_cohomology, "_component_rank", lambda rows: rank(rows) - 1)
     assert failed_checks(verify.run_suite("cohomology", 1)) == {
         "Heisenberg Betti numbers (1,2,2,1)",
+        "b^1 = dim g - dim [g, g] on the nilpotent battery",
         "reversed-basis CE oracle agrees (dim <= 6)",
     }
 
@@ -585,9 +586,74 @@ def test_a_nilfoliation_without_the_sign_fails_the_vanishing_check(monkeypatch, 
     mutant = nil_foliation_without_the_sign()
     with pytest.raises(InconsistencyError, match=message):
         mutant(catalog_algebra("heisenberg:1"))
-    # verify imports the name from models when its suite runs
+    # verify looks the name up on models when its suite runs
     monkeypatch.setattr(models, "nil_foliation", mutant)
     with pytest.raises(InconsistencyError, match=message):
         verify.run_suite("models", 1)
     assert cli.main(["verify", "--suite", "models"]) == 3
     assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+# -- every verify check can fail --------------------------------------------------------------
+
+# each verify check, by the name it reports, with the mutation tests above that fail it.  The
+# mutants of the SNF chain, the surface resummation and the nilfoliation vanishing trip an
+# internal raise (exit 3) before the check itself runs
+FAILED_BY = {
+    "determinant equals product of SNF invariants": ["test_a_doubled_last_invariant_fails_the_determinant_check"],
+    "det(I - m) equals alternating exterior traces": [
+        "test_a_wrong_first_exterior_power_fails_the_exterior_trace_check"
+    ],
+    "rank + kernel dimension = cols": ["test_rank_nullity_check_can_fail"],
+    "SNF divisibility chain": ["test_smith_without_the_offender_step_fails_the_chain_check"],
+    "cat map L(F^k), k=1..5, three ways": [
+        "test_a_lefschetz_number_off_by_one_fails_the_cat_map_and_index_sum_checks"
+    ],
+    "GL(2,Z) battery: SNF count equals brute-force enumeration": [
+        "test_a_scan_that_skips_the_zero_residue_fails_the_count_check"
+    ],
+    "GL(2,Z) battery: index sum equals Lefschetz number": [
+        "test_a_lefschetz_number_off_by_one_fails_the_cat_map_and_index_sum_checks"
+    ],
+    "epsilon = (-1)^n * classical index (n = 2)": ["test_epsilon_check_can_fail"],
+    "d.d = 0 on the nilpotent battery": ["test_ce_rows_without_the_insertion_sign_fail_the_dd_check"],
+    "b^1 = dim g - dim [g, g] on the nilpotent battery": ["test_a_short_component_rank_fails_the_heisenberg_check"],
+    "Poincare duality on nilpotent algebras": ["test_a_bumped_top_betti_number_fails_the_duality_check"],
+    "Heisenberg Betti numbers (1,2,2,1)": ["test_a_short_component_rank_fails_the_heisenberg_check"],
+    "reversed-basis CE oracle agrees (dim <= 6)": [
+        "test_bareiss_defect_fails_the_oracle_check",
+        "test_oracle_defect_fails_the_oracle_check",
+        "test_a_short_component_rank_fails_the_heisenberg_check",
+        "test_an_inverse_that_loses_the_top_layer_fails_the_oracle_check",
+    ],
+    "Selberg G=R specialization equals mapping torus": [
+        "test_a_mapping_torus_coefficient_off_by_one_fails_the_selberg_check"
+    ],
+    "surface suspension traces resum to L (g = 2..10)": [
+        "test_wrong_first_surface_trace_fails_the_resummation_check"
+    ],
+    "nilfoliation L vanishes and passes the smooth check": [
+        "test_a_nilfoliation_without_the_sign_fails_the_vanishing_check"
+    ],
+    "corrupted constant density is flagged": [
+        "test_a_corollary_check_that_always_passes_fails_the_corrupted_density_check"
+    ],
+    "flow signs from diag(2,1/2) return map": ["test_a_constant_fixed_point_index_fails_the_flow_sign_check"],
+    "flow distribution is linear in the orbit list": ["test_a_flow_that_drops_later_orbits_fails_the_linearity_check"],
+    "flat torus integrates to exactly 0": ["test_curvature_off_by_a_constant_fails_the_flat_torus_and_sphere_checks"],
+    "unit sphere integrates to 2 +- 1e-3": ["test_curvature_off_by_a_constant_fails_the_flat_torus_and_sphere_checks"],
+    "20 random doubly periodic metrics integrate to 0 +- 1e-3": [
+        "test_curvature_without_the_fuv_term_fails_the_random_metric_check",
+        "test_curvature_off_by_a_constant_fails_the_flat_torus_and_sphere_checks",
+    ],
+    "constant-curvature chi exact for g = 2..5": [
+        "test_a_chi_formula_with_a_precedence_slip_fails_the_constant_curvature_check"
+    ],
+}
+
+
+def test_every_verify_check_has_a_mutation_test():
+    golden = json.loads((INPUTS.parent / "verify_all.json").read_text())
+    assert list(FAILED_BY) == [c["name"] for c in golden["checks"]]
+    for tests in FAILED_BY.values():
+        assert all(callable(globals().get(name)) for name in tests), tests
