@@ -17,7 +17,8 @@ at windows 4 and 60,
 the default `verify --suite all` report, and the reports that pin how atoms
 merge: `flow` with exact lengths 1 and 3/2 that meet at 3, inexact lengths
 and near-duplicates 5e-9 apart (kept apart by default; merged, with an exact
-and an inexact location 2e-10 apart, under `--tolerance 1e-6`), `selberg`
+and an inexact location 2e-10 apart, under `--tolerance 1e-6`), `flow` on four
+dense rational return maps with 100 to 133 multiples each, `selberg`
 once abstract (orbit terms) and once with `group_kind` R (lattice atoms), and
 `suspension` and `surface-suspension` with an inexact volume, and the
 reports that pin the number readers: `gauss-bonnet --input` on a seeded
@@ -36,6 +37,7 @@ one before `random_torus_metric` stopped building a meshgrid, the builtin sphere
 random-128 files before the curvature kernel worked in place, the n = 8 and window-60
 graded files before every k-series took its powers from one incremental walk,
 the three scrambles before `cohomology_dims` ranked a scrambled algebra in its Carnot layers,
+the dense rational flow before the flow signs came from one characteristic polynomial per map,
 the others before the exact
 elimination kernels were merged; any byte that changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
@@ -141,6 +143,10 @@ CLI = {
     "flow_tolerance": [
         "flow", "--input", str(INPUTS / "flow_orbits_near_exact.json"), "--window", "3",
         "--tolerance", "1e-6",
+    ],
+    # dense 2x2 and 3x3 rational return maps of the benchmark's cli_mix recipe, 100 to 133 multiples each
+    "flow_dense_rational": [
+        "flow", "--input", str(INPUTS / "flow_orbits_dense_rational.json"), "--window", "100"
     ],
     "selberg_abstract": ["selberg", "--input", str(INPUTS / "selberg_abstract.json")],
     "selberg_r": ["selberg", "--input", str(INPUTS / "selberg_r.json")],

@@ -499,7 +499,7 @@ def test_a_walk_that_drifts_fails_the_goldens(monkeypatch):
     monkeypatch.setattr(linalg, "powers", walk_without_the_inverse)
     monkeypatch.setattr(models, "powers", walk_without_the_inverse)
     walked = [(name, produce) for name, produce in test_golden.cases() if name.startswith(("mapping_torus", "flow"))]
-    assert len(walked) == 11
+    assert len(walked) == 12
     for name, produce in walked:
         try:
             out = produce()
@@ -553,7 +553,7 @@ def test_a_product_that_drops_a_denominator_fails_verify_and_the_goldens(monkeyp
                 changed.add(name)
     # every golden with a rational product; the toral and selberg ones multiply integers
     assert changed == {
-        "flow_commensurable.json", "flow_tolerance.json", "verify_all.json",
+        "flow_commensurable.json", "flow_tolerance.json", "flow_dense_rational.json", "verify_all.json",
         "mapping_torus_graded.json", "mapping_torus_graded_window60.json", "mapping_torus_graded_floats.json",
     }
 
