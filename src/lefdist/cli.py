@@ -56,9 +56,19 @@ SMOOTH_NOTE = "smooth constants are densities relative to the reference volume f
 
 
 def _parse_json(text: str, what: str):
-    """``json.loads``; a document nested past the interpreter's recursion limit is a ValueError."""
+    """``json.loads``; a key repeated in one object, or a document nested past the interpreter's
+    recursion limit, is a ValueError."""
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ValueError(f"{what}: key {key!r:.40} is repeated in one JSON object")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
 

@@ -146,18 +146,38 @@ class MetricGrid:
         if len(rows) - 1 != nu * nv:
             raise ValueError(f"CSV has {len(rows) - 1} node rows, not nu*nv = {nu * nv}: rows missing or extra")
         e, f, g = (np.empty((nu, nv)) for _ in "EFG")
-        seen = np.zeros((nu, nv), dtype=bool)
-        for i_s, j_s, ev, fv, gv in rows[1:]:
-            i, j = read_int(i_s, "CSV node 'i'"), read_int(j_s, "CSV node 'j'")
-            if not (0 <= i < nu and 0 <= j < nv) or seen[i, j]:
-                raise ValueError(f"CSV node ({i},{j}) is outside {nu}x{nv} or repeated")
+        for (i, j), (_, _, ev, fv, gv) in zip(_node_indices(rows[1:], nu, nv), rows[1:]):
             try:
                 e[i, j], f[i, j], g[i, j] = float(ev), float(fv), float(gv)
             except ValueError:
                 name, cell = next((n, c) for n, c in zip("EFG", (ev, fv, gv)) if not _is_float(c))
                 raise ValueError(f"CSV node ({i},{j}) '{name}' must be a plain decimal, got {cell!r:.40}") from None
-            seen[i, j] = True
         return cls(nu, nv, du, dv, e, f, g, topology)
+
+
+def _node_indices(rows, nu: int, nv: int) -> list[tuple[int, int]]:
+    """The (i, j) of every CSV node row, each inside the nu x nv grid and none repeated.
+
+    Columns of plain unsigned decimals are checked in bulk.  Any other cell, or
+    a failed bulk check, sends both columns through ``read_int`` row by row,
+    which names the first offending row.  Every index is checked before any
+    E, F or G value is read.
+    """
+    i_col, j_col = [r[0] for r in rows], [r[1] for r in rows]
+    # ASCII digits only, fewer than 10 of them: each cell is an int64 as it stands
+    if all(all(map(str.isdecimal, col)) and "".join(col).isascii() and max(map(len, col), default=0) < 10
+           for col in (i_col, j_col)):
+        i, j = np.array(i_col, dtype=np.int64), np.array(j_col, dtype=np.int64)
+        if (i < nu).all() and (j < nv).all() and np.bincount(i * nv + j, minlength=nu * nv).max(initial=0) <= 1:
+            return list(zip(i.tolist(), j.tolist()))
+    seen, out = np.zeros((nu, nv), dtype=bool), []
+    for i_s, j_s in zip(i_col, j_col):
+        i, j = read_int(i_s, "CSV node 'i'"), read_int(j_s, "CSV node 'j'")
+        if not (0 <= i < nu and 0 <= j < nv) or seen[i, j]:
+            raise ValueError(f"CSV node ({i},{j}) is outside {nu}x{nv} or repeated")
+        seen[i, j] = True
+        out.append((i, j))
+    return out
 
 
 def _is_float(cell: str) -> bool:

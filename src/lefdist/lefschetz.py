@@ -5,12 +5,15 @@ alternating trace over induced maps on cohomology, the determinant
 det(I - A^k), and the signed count of fixed points on the torus.  The first
 two are cross-checked on every A^k that :func:`toral_lefschetz` or the mapping
 torus builds; :func:`verify_classical_lefschetz` checks the third against them.
-On the torus the trace path is the Berkowitz characteristic polynomial of
-A^k: its coefficients are (-1)^i tr Lambda^i A^k, so their sum is the
-alternating exterior-trace sum, but no Lambda^i matrix is built.  Both paths
-and the fixed-point enumeration stay in integers: the fixed points are kept
-as one int64 array of numerators over a common denominator, and their
-``Fraction`` coordinates are built only when a caller asks for them.
+On the torus the trace path builds no power at all: the alternating
+exterior-trace sum of A^k is sum_i (-1)^i e_i(A^k) = det(I - A^k), and
+``linalg.det_series`` takes every e_i(A^k) from the one Berkowitz
+characteristic polynomial of A by Newton's identities, with
+L(F^-k) = det(A)^k (-1)^n L(F^k).  The det path runs Bareiss on I - A^k for
+every A^k of the power walk.  Both paths and the fixed-point enumeration stay
+in integers: the fixed points are kept as one int64 array of numerators over
+a common denominator, and their ``Fraction`` coordinates are built only when
+a caller asks for them.
 
 Sign conventions: the classical fixed-point index is sign det(I - J); the
 epsilon convention used for foliation distributions is sign det(J - I).
@@ -31,10 +34,12 @@ from .linalg import (
     IntMatrix,
     RationalMatrix,
     charpoly,
+    det_series,
     determinant,
     exterior_power,
     matrix_power,
     num_to_str,
+    powers,
     smith_transform,
 )
 
@@ -118,17 +123,22 @@ def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
     """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum."""
     if k == 0:
         raise PreconditionError("k must be nonzero")
-    return _lefschetz_of_power(matrix_power(t.matrix, k), k)
+    via_traces = det_series(charpoly(t.matrix), abs(k))[-1][k < 0]
+    return _lefschetz_of_power(matrix_power(t.matrix, k), k, via_traces)
 
 
-def _lefschetz_of_power(ak, k: int) -> int:
-    """det(I - A^k) of a given A^k, ring-checked and cross-checked against the exterior-trace sum.
+def _lefschetz_series(t: ToralAutomorphism, window: int):
+    """(L(F^k), L(F^-k)) for k = 1..window: the det path on each A^k of the power walk, each checked
+    against the trace path of one ``charpoly(A)``."""
+    walk = powers(t.matrix, window)
+    for k, ((pos, neg), (tr_pos, tr_neg)) in enumerate(zip(walk, det_series(charpoly(t.matrix), window)), 1):
+        yield _lefschetz_of_power(pos, k, tr_pos), _lefschetz_of_power(neg, -k, tr_neg)
 
-    The trace path sums the Berkowitz coefficients of A^k, which are the
-    signed exterior traces (-1)^i tr Lambda^i A^k.
-    """
+
+def _lefschetz_of_power(ak, k: int, via_traces) -> int:
+    """det(I - A^k) of a given A^k, ring-checked and cross-checked against ``via_traces``, the
+    alternating exterior-trace sum sum_i (-1)^i tr Lambda^i A^k from the trace path."""
     via_det = determinant(IntMatrix.identity(ak.rows) - _integral(ak, k))
-    via_traces = sum(charpoly(ak))
     if via_det != via_traces:
         raise InconsistencyError(
             f"determinant path gave {via_det}, exterior-trace path gave {via_traces}"
@@ -224,7 +234,16 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
         step = np.array([c[i, j] * (denom // d) % denom for i in range(n)], dtype=np.int64)
         shifts = np.arange(d, dtype=np.int64)[:, None] * step
         pts = ((pts[None] + shifts[:, None]) % denom).reshape(-1, n)
-    pts = np.take(pts, np.lexsort(pts.T[::-1]), axis=0)
+    # lexicographic order: every coordinate is below L < 2^20, so three of them pack exactly into
+    # one int64 key x_0 L^2 + x_1 L + x_2; n <= 3 sorts one key, a larger n lexsorts ceil(n / 3)
+    keys = []
+    for i in range(0, n, 3):
+        key = np.zeros(len(pts), dtype=np.int64)
+        for column in pts[:, i : i + 3].T:
+            key = key * denom + column
+        keys.append(key)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    pts = np.take(pts, order, axis=0)
     distinct = 1 + int(np.count_nonzero((pts[1:] != pts[:-1]).any(axis=1)))
     if distinct != total:
         raise InconsistencyError(

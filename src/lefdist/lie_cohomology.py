@@ -268,7 +268,7 @@ def _span(vectors) -> tuple[list[list[int]], list[int]]:
     The basis is the nonzero rows of the forward-only Bareiss echelon, each
     divided by its content (the gcd of its entries).
     """
-    rows, pivots, _, _ = _bareiss_echelon([v for v in vectors if any(v)])
+    rows, pivots, _ = _bareiss_echelon([v for v in vectors if any(v)])
     return [[x // g for x in row] for row in rows[: len(pivots)] for g in [gcd(*row)]], pivots
 
 

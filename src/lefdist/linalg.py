@@ -2,14 +2,18 @@
 
 Everything here is arbitrary precision: matrices hold ``fractions.Fraction``
 or Python ``int`` entries, stored row-major in immutable tuples.  One
-forward-only fraction-free (Bareiss) elimination loop on integer-scaled rows
-serves every exact solve, and keeps intermediate entries at minor-determinant
-size: ranks and ``determinant`` read its pivots, while ``rank_kernel`` and
-inverses add one fraction-free back substitution on its echelon.  One Smith
-loop serves the Smith invariants and the column transform that parametrizes
-A x = 0 mod Z^n.  One power walk, ``powers``, serves every k-series.  A
-product multiplies integer matrices: each rational operand is scaled by the
-lcm of its denominators, and each entry of the result is one ``Fraction``.
+forward-only fraction-free (Bareiss) elimination loop on integer rows serves
+every exact solve, and keeps intermediate entries at minor-determinant size:
+ranks and ``determinant`` read its pivots, while ``rank_kernel`` and inverses
+add one fraction-free back substitution on its echelon.  Integer callers hand
+it their rows as they are; rational callers first scale each row to integers.
+One Smith loop serves the Smith invariants and the column transform that
+parametrizes A x = 0 mod Z^n.  A k-series of matrix powers comes from one
+walk, ``powers``; a k-series of det(I - M^k) needs no power at all:
+``det_series`` takes it from the characteristic polynomial of M by Newton's
+identities.  A product multiplies integer matrices: each rational operand is
+scaled by the lcm of its denominators, and each entry of the result is one
+``Fraction``.
 
 The wire format lives here: ``to_number``, ``exact_number``, ``read_int`` and ``to_float`` read
 every input number, and ``num_to_str`` writes every output number: rationals as ``"p/q"``
@@ -43,6 +47,7 @@ __all__ = [
     "powers",
     "exterior_power",
     "charpoly",
+    "det_series",
 ]
 
 # Fraction("1e999999999") would build 10**999999999; no float is above 1e309.
@@ -227,24 +232,29 @@ def _integer_entries(m: _Matrix) -> tuple:
     return [[e.numerator * (d // e.denominator) for e in row] for row in m.entries], d
 
 
-def _bareiss_echelon(entries) -> tuple[list[list[int]], list[int], int, int]:
-    """Forward-only fraction-free (Bareiss) elimination of a rational matrix.
-
-    Each row is first scaled to integers.  Each step then updates the rows
-    below the pivot as (piv*x - f*y) // prev; the divisions are exact by the
-    Bareiss identity.  At the end the rows past the rank are zero, and pivot
-    row r has its first nonzero entry in column pivots[r]: the minor of the
-    scaled rows on pivot rows and columns 0..r.  So the last one of a
-    nonsingular square matrix is its determinant up to the swap sign.
-
-    Returns (rows, pivot columns, sign of the row swaps, product of the row
-    scalings).
-    """
+def _scaled_rows(entries) -> tuple[list[list[int]], int]:
+    """Each rational row times the lcm of its denominators, and the product of those scalings."""
     rows, scale = [], 1
     for row in entries:
         mult = lcm(*(e.denominator for e in row)) if row else 1
         scale *= mult
         rows.append([e.numerator * (mult // e.denominator) for e in row])
+    return rows, scale
+
+
+def _bareiss_echelon(rows) -> tuple[list[list[int]], list[int], int]:
+    """Forward-only fraction-free (Bareiss) elimination of integer rows.
+
+    Each step updates the rows below the pivot as (piv*x - f*y) // prev; the
+    divisions are exact by the Bareiss identity.  At the end the rows past
+    the rank are zero, and pivot row r has its first nonzero entry in column
+    pivots[r]: the minor of the given rows on pivot rows and columns 0..r.
+    So the last one of a nonsingular square matrix is its determinant up to
+    the swap sign.  The given rows are copied, never changed.
+
+    Returns (rows, pivot columns, sign of the row swaps).
+    """
+    rows = [list(row) for row in rows]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots: list[int] = []
@@ -271,7 +281,7 @@ def _bareiss_echelon(entries) -> tuple[list[list[int]], list[int], int, int]:
         prev = piv
         pivots.append(c)
         r += 1
-    return rows, pivots, sign, scale
+    return rows, pivots, sign
 
 
 def determinant(m: RationalMatrix | IntMatrix):
@@ -284,20 +294,22 @@ def determinant(m: RationalMatrix | IntMatrix):
     n = m.rows
     if n == 0:
         return 1 if isinstance(m, IntMatrix) else Fraction(1)
-    rows, pivots, sign, scale = _bareiss_echelon(m.entries)
-    det = sign * rows[n - 1][n - 1] if len(pivots) == n else 0
     if isinstance(m, IntMatrix):
-        return det
-    return Fraction(det, scale)
+        rows, scale = m.entries, 1
+    else:
+        rows, scale = _scaled_rows(m.entries)
+    rows, pivots, sign = _bareiss_echelon(rows)
+    det = sign * rows[n - 1][n - 1] if len(pivots) == n else 0
+    return det if isinstance(m, IntMatrix) else Fraction(det, scale)
 
 
-def _kernel(entries) -> tuple[list[int], int, list[list[int]]]:
-    """Pivot columns, the last pivot d, and d times the kernel basis vector of each free column.
+def _kernel(rows) -> tuple[list[int], int, list[list[int]]]:
+    """Pivot columns, the last pivot d, and d times the kernel basis vector of each free column of integer rows.
 
     Back substitution on the Bareiss echelon, bottom up: d y_c = -(sum_j row[j] d y_j) // row[c]
     is exact by Cramer's rule on the pivot block, whose determinant is +-d.
     """
-    rows, pivots, _, _ = _bareiss_echelon(entries)
+    rows, pivots, _ = _bareiss_echelon(rows)
     nc = len(rows[0]) if rows else 0
     d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     bottom_up = list(zip(reversed(rows[: len(pivots)]), reversed(pivots)))
@@ -314,7 +326,7 @@ def _kernel(entries) -> tuple[list[int], int, list[list[int]]]:
 
 def rank_kernel(m: RationalMatrix | IntMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Rank and the exact right kernel basis with one free variable set to 1 in each vector."""
-    pivots, d, basis = _kernel(m.entries)
+    pivots, d, basis = _kernel(m.entries if isinstance(m, IntMatrix) else _scaled_rows(m.entries)[0])
     return len(pivots), [tuple(Fraction(x, d) for x in y) for y in basis]
 
 
@@ -396,10 +408,12 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
 def _inverse(m: _Matrix) -> _Matrix:
     """m^-1 is minus the left block of the kernel basis of [m | I], one vector per column of I.
 
+    A rational m has each row of [m | I] scaled to integers first, which leaves the kernel as it is.
     On an integer m the last pivot d is +-det m; when |d| = 1 the inverse -y / d = -d y is integral.
     """
     n = m.rows
-    pivots, d, basis = _kernel([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)])
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    pivots, d, basis = _kernel(rows if isinstance(m, IntMatrix) else _scaled_rows(rows)[0])
     if pivots != list(range(n)):
         raise PreconditionError("matrix is singular, cannot invert")
     if isinstance(m, IntMatrix) and abs(d) == 1:
@@ -491,3 +505,48 @@ def charpoly(m: RationalMatrix | IntMatrix) -> tuple:
                 col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
     return tuple(poly)
+
+
+def det_series(poly, count: int) -> list[tuple]:
+    """(det(I - M^k), det(I - M^-k)) for k = 1..count, from ``poly`` = ``charpoly(M)`` alone.
+
+    Let d be the lcm of the denominators of the coefficients c_i, so that
+    N = d M has the monic integer characteristic polynomial sum_i c_i d^i x^(n-i).
+    Newton's recurrence gives the power sums p_m = tr N^m for m <= n count.
+    The coefficients f_i = (-1)^i e_i of det(x I - N^k) follow from
+    p_k, p_2k, ..., p_nk by Newton's identities i f_i = -sum_j f_(i-j) p_jk,
+    and det(d^k I - N^k) = sum_i f_i d^(k(n-i)) = d^(kn) det(I - M^k).  The
+    negative side is det(I - M^-k) = (-1)^n det(M)^-k det(I - M^k).  No matrix
+    is built and every step is an integer operation; each division by i is
+    checked, and one that is not exact raises ``InconsistencyError``.  A value
+    is an int when it is integral by construction (d = 1, and |det N| = 1 on
+    the negative side), else a ``Fraction``.  The degree n is len(poly) - 1.
+    """
+    if poly[0] != 1:
+        raise PreconditionError(f"a characteristic polynomial is monic, got leading coefficient {poly[0]}")
+    n = len(poly) - 1
+    d = lcm(*(c.denominator for c in poly))
+    a = [c.numerator * (d**i // c.denominator) for i, c in enumerate(poly)]  # charpoly(N)
+    if a[n] == 0:
+        raise PreconditionError("matrix is singular, cannot invert")
+    p = [n]  # p[m] = tr N^m
+    for m in range(1, n * count + 1):
+        s = sum(a[i] * p[m - i] for i in range(1, min(m, n + 1)))
+        p.append(-s - m * a[m] if m <= n else -s)
+    out = []
+    for k in range(1, count + 1):
+        q = p[k::k]  # q[j - 1] = p_jk = tr (N^k)^j, j = 1..n
+        f = [1]
+        for i in range(1, n + 1):
+            fi, r = divmod(-sum(f[i - j] * q[j - 1] for j in range(1, i + 1)), i)
+            if r:
+                raise InconsistencyError(f"Newton's identities: {i} e_{i}(N^{k}) is not divisible by {i}")
+            f.append(fi)
+        dk, num = d**k, 0
+        for fi in f:
+            num = num * dk + fi  # Horner: det(x I - N^k) at x = d^k
+        ank, sign = a[n] ** k, (-1) ** (n * (k + 1))
+        pos = num if d == 1 else Fraction(num, dk**n)
+        neg = sign * num * ank if abs(ank) == 1 else Fraction(sign * num, ank)
+        out.append((pos, neg))
+    return out

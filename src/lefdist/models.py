@@ -8,8 +8,11 @@ Families: mapping tori of toral automorphisms or graded cohomology maps,
 codimension-one flows with prescribed closed orbits, suspensions over compact
 groups, the genus-g hyperbolic surface suspension with its degreewise traces,
 nilpotent homogeneous foliations, and the Selberg-type report for bundles
-over homogeneous spaces.  Every k-series here (mapping-torus atoms, flow
-multiples) takes its powers A^k and A^-k from one walk, ``linalg.powers``.
+over homogeneous spaces.  A k-series of values det(I - M^k) and
+det(I - M^-k) (toral mapping-torus atoms, flow signs) takes them from the one
+characteristic polynomial of M by ``linalg.det_series``; the toral det path
+and the graded maps take their powers M^k and M^-k from one walk,
+``linalg.powers``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from fractions import Fraction
 
 from .distributions import IDENTITY, AtomicDistribution, LatticePoint, OrbitTerm, RealPoint, make
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
-from .lefschetz import GradedMap, ToralAutomorphism, _lefschetz_of_power, fixed_point_index, lefschetz_number_graded
+from .lefschetz import GradedMap, ToralAutomorphism, _lefschetz_series, lefschetz_number_graded
 from .lie_cohomology import GradedDims, LieAlgebra, _derived, cohomology_dims, is_nilpotent
-from .linalg import Number, RationalMatrix, determinant, powers, read_int, to_number
+from .linalg import Number, RationalMatrix, charpoly, det_series, determinant, powers, read_int, to_number
 
 __all__ = [
     "MAX_FLOW_MULTIPLES",
@@ -47,27 +50,32 @@ __all__ = [
 def mapping_torus(source: ToralAutomorphism | GradedMap, window: int) -> AtomicDistribution:
     """chi(X) . delta_0 + sum_{0 < |k| <= window} L(F^k) . delta_k on Z.
 
-    The powers come from ``linalg.powers``.  For a toral automorphism each
-    A^k gets the ring and det-vs-trace checks of :func:`toral_lefschetz`
-    (which stay evaluable even when fixed points degenerate); chi(T^n) = 0.
-    For a graded cohomology map one walk per degree runs in step, L(F^k) is
-    the alternating trace of the k-th powers and chi the alternating dimension sum.
+    For a toral automorphism every L(F^k) gets the ring and det-vs-trace
+    checks of :func:`toral_lefschetz` (which stay evaluable even when fixed
+    points degenerate): the det path walks the powers A^k, the trace path
+    reads one ``charpoly(A)``; chi(T^n) = 0.  For a graded cohomology map one
+    ``linalg.powers`` walk per degree runs in step, L(F^k) is the alternating
+    trace of the k-th powers and chi the alternating dimension sum.
     """
     if window < 0:
         raise PreconditionError("window must be >= 0")
     if isinstance(source, ToralAutomorphism):
-        chi, walks = 0, [powers(source.matrix, window)]
-        coeff = lambda maps, k: _lefschetz_of_power(maps[0], k)
+        chi, series = 0, _lefschetz_series(source, window)
     elif isinstance(source, GradedMap):
-        chi, walks = source.euler_characteristic, [powers(m, window) for m in source.maps]
-        coeff = lambda maps, k: lefschetz_number_graded(GradedMap(maps))
+        chi, series = source.euler_characteristic, _graded_series(source, window)
     else:
         raise PreconditionError("source must be a ToralAutomorphism or a GradedMap")
     atoms = [(LatticePoint(0), Fraction(chi))]
-    for k, step in enumerate(zip(*walks), 1):
-        pos, neg = zip(*step)  # the k-th and -k-th power of every matrix
-        atoms += [(LatticePoint(k), coeff(pos, k)), (LatticePoint(-k), coeff(neg, -k))]
+    for k, (pos, neg) in enumerate(series, 1):
+        atoms += [(LatticePoint(k), pos), (LatticePoint(-k), neg)]
     return make(atoms, group="Z")
+
+
+def _graded_series(g: GradedMap, window: int):
+    """(L(F^k), L(F^-k)) for k = 1..window: alternating traces of the k-th powers of every degree."""
+    for step in zip(*(powers(m, window) for m in g.maps)):
+        pos, neg = zip(*step)
+        yield lefschetz_number_graded(GradedMap(pos)), lefschetz_number_graded(GradedMap(neg))
 
 
 # -- codimension-one flows ----------------------------------------------------
@@ -104,10 +112,11 @@ class ClosedOrbitSpec:
                 if s not in (-1, 1):
                     raise PreconditionError(f"sign for k={k} must be +-1, got {s}")
 
-    def sign(self, k: int, orbit_name: str, power: RationalMatrix | None) -> int:
+    def sign(self, k: int, orbit_name: str, det) -> int:
         """epsilon at the k-th multiple: the paper-convention index of P^k, sign det(P^k - I).
 
-        ``power`` is P^k, built by the caller (``flow_distribution``); the ``signs`` route ignores it.
+        ``det`` is det(I - P^k), from the caller (``flow_distribution``), and
+        det(P^k - I) = (-1)^n det(I - P^k); the ``signs`` route ignores it.
         """
         if k == 0:
             raise PreconditionError("k must be nonzero")
@@ -118,17 +127,14 @@ class ClosedOrbitSpec:
                 raise PreconditionError(
                     f"{orbit_name}: no sign supplied for multiple k={k}"
                 ) from None
-        try:
-            return fixed_point_index(power)
-        except NotSimpleError:
-            raise NotSimpleError(
-                f"{orbit_name} is not simple at multiple k={k}: det(P^k - I) = 0"
-            ) from None
+        if det == 0:
+            raise NotSimpleError(f"{orbit_name} is not simple at multiple k={k}: det(P^k - I) = 0")
+        return 1 if (-1) ** self.return_map.rows * det > 0 else -1
 
 
-# Each multiple k of an orbit costs two matrix products, for P^k and P^-k, and two
-# determinants (200 take about 0.15 s for a 3x3 rational P on a 2-vCPU Xeon); test and
-# benchmark flows have at most 10.
+# Each multiple k of an orbit costs one Newton step of ``det_series`` and two atoms: 200
+# take about 8 ms for a dense 3x3 rational P on a 2-vCPU Xeon.  Test and benchmark flows
+# have at most 133.
 MAX_FLOW_MULTIPLES = 200
 
 
@@ -155,10 +161,10 @@ def flow_distribution(
                 f"{name}: {multiples} multiples fit in the window, more than MAX_FLOW_MULTIPLES = {MAX_FLOW_MULTIPLES}"
             )
         if orbit.return_map is None:
-            walk = [(None, None)] * multiples
+            series = [(None, None)] * multiples
         else:
-            walk = powers(orbit.return_map, multiples)
-        for k, (pos, neg) in enumerate(walk, 1):
+            series = det_series(charpoly(orbit.return_map), multiples)
+        for k, (pos, neg) in enumerate(series, 1):
             atoms.append((RealPoint(ell * k), ell * orbit.sign(k, name, pos)))
             atoms.append((RealPoint(-ell * k), ell * orbit.sign(-k, name, neg)))
     return make(atoms, group="R", tolerance=tolerance)

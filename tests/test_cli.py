@@ -892,6 +892,37 @@ class TestPlumbing:
         rc, _, err = run_cli(capsys, *argv, str(path))
         assert_input_error(rc, err, "nested too deeply")
 
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            # json.loads alone keeps the last of two identical keys: coeff -1 at k = 1, exit 0
+            (
+                ["flow", "--window", "1", "--input"],
+                '{"orbits": [{"length": "1", "signs": {"1": 1, "1": -1, "-1": 1}}]}',
+                "'1'",
+            ),
+            # ... and a 4-dimensional algebra
+            (
+                ["nilfoliation", "--algebra"],
+                '{"dim": 3, "dim": 4, "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": 1}]}]}',
+                "'dim'",
+            ),
+            (
+                ["mapping-torus", "--window", "1", "--input"],
+                '{"matrix": [[2, 1], [1, 1]], "matrix": [[1, 1], [1, 0]]}',
+                "'matrix'",
+            ),
+            (["gauss-bonnet", "--input"], '{"nu": 8, "nv": 8, "nv": 9}', "'nv'"),
+        ],
+        ids=["flow signs", "nilfoliation dim", "mapping-torus matrix", "gauss-bonnet nv"],
+    )
+    def test_a_repeated_key_is_refused_by_name(self, capsys, tmp_path, argv, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        rc, out, err = run_cli(capsys, *argv, str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"input error: {path}: key {key} is repeated in one JSON object\n"
+
 
 class TestParserReuse:
     def test_main_builds_one_parser_for_many_calls(self, capsys, monkeypatch):

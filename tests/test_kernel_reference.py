@@ -1,4 +1,5 @@
-"""The in-place curvature kernel and the integer-product ``@`` against the code they replaced.
+"""The in-place curvature kernel, the integer-product ``@``, the Newton series and the packed
+fixed-point sort against the code they replaced.
 
 ``roll_gaussian_curvature`` is a copy of the Brioschi kernel that took each
 derivative from two ``np.roll`` copies and built every term as a new array;
@@ -7,7 +8,10 @@ built its 2-D harmonics in place; ``fraction_sum_product`` is a copy of
 ``_Matrix.__matmul__`` before it multiplied integers over common
 denominators, summing ``Fraction`` products one by one.  They are kept here
 as the reference: the new code must give the same bits, the same entries and
-the same result type.
+the same result type.  ``det_series`` is held to the Bareiss determinant of
+I - M^k on each ``matrix_power``, the code that took every flow sign and
+every toral trace before it; the packed int64 keys of ``fixed_points_toral``
+are held to ``np.lexsort`` over the n columns.
 """
 
 import math
@@ -17,11 +21,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lefdist.curvature import MetricGrid, gaussian_curvature, random_torus_metric
-from lefdist.linalg import IntMatrix, RationalMatrix
+from lefdist.errors import EnumerationLimitError, PreconditionError
+from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
+from lefdist.linalg import IntMatrix, RationalMatrix, charpoly, det_series, determinant, matrix_power
 
 # -- the roll-based kernel and the one-axis metric ---------------------------------------------
 
@@ -188,3 +194,67 @@ def test_integral_and_empty_products_keep_the_ring(a, b):
     assert type(got) is type(ref) is type(a)._ring(a, b)
     assert (got.rows, got.cols, got.entries) == (ref.rows, ref.cols, ref.entries)
     assert all(type(x) is (int if type(got) is IntMatrix else Fraction) for row in got.entries for x in row)
+
+
+# -- the Newton series and the packed fixed-point keys -------------------------------------------
+
+
+@st.composite
+def invertible(draw):
+    """A nonsingular n x n IntMatrix or RationalMatrix, n = 1..6, with small entries."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from([IntMatrix, RationalMatrix]))
+    entry = st.integers(-3, 3) if kind is IntMatrix else st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    m = kind([[draw(entry) for _ in range(n)] for _ in range(n)])
+    assume(determinant(m) != 0)
+    return m
+
+
+@settings(max_examples=120, deadline=None)
+@given(invertible(), st.integers(1, 6))
+def test_the_newton_series_gives_the_bareiss_determinant_of_each_power(m, count):
+    identity = type(m).identity(m.rows)
+    series = det_series(charpoly(m), count)
+    assert len(series) == count
+    for k, (pos, neg) in enumerate(series, 1):
+        assert pos == determinant(identity - matrix_power(m, k))
+        assert neg == determinant(identity - matrix_power(m, -k))
+
+
+def test_the_newton_series_of_a_unimodular_map_stays_in_ints():
+    cat = IntMatrix([[2, 1], [1, 1]])
+    series = det_series(charpoly(cat), 5)
+    assert series == [(-1, -1), (-5, -5), (-16, -16), (-45, -45), (-121, -121)]
+    assert all(type(x) is int for pair in series for x in pair)
+    m = RationalMatrix([[2, 0], [0, Fraction(1, 2)]])
+    assert det_series(charpoly(m), 2) == [(Fraction(-1, 2), Fraction(-1, 2)), (Fraction(-9, 4), Fraction(-9, 4))]
+
+
+def test_a_padded_characteristic_polynomial_is_read_at_its_own_degree():
+    # det_series reads n from the polynomial; a stray coefficient is a different map, never dropped
+    cat = IntMatrix([[2, 1], [1, 1]])
+    assert det_series(charpoly(cat) + (1,), 1) == [(0, 0)]
+    with pytest.raises(PreconditionError, match="monic"):
+        det_series((2, 1), 1)
+    with pytest.raises(PreconditionError, match="singular"):
+        det_series(charpoly(IntMatrix([[1, 2], [2, 4]])), 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from((-2, -1, 1, 2)))
+def test_the_packed_keys_give_the_lexsort_order(n, seed, k):
+    # a random unimodular map from elementary operations, as in the benchmark's conjugations
+    rng = random.Random(seed)
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        (i, j), c = rng.sample(range(n), 2), rng.choice((-1, 1))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    if n == 1 or rng.random() < 0.5:
+        a[0] = [-x for x in a[0]]
+    t = ToralAutomorphism(IntMatrix(a))
+    try:
+        report = fixed_points_toral(t, k)
+    except EnumerationLimitError:
+        return
+    pts = report.numerators
+    assert np.array_equal(pts, pts[np.lexsort(pts.T[::-1])])

@@ -59,6 +59,17 @@ class TestMappingTorus:
         with pytest.raises(PreconditionError):
             mapping_torus(CAT, -1)
 
+    def test_one_characteristic_polynomial_per_map(self, monkeypatch):
+        # the trace path reads charpoly(A) once for the whole window; the det path walks A^k
+        from lefdist import lefschetz, linalg
+
+        calls = []
+        monkeypatch.setattr(lefschetz, "charpoly", lambda m: calls.append(m) or linalg.charpoly(m))
+        d = mapping_torus(CAT, 40)
+        assert calls == [CAT.matrix]
+        assert dict(d.atoms)[LatticePoint(-40)] == toral_lefschetz(CAT, -40)
+        assert len(calls) == 2
+
     def test_atoms_match_classical_identity(self):
         from lefdist.lefschetz import verify_classical_lefschetz
 
@@ -120,8 +131,8 @@ class TestFlow:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_signs_match_every_power_built_from_scratch(self, n):
-        # flow_distribution builds P^k from P^(k-1) and P^-k from one inverse; the reference
-        # powers each k on its own
+        # flow_distribution takes every sign from the Newton series of charpoly(P); the
+        # reference powers each k on its own
         rng, checked = random.Random(n), 0
         while checked < 6:
             p = RationalMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
@@ -134,6 +145,16 @@ class TestFlow:
             d = flow_distribution([ClosedOrbitSpec(1, return_map=p)], 12)
             assert {int(point.x): c for point, c in d.atoms} == expected
             checked += 1
+
+    def test_signs_need_no_matrix_product(self, monkeypatch):
+        from lefdist import linalg
+
+        p = RationalMatrix([[Fraction(3, 2), Fraction(13, 3), 2], [Fraction(-1, 2), Fraction(-5, 3), -1], [1, 3, 3]])
+        expected = {k: fixed_point_index(matrix_power(p, k)) for k in range(-30, 31) if k}
+        monkeypatch.setattr(linalg._Matrix, "__matmul__", lambda a, b: pytest.fail("a flow multiplied matrices"))
+        monkeypatch.setattr(models, "powers", lambda m, n: pytest.fail("a flow walked the powers"))
+        d = flow_distribution([ClosedOrbitSpec(1, return_map=p)], 30)
+        assert {int(point.x): c for point, c in d.atoms} == expected
 
     def test_unchecked_signs(self):
         orbit = ClosedOrbitSpec(1, signs={1: -1, -1: -1, 2: 1, -2: 1})

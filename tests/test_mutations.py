@@ -17,6 +17,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -47,9 +48,9 @@ def bareiss_drops_a_pivot(monkeypatch):
     """linalg's elimination loses the last pivot of every matrix with more than 12 rows."""
     echelon = linalg._bareiss_echelon
 
-    def mutant(entries):
-        rows, pivots, sign, scale = echelon(entries)
-        return rows, pivots[:-1] if len(rows) > 12 else pivots, sign, scale
+    def mutant(rows):
+        rows, pivots, sign = echelon(rows)
+        return rows, pivots[:-1] if len(rows) > 12 else pivots, sign
 
     monkeypatch.setattr(linalg, "_bareiss_echelon", mutant)
     monkeypatch.setattr(lie_cohomology, "_bareiss_echelon", mutant)
@@ -445,9 +446,29 @@ def test_an_inverse_that_breaks_jacobi_exits_3(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err.startswith("internal error: the Carnot layers of a Lie algebra gave no Lie algebra: ")
 
 
-def test_a_constant_fixed_point_index_fails_the_flow_sign_check(monkeypatch):
-    monkeypatch.setattr(models, "fixed_point_index", lambda j: 1)
-    assert failed_checks(verify.run_suite("models", 1)) == {"flow signs from diag(2,1/2) return map"}
+def test_a_constant_fixed_point_index_fails_the_epsilon_check(monkeypatch):
+    # the flows take their signs from det_series now; verify's GL(2, Z) battery still compares
+    # the index of A^k with the enumeration's epsilon, and the cat map's epsilon is -1
+    monkeypatch.setattr(lefschetz, "fixed_point_index", lambda j: 1)
+    assert failed_checks(verify.run_suite("all", 1)) == {"epsilon = (-1)^n * classical index (n = 2)"}
+
+
+def det_series_without_the_newton_sign():
+    """``linalg.det_series`` rebuilt from its source with i f_i = +sum_j f_(i-j) p_jk: the recurrence of
+    the complete symmetric functions, whose sum at x = d^k is positive for diag(2, 1/2)."""
+    source = inspect.getsource(linalg.det_series)
+    step = "divmod(-sum("
+    assert source.count(step) == 1
+    namespace = dict(vars(linalg))
+    exec(source.replace(step, "divmod(sum("), namespace)
+    return namespace["det_series"]
+
+
+def test_a_newton_step_without_its_sign_fails_the_flow_sign_check(monkeypatch):
+    # models' binding serves the flows only: the toral series reads lefschetz's, so the mapping
+    # torus of the Selberg check keeps its trace path
+    monkeypatch.setattr(models, "det_series", det_series_without_the_newton_sign())
+    assert failed_checks(verify.run_suite("all", 1)) == {"flow signs from diag(2,1/2) return map"}
 
 
 def flows_of_the_first_orbit_only():
@@ -467,10 +488,15 @@ def test_a_flow_that_drops_later_orbits_fails_the_linearity_check(monkeypatch):
 
 
 def test_a_mapping_torus_coefficient_off_by_one_fails_the_selberg_check(monkeypatch):
-    # mapping_torus takes L(F^k) from _lefschetz_of_power; the Selberg classes take it from the
+    # mapping_torus takes L(F^k) from _lefschetz_series; the Selberg classes take it from the
     # exterior traces of GradedMap.from_toral, so only their comparison sees the atom at k = 2
-    lefschetz_of_power = models._lefschetz_of_power
-    monkeypatch.setattr(models, "_lefschetz_of_power", lambda ak, k: lefschetz_of_power(ak, k) + (k == 2))
+    series = models._lefschetz_series
+
+    def mutant(t, window):
+        for k, (pos, neg) in enumerate(series(t, window), 1):
+            yield pos + (k == 2), neg
+
+    monkeypatch.setattr(models, "_lefschetz_series", mutant)
     assert failed_checks(verify.run_suite("all", 1)) == {"Selberg G=R specialization equals mapping torus"}
 
 
@@ -494,24 +520,25 @@ def walk_without_the_inverse(m, n):
 
 
 def test_a_walk_that_drifts_fails_the_goldens(monkeypatch):
+    # the toral det path and the graded maps walk their powers; the flows build none
     import test_golden
 
-    monkeypatch.setattr(linalg, "powers", walk_without_the_inverse)
-    monkeypatch.setattr(models, "powers", walk_without_the_inverse)
-    walked = [(name, produce) for name, produce in test_golden.cases() if name.startswith(("mapping_torus", "flow"))]
-    assert len(walked) == 12
+    for module in (linalg, lefschetz, models):
+        monkeypatch.setattr(module, "powers", walk_without_the_inverse)
+    walked = [(name, produce) for name, produce in test_golden.cases() if name.startswith("mapping_torus")]
+    assert len(walked) == 9
     for name, produce in walked:
         try:
             out = produce()
-        except AssertionError:  # a nonzero exit fails the golden too: the flows' P^-2 = I is not simple
+        except AssertionError:  # a nonzero exit fails the golden too: the toral det path disagrees
             continue
         assert out != (test_golden.GOLDEN / name).read_bytes(), name
 
 
 def test_a_rational_walk_fails_the_ring_check_in_the_mapping_torus(monkeypatch, capsys):
     # the det and trace paths of a RationalMatrix A^k still agree, so only the ring check sees it
-    walk, rational = models.powers, lambda m: linalg.RationalMatrix(m.entries)
-    monkeypatch.setattr(models, "powers", lambda m, n: ((rational(p), rational(q)) for p, q in walk(m, n)))
+    walk, rational = lefschetz.powers, lambda m: linalg.RationalMatrix(m.entries)
+    monkeypatch.setattr(lefschetz, "powers", lambda m, n: ((rational(p), rational(q)) for p, q in walk(m, n)))
     message = "A^1 of a unimodular A came back as RationalMatrix, not IntMatrix"
     with pytest.raises(InconsistencyError, match=re.escape(message)):
         mapping_torus(CAT, 3)
@@ -533,15 +560,13 @@ def product_without_the_right_denominator():
     return namespace["__matmul__"]
 
 
-def test_a_product_that_drops_a_denominator_fails_verify_and_the_goldens(monkeypatch, capsys):
+def test_a_product_that_drops_a_denominator_fails_the_graded_goldens(monkeypatch):
     import test_golden
 
     monkeypatch.setattr(linalg._Matrix, "__matmul__", product_without_the_right_denominator())
-    # an integer product is untouched; P^-1 = I P^-1 of diag(2, 1/2) comes out as diag(1, 4)
+    # an integer product is untouched; M^-1 = I M^-1 of diag(2, 1/2) comes out as diag(1, 4)
     assert CAT.power(3) == linalg.IntMatrix([[13, 8], [8, 5]])
-    assert cli.main(["verify", "--suite", "models"]) == 1
-    message = "error: orbit 0 (length 1) is not simple at multiple k=-1: det(P^k - I) = 0\n"
-    assert capsys.readouterr().err == message
+    assert linalg.matrix_power(linalg.RationalMatrix([[2, 0], [0, Fraction(1, 2)]]), -1).entries == ((1, 0), (0, 4))
     changed = set()
     for name, produce in test_golden.cases():
         if name.startswith(("mapping_torus", "flow", "selberg", "verify")):
@@ -551,9 +576,9 @@ def test_a_product_that_drops_a_denominator_fails_verify_and_the_goldens(monkeyp
                 same = False
             if not same:
                 changed.add(name)
-    # every golden with a rational product; the toral and selberg ones multiply integers
+    # every golden with a rational product: the graded walks.  The toral and selberg ones multiply
+    # integers, and the flows and verify's checks multiply no rational matrix
     assert changed == {
-        "flow_commensurable.json", "flow_tolerance.json", "flow_dense_rational.json", "verify_all.json",
         "mapping_torus_graded.json", "mapping_torus_graded_window60.json", "mapping_torus_graded_floats.json",
     }
 
@@ -615,7 +640,10 @@ FAILED_BY = {
     "GL(2,Z) battery: index sum equals Lefschetz number": [
         "test_a_lefschetz_number_off_by_one_fails_the_cat_map_and_index_sum_checks"
     ],
-    "epsilon = (-1)^n * classical index (n = 2)": ["test_epsilon_check_can_fail"],
+    "epsilon = (-1)^n * classical index (n = 2)": [
+        "test_epsilon_check_can_fail",
+        "test_a_constant_fixed_point_index_fails_the_epsilon_check",
+    ],
     "d.d = 0 on the nilpotent battery": ["test_ce_rows_without_the_insertion_sign_fail_the_dd_check"],
     "b^1 = dim g - dim [g, g] on the nilpotent battery": ["test_a_short_component_rank_fails_the_heisenberg_check"],
     "Poincare duality on nilpotent algebras": ["test_a_bumped_top_betti_number_fails_the_duality_check"],
@@ -638,7 +666,7 @@ FAILED_BY = {
     "corrupted constant density is flagged": [
         "test_a_corollary_check_that_always_passes_fails_the_corrupted_density_check"
     ],
-    "flow signs from diag(2,1/2) return map": ["test_a_constant_fixed_point_index_fails_the_flow_sign_check"],
+    "flow signs from diag(2,1/2) return map": ["test_a_newton_step_without_its_sign_fails_the_flow_sign_check"],
     "flow distribution is linear in the orbit list": ["test_a_flow_that_drops_later_orbits_fails_the_linearity_check"],
     "flat torus integrates to exactly 0": ["test_curvature_off_by_a_constant_fails_the_flat_torus_and_sphere_checks"],
     "unit sphere integrates to 2 +- 1e-3": ["test_curvature_off_by_a_constant_fails_the_flat_torus_and_sphere_checks"],
