@@ -22,6 +22,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 
 from .curvature import (
     MAX_GRID_NODES,
@@ -62,8 +63,7 @@ def _parse_json(text: str, what: str):
     def unique(pairs):
         obj = dict(pairs)
         if len(obj) != len(pairs):
-            seen = set()
-            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
             raise ValueError(f"{what}: key {key!r:.40} is repeated in one JSON object")
         return obj
 

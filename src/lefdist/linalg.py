@@ -11,7 +11,7 @@ One Smith loop serves the Smith invariants and the column transform that
 parametrizes A x = 0 mod Z^n.  A k-series of matrix powers comes from one
 walk, ``powers``; a k-series of det(I - M^k) needs no power at all:
 ``det_series`` takes it from the characteristic polynomial of M by Newton's
-identities.  A product multiplies integer matrices: each rational operand is
+identities, and ``det_of_power`` takes one term of it.  A product multiplies integer matrices: each rational operand is
 scaled by the lcm of its denominators, and each entry of the result is one
 ``Fraction``.
 
@@ -48,6 +48,7 @@ __all__ = [
     "exterior_power",
     "charpoly",
     "det_series",
+    "det_of_power",
 ]
 
 # Fraction("1e999999999") would build 10**999999999; no float is above 1e309.
@@ -522,31 +523,85 @@ def det_series(poly, count: int) -> list[tuple]:
     is an int when it is integral by construction (d = 1, and |det N| = 1 on
     the negative side), else a ``Fraction``.  The degree n is len(poly) - 1.
     """
+    d, a = _integer_charpoly(poly)
+    n = len(a) - 1
+    p = _power_sums(a, n * count)
+    return [_dets_of_power(p[k::k], d, a, k) for k in range(1, count + 1)]
+
+
+def det_of_power(poly, k: int) -> tuple:
+    """``det_series(poly, k)[-1]``, in O(n^2 log k + n^3) steps where the series takes O(n^2 k).
+
+    With r_j = x^(jk) mod charpoly(N), tr N^(jk) = sum_i r_j,i p_i by
+    Cayley-Hamilton; x^k comes from repeated squaring, and r_j = r_(j-1) x^k.
+    """
+    if k < 1:
+        raise PreconditionError(f"the power must be positive, got {k}")
+    d, a = _integer_charpoly(poly)
+    n = len(a) - 1
+    p = _power_sums(a, n - 1)
+    x = _mulmod([0, 1], [1], a)
+    xk = x
+    for bit in bin(k)[3:]:  # left to right, after the leading 1
+        xk = _mulmod(xk, xk, a)
+        if bit == "1":
+            xk = _mulmod(xk, x, a)
+    q, r = [], [1]
+    for _ in range(n):
+        r = _mulmod(r, xk, a)
+        q.append(sum(map(mul, r, p)))
+    return _dets_of_power(q, d, a, k)
+
+
+def _integer_charpoly(poly) -> tuple[int, list[int]]:
+    """d and the coefficients of charpoly(d M) = sum_i c_i d^i x^(n-i), d the lcm of the c_i's denominators."""
     if poly[0] != 1:
         raise PreconditionError(f"a characteristic polynomial is monic, got leading coefficient {poly[0]}")
-    n = len(poly) - 1
     d = lcm(*(c.denominator for c in poly))
-    a = [c.numerator * (d**i // c.denominator) for i, c in enumerate(poly)]  # charpoly(N)
-    if a[n] == 0:
+    a = [c.numerator * (d**i // c.denominator) for i, c in enumerate(poly)]
+    if a[-1] == 0:
         raise PreconditionError("matrix is singular, cannot invert")
-    p = [n]  # p[m] = tr N^m
-    for m in range(1, n * count + 1):
+    return d, a
+
+
+def _power_sums(a, top: int) -> list[int]:
+    """p_m = tr N^m for m = 0..top, N with the monic integer characteristic polynomial a, by Newton's recurrence."""
+    n = len(a) - 1
+    p = [n]
+    for m in range(1, top + 1):
         s = sum(a[i] * p[m - i] for i in range(1, min(m, n + 1)))
         p.append(-s - m * a[m] if m <= n else -s)
-    out = []
-    for k in range(1, count + 1):
-        q = p[k::k]  # q[j - 1] = p_jk = tr (N^k)^j, j = 1..n
-        f = [1]
-        for i in range(1, n + 1):
-            fi, r = divmod(-sum(f[i - j] * q[j - 1] for j in range(1, i + 1)), i)
-            if r:
-                raise InconsistencyError(f"Newton's identities: {i} e_{i}(N^{k}) is not divisible by {i}")
-            f.append(fi)
-        dk, num = d**k, 0
-        for fi in f:
-            num = num * dk + fi  # Horner: det(x I - N^k) at x = d^k
-        ank, sign = a[n] ** k, (-1) ** (n * (k + 1))
-        pos = num if d == 1 else Fraction(num, dk**n)
-        neg = sign * num * ank if abs(ank) == 1 else Fraction(sign * num, ank)
-        out.append((pos, neg))
-    return out
+    return p
+
+
+def _mulmod(u, v, a) -> list[int]:
+    """u v mod the monic a, both polynomials as coefficient lists lowest degree first, reduced by
+    x^n = -sum_i a_i x^(n-i)."""
+    n = len(a) - 1
+    w = [0] * max(len(u) + len(v) - 1, n)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            w[i + j] += x * y
+    for t in range(len(w) - 1, n - 1, -1):
+        if c := w[t]:
+            for i in range(1, n + 1):
+                w[t - i] -= c * a[i]
+    return w[:n]
+
+
+def _dets_of_power(q, d: int, a, k: int) -> tuple:
+    """(det(I - M^k), det(I - M^-k)) from q[j - 1] = tr (N^k)^j, j = 1..n, by Newton's identities."""
+    n = len(a) - 1
+    f = [1]  # f_i = (-1)^i e_i(N^k), the coefficients of det(x I - N^k)
+    for i in range(1, n + 1):
+        fi, r = divmod(-sum(f[i - j] * q[j - 1] for j in range(1, i + 1)), i)
+        if r:
+            raise InconsistencyError(f"Newton's identities: {i} e_{i}(N^{k}) is not divisible by {i}")
+        f.append(fi)
+    dk, num = d**k, 0
+    for fi in f:
+        num = num * dk + fi  # Horner: det(x I - N^k) at x = d^k
+    ank, sign = a[n] ** k, (-1) ** (n * (k + 1))
+    pos = num if d == 1 else Fraction(num, dk**n)
+    neg = sign * num * ank if abs(ank) == 1 else Fraction(sign * num, ank)
+    return pos, neg

@@ -68,7 +68,7 @@ class TestMappingTorus:
         d = mapping_torus(CAT, 40)
         assert calls == [CAT.matrix]
         assert dict(d.atoms)[LatticePoint(-40)] == toral_lefschetz(CAT, -40)
-        assert len(calls) == 2
+        assert calls == [CAT.matrix] * 2
 
     def test_atoms_match_classical_identity(self):
         from lefdist.lefschetz import verify_classical_lefschetz

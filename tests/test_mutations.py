@@ -454,13 +454,15 @@ def test_a_constant_fixed_point_index_fails_the_epsilon_check(monkeypatch):
 
 
 def det_series_without_the_newton_sign():
-    """``linalg.det_series`` rebuilt from its source with i f_i = +sum_j f_(i-j) p_jk: the recurrence of
-    the complete symmetric functions, whose sum at x = d^k is positive for diag(2, 1/2)."""
-    source = inspect.getsource(linalg.det_series)
+    """``linalg.det_series`` rebuilt from its source over a ``_dets_of_power`` rebuilt with
+    i f_i = +sum_j f_(i-j) p_jk: the recurrence of the complete symmetric functions, whose sum at
+    x = d^k is positive for diag(2, 1/2)."""
+    source = inspect.getsource(linalg._dets_of_power)
     step = "divmod(-sum("
     assert source.count(step) == 1
     namespace = dict(vars(linalg))
     exec(source.replace(step, "divmod(sum("), namespace)
+    exec(inspect.getsource(linalg.det_series), namespace)
     return namespace["det_series"]
 
 
