@@ -237,12 +237,8 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
         pts = ((pts[None] + shifts[:, None]) % denom).reshape(-1, n)
     # lexicographic order: every coordinate is below L < 2^20, so three of them pack exactly into
     # one int64 key x_0 L^2 + x_1 L + x_2; n <= 3 sorts one key, a larger n lexsorts ceil(n / 3)
-    keys = []
-    for i in range(0, n, 3):
-        key = np.zeros(len(pts), dtype=np.int64)
-        for column in pts[:, i : i + 3].T:
-            key = key * denom + column
-        keys.append(key)
+    weights = np.array([denom * denom, denom, 1], dtype=np.int64)
+    keys = [pts[:, i : i + 3] @ weights[max(0, i + 3 - n) :] for i in range(0, n, 3)]
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     pts = np.take(pts, order, axis=0)
     distinct = 1 + int(np.count_nonzero((pts[1:] != pts[:-1]).any(axis=1)))
