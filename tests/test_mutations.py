@@ -447,7 +447,7 @@ def test_an_inverse_that_breaks_jacobi_exits_3(monkeypatch, capsys, tmp_path):
 
 
 def test_a_constant_fixed_point_index_fails_the_epsilon_check(monkeypatch):
-    # the flows take their signs from det_series now; verify's GL(2, Z) battery still compares
+    # the flows take their signs from det_series, not from this index; verify's GL(2, Z) battery compares
     # the index of A^k with the enumeration's epsilon, and the cat map's epsilon is -1
     monkeypatch.setattr(lefschetz, "fixed_point_index", lambda j: 1)
     assert failed_checks(verify.run_suite("all", 1)) == {"epsilon = (-1)^n * classical index (n = 2)"}
