@@ -7,10 +7,10 @@ two are cross-checked on every A^k that :func:`toral_lefschetz` or the mapping
 torus builds; :func:`verify_classical_lefschetz` checks the third against them.
 On the torus the trace path builds no power at all: the alternating
 exterior-trace sum of A^k is sum_i (-1)^i e_i(A^k) = det(I - A^k), and
-``linalg.det_series`` (a window of k) and ``linalg.det_of_power`` (one k)
-take every e_i(A^k) from the one Berkowitz characteristic polynomial of A
-by Newton's identities, with L(F^-k) = det(A)^k (-1)^n L(F^k).  The det
-path runs Bareiss on I - A^k for every A^k of the power walk.  Both paths
+``linalg.det_series`` takes every e_i(A^k) from the one Berkowitz
+characteristic polynomial of A by Newton's identities, with
+L(F^-k) = det(A)^k (-1)^n L(F^k).  The det path runs Bareiss on I - A^k
+for every A^k of the power walk.  Both paths
 and the fixed-point enumeration stay in integers: the fixed points are kept
 as one int64 array of numerators over a common denominator, and their
 ``Fraction`` coordinates are built only when a caller asks for them.
@@ -34,7 +34,6 @@ from .linalg import (
     IntMatrix,
     RationalMatrix,
     charpoly,
-    det_of_power,
     det_series,
     determinant,
     exterior_power,
@@ -124,7 +123,7 @@ def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
     """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum."""
     if k == 0:
         raise PreconditionError("k must be nonzero")
-    via_traces = det_of_power(charpoly(t.matrix), abs(k))[k < 0]
+    via_traces = det_series(charpoly(t.matrix), abs(k))[-1][k < 0]
     return _lefschetz_of_power(matrix_power(t.matrix, k), k, via_traces)
 
 

@@ -11,7 +11,7 @@ One Smith loop serves the Smith invariants and the column transform that
 parametrizes A x = 0 mod Z^n.  A k-series of matrix powers comes from one
 walk, ``powers``; a k-series of det(I - M^k) needs no power at all:
 ``det_series`` takes it from the characteristic polynomial of M by Newton's
-identities, and ``det_of_power`` takes one term of it.  A product multiplies integer matrices: each rational operand is
+identities.  A product multiplies integer matrices: each rational operand is
 scaled by the lcm of its denominators, and each entry of the result is one
 ``Fraction``.
 
@@ -48,7 +48,6 @@ __all__ = [
     "exterior_power",
     "charpoly",
     "det_series",
-    "det_of_power",
 ]
 
 # Fraction("1e999999999") would build 10**999999999; no float is above 1e309.
@@ -529,30 +528,6 @@ def det_series(poly, count: int) -> list[tuple]:
     return [_dets_of_power(p[k::k], d, a, k) for k in range(1, count + 1)]
 
 
-def det_of_power(poly, k: int) -> tuple:
-    """``det_series(poly, k)[-1]``, in O(n^2 log k + n^3) steps where the series takes O(n^2 k).
-
-    With r_j = x^(jk) mod charpoly(N), tr N^(jk) = sum_i r_j,i p_i by
-    Cayley-Hamilton; x^k comes from repeated squaring, and r_j = r_(j-1) x^k.
-    """
-    if k < 1:
-        raise PreconditionError(f"the power must be positive, got {k}")
-    d, a = _integer_charpoly(poly)
-    n = len(a) - 1
-    p = _power_sums(a, n - 1)
-    x = _mulmod([0, 1], [1], a)
-    xk = x
-    for bit in bin(k)[3:]:  # left to right, after the leading 1
-        xk = _mulmod(xk, xk, a)
-        if bit == "1":
-            xk = _mulmod(xk, x, a)
-    q, r = [], [1]
-    for _ in range(n):
-        r = _mulmod(r, xk, a)
-        q.append(sum(map(mul, r, p)))
-    return _dets_of_power(q, d, a, k)
-
-
 def _integer_charpoly(poly) -> tuple[int, list[int]]:
     """d and the coefficients of charpoly(d M) = sum_i c_i d^i x^(n-i), d the lcm of the c_i's denominators."""
     if poly[0] != 1:
@@ -572,21 +547,6 @@ def _power_sums(a, top: int) -> list[int]:
         s = sum(a[i] * p[m - i] for i in range(1, min(m, n + 1)))
         p.append(-s - m * a[m] if m <= n else -s)
     return p
-
-
-def _mulmod(u, v, a) -> list[int]:
-    """u v mod the monic a, both polynomials as coefficient lists lowest degree first, reduced by
-    x^n = -sum_i a_i x^(n-i)."""
-    n = len(a) - 1
-    w = [0] * max(len(u) + len(v) - 1, n)
-    for i, x in enumerate(u):
-        for j, y in enumerate(v):
-            w[i + j] += x * y
-    for t in range(len(w) - 1, n - 1, -1):
-        if c := w[t]:
-            for i in range(1, n + 1):
-                w[t - i] -= c * a[i]
-    return w[:n]
 
 
 def _dets_of_power(q, d: int, a, k: int) -> tuple:

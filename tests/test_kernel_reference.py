@@ -8,9 +8,9 @@ built its 2-D harmonics in place; ``fraction_sum_product`` is a copy of
 ``_Matrix.__matmul__`` before it multiplied integers over common
 denominators, summing ``Fraction`` products one by one.  They are kept here
 as the reference: the new code must give the same bits, the same entries and
-the same result type.  ``det_series`` and ``det_of_power`` are held to the
-Bareiss determinant of I - M^k on each ``matrix_power``, the code that took
-every flow sign before them; the packed int64 keys of ``fixed_points_toral``
+the same result type.  ``det_series`` is held to the Bareiss determinant of
+I - M^k on each ``matrix_power``, the code that took every flow sign before
+it; the packed int64 keys of ``fixed_points_toral``
 are held to ``np.lexsort`` over the n columns.
 """
 
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from lefdist.curvature import MetricGrid, gaussian_curvature, random_torus_metric
 from lefdist.errors import EnumerationLimitError, PreconditionError
 from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
-from lefdist.linalg import IntMatrix, RationalMatrix, charpoly, det_of_power, det_series, determinant, matrix_power
+from lefdist.linalg import IntMatrix, RationalMatrix, charpoly, det_series, determinant, matrix_power
 
 # -- the roll-based kernel and the one-axis metric ---------------------------------------------
 
@@ -219,13 +219,6 @@ def test_the_newton_series_gives_the_bareiss_determinant_of_each_power(m, count)
     for k, (pos, neg) in enumerate(series, 1):
         assert pos == determinant(identity - matrix_power(m, k))
         assert neg == determinant(identity - matrix_power(m, -k))
-        assert det_of_power(charpoly(m), k) == (pos, neg)
-
-
-@settings(max_examples=40, deadline=None)
-@given(invertible(), st.integers(7, 300))
-def test_one_power_by_squaring_gives_the_last_term_of_the_series(m, k):
-    assert det_of_power(charpoly(m), k) == det_series(charpoly(m), k)[-1]
 
 
 def test_the_newton_series_of_a_unimodular_map_stays_in_ints():
@@ -241,14 +234,10 @@ def test_a_padded_characteristic_polynomial_is_read_at_its_own_degree():
     # det_series reads n from the polynomial; a stray coefficient is a different map, never dropped
     cat = IntMatrix([[2, 1], [1, 1]])
     assert det_series(charpoly(cat) + (1,), 1) == [(0, 0)]
-    assert det_of_power(charpoly(cat) + (1,), 1) == (0, 0)
-    for series in (lambda poly: det_series(poly, 1), lambda poly: det_of_power(poly, 1)):
-        with pytest.raises(PreconditionError, match="monic"):
-            series((2, 1))
-        with pytest.raises(PreconditionError, match="singular"):
-            series(charpoly(IntMatrix([[1, 2], [2, 4]])))
-    with pytest.raises(PreconditionError, match="positive"):
-        det_of_power(charpoly(cat), 0)
+    with pytest.raises(PreconditionError, match="monic"):
+        det_series((2, 1), 1)
+    with pytest.raises(PreconditionError, match="singular"):
+        det_series(charpoly(IntMatrix([[1, 2], [2, 4]])), 1)
 
 
 @settings(max_examples=30, deadline=None)
