@@ -158,26 +158,32 @@ class MetricGrid:
 def _node_indices(rows, nu: int, nv: int) -> list[tuple[int, int]]:
     """The (i, j) of every CSV node row, each inside the nu x nv grid and none repeated.
 
-    Columns of plain unsigned decimals are checked in bulk.  Any other cell, or
-    a failed bulk check, sends both columns through ``read_int`` row by row,
-    which names the first offending row.  Every index is checked before any
-    E, F or G value is read.
+    Columns of plain unsigned decimals become one int64 array each; any other
+    cell sends both columns through ``read_int`` row by row.  The range and
+    repeat check is one vectorised pass either way, and a failure names the
+    first offending row.  Every index is checked before any E, F or G value
+    is read.
     """
     i_col, j_col = [r[0] for r in rows], [r[1] for r in rows]
     # ASCII digits only, fewer than 10 of them: each cell is an int64 as it stands
     if all(all(map(str.isdecimal, col)) and "".join(col).isascii() and max(map(len, col), default=0) < 10
            for col in (i_col, j_col)):
         i, j = np.array(i_col, dtype=np.int64), np.array(j_col, dtype=np.int64)
-        if (i < nu).all() and (j < nv).all() and np.bincount(i * nv + j, minlength=nu * nv).max(initial=0) <= 1:
-            return list(zip(i.tolist(), j.tolist()))
-    seen, out = np.zeros((nu, nv), dtype=bool), []
-    for i_s, j_s in zip(i_col, j_col):
-        i, j = read_int(i_s, "CSV node 'i'"), read_int(j_s, "CSV node 'j'")
-        if not (0 <= i < nu and 0 <= j < nv) or seen[i, j]:
-            raise ValueError(f"CSV node ({i},{j}) is outside {nu}x{nv} or repeated")
-        seen[i, j] = True
-        out.append((i, j))
-    return out
+        i_col, j_col = i.tolist(), j.tolist()
+    else:
+        pairs = [(read_int(a, "CSV node 'i'"), read_int(b, "CSV node 'j'")) for a, b in zip(i_col, j_col)]
+        i_col, j_col = [a for a, _ in pairs], [b for _, b in pairs]
+        # clipped to -1..nu and -1..nv: an index past int64 stays outside the grid
+        i = np.array([min(max(x, -1), nu) for x in i_col], dtype=np.int64)
+        j = np.array([min(max(x, -1), nv) for x in j_col], dtype=np.int64)
+    inside = (i >= 0) & (i < nu) & (j >= 0) & (j < nv)
+    flat = np.where(inside, i * nv + j, -1)
+    if not inside.all() or np.bincount(flat, minlength=nu * nv).max(initial=0) > 1:
+        first = np.zeros(len(rows), dtype=bool)
+        first[np.unique(flat, return_index=True)[1]] = True  # the first row to hold each node
+        r = int(np.argmax(~inside | ~first))
+        raise ValueError(f"CSV node ({i_col[r]},{j_col[r]}) is outside {nu}x{nv} or repeated")
+    return list(zip(i_col, j_col))
 
 
 def _is_float(cell: str) -> bool:

@@ -225,6 +225,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="outside 8x8 or repeated"):
             MetricGrid.from_csv("\n".join(lines))
 
+    @pytest.mark.parametrize("space", ["", " "])
+    def test_csv_names_the_first_bad_node_on_either_parse(self, space):
+        # a spaced index leaves the bulk int64 parse for read_int; the check and its message are the same
+        lines = flat_torus_grid(8).to_csv().splitlines()
+        lines[3] = lines[3].replace("0,0,", f"0,{space}0,", 1)
+        lines[4] = lines[4].replace("0,1,", "9,1,", 1)
+        lines[5] = lines[5].replace("0,2,", "0,0,", 1)
+        with pytest.raises(ValueError, match=r"CSV node \(9,1\) is outside 8x8 or repeated"):
+            MetricGrid.from_csv("\n".join(lines))
+        lines[4] = lines[4].replace("9,1,", "0,1,", 1)
+        with pytest.raises(ValueError, match=r"CSV node \(0,0\) is outside 8x8 or repeated"):
+            MetricGrid.from_csv("\n".join(lines))
+        lines[5] = lines[5].replace("0,0,", f"0,{10**30},", 1)
+        with pytest.raises(ValueError, match=rf"CSV node \(0,{10**30}\) is outside"):
+            MetricGrid.from_csv("\n".join(lines))
+        lines[4] = lines[4].replace("0,1,", "0,x,", 1)
+        with pytest.raises(ValueError, match="CSV node 'j' must be an integer, got 'x'"):
+            MetricGrid.from_csv("\n".join(lines))
+
     @pytest.mark.parametrize(
         "row, message",
         [
