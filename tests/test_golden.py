@@ -19,7 +19,8 @@ merge: `flow` with exact lengths 1 and 3/2 that meet at 3, inexact lengths
 and near-duplicates 5e-9 apart (kept apart by default; merged, with an exact
 and an inexact location 2e-10 apart, under `--tolerance 1e-6`), `flow` on four
 dense rational return maps with 100 to 133 multiples each, `selberg`
-once abstract (orbit terms) and once with `group_kind` R (lattice atoms), and
+once abstract (orbit terms) and twice with `group_kind` R (lattice atoms; once
+with ten 8x8 `matrix` classes), and
 `suspension` and `surface-suspension` with an inexact volume, and the
 reports that pin the number readers: `gauss-bonnet --input` on a seeded
 random torus grid in JSON and on a round-sphere grid in CSV, and
@@ -38,6 +39,7 @@ random-128 files before the curvature kernel worked in place, the n = 8 and wind
 graded files before every k-series took its powers from one incremental walk,
 the three scrambles before `cohomology_dims` ranked a scrambled algebra in its Carnot layers,
 the dense rational flow before the flow signs came from one characteristic polynomial per map,
+the 8x8 selberg file before a `matrix` class took its number from `toral_lefschetz`,
 the others before the exact
 elimination kernels were merged; any byte that changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an
@@ -150,6 +152,8 @@ CLI = {
     ],
     "selberg_abstract": ["selberg", "--input", str(INPUTS / "selberg_abstract.json")],
     "selberg_r": ["selberg", "--input", str(INPUTS / "selberg_r.json")],
+    # ten classes k = +-1..+-5 of the 8x8 companion matrix of x^8 - x - 1, given as matrices
+    "selberg_r_n8": ["selberg", "--input", str(INPUTS / "selberg_r_n8.json")],
     "mapping_torus_graded_floats": [
         "mapping-torus", "--input", "graded_map_floats.json", "--window", "3"
     ],
