@@ -36,7 +36,7 @@ from .curvature import (
 )
 from .distributions import AtomicDistribution
 from .errors import InconsistencyError, PreconditionError
-from .lefschetz import GradedMap, ToralAutomorphism
+from .lefschetz import GradedMap, ToralAutomorphism, lefschetz_number_graded, toral_lefschetz
 from .lie_cohomology import GradedDims, LieAlgebra, catalog_algebra
 from .linalg import IntMatrix, RationalMatrix, expect, num_to_str, read_int, to_float, to_number
 from .models import (
@@ -215,9 +215,11 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
         return ConjugacyClassData(label, to_number(obj["lefschetz"], "class 'lefschetz'"), vol)
     if "matrix" in obj:
         t = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"], "class 'matrix'"))
-        return ConjugacyClassData(label, GradedMap.from_toral(t, read_int(label, "class 'label'")), vol)
+        k = read_int(label, "class 'label'")
+        # F^0 is the identity: L = det(I - I) = 0, which toral_lefschetz refuses to take
+        return ConjugacyClassData(label, toral_lefschetz(t, k) if k else 0, vol)
     if "graded" in obj:
-        return ConjugacyClassData(label, _graded_from_json(obj["graded"]), vol)
+        return ConjugacyClassData(label, lefschetz_number_graded(_graded_from_json(obj["graded"])), vol)
     raise ValueError(f"class {label!r} needs 'lefschetz', 'matrix' or 'graded'")
 
 

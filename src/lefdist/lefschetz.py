@@ -1,16 +1,16 @@
 """Lefschetz numbers of toral automorphisms and their fixed-point data.
 
-Three independent routes to the same integer are kept alive here: the
+Three independent routes to the same integer are kept alive: the
 alternating trace over induced maps on cohomology, the determinant
 det(I - A^k), and the signed count of fixed points on the torus.  The first
 two are cross-checked on every A^k that :func:`toral_lefschetz` or the mapping
 torus builds; :func:`verify_classical_lefschetz` checks the third against them.
-On the torus the trace path builds no power at all: the alternating
-exterior-trace sum of A^k is sum_i (-1)^i e_i(A^k) = det(I - A^k), and
-``linalg.det_series`` takes every e_i(A^k) from the one Berkowitz
-characteristic polynomial of A by Newton's identities, with
-L(F^-k) = det(A)^k (-1)^n L(F^k).  The det path runs Bareiss on I - A^k
-for every A^k of the power walk.  Both paths
+The trace path builds no A^k: the alternating exterior-trace sum of A^k is
+sum_i (-1)^i e_i(A^k) = det(I - A^k).  Over a window ``linalg.det_series``
+takes every e_i(A^k) from the one Berkowitz characteristic polynomial of A by
+Newton's identities; a single k reads charpoly(C^k), C the companion matrix
+of charpoly(A), in O(log |k|) products.  The det path runs Bareiss on
+I - A^k for every A^k of the power walk.  Both paths
 and the fixed-point enumeration stay in integers: the fixed points are kept
 as one int64 array of numerators over a common denominator, and their
 ``Fraction`` coordinates are built only when a caller asks for them.
@@ -36,7 +36,6 @@ from .linalg import (
     charpoly,
     det_series,
     determinant,
-    exterior_power,
     matrix_power,
     num_to_str,
     powers,
@@ -107,12 +106,6 @@ class GradedMap:
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * d for i, d in enumerate(self.dims))
 
-    @classmethod
-    def from_toral(cls, t: ToralAutomorphism, k: int) -> "GradedMap":
-        """Action of A^k on H^i(T^n) = Lambda^i(R^n)."""
-        ak = t.power(k)
-        return cls(tuple(exterior_power(ak, i) for i in range(t.dim + 1)))
-
 
 def lefschetz_number_graded(g: GradedMap) -> Fraction:
     """Alternating trace sum over all degrees, including degree 0."""
@@ -123,8 +116,14 @@ def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
     """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum."""
     if k == 0:
         raise PreconditionError("k must be nonzero")
-    via_traces = det_series(charpoly(t.matrix), abs(k))[-1][k < 0]
+    via_traces = sum(charpoly(matrix_power(_companion(charpoly(t.matrix)), k)))
     return _lefschetz_of_power(matrix_power(t.matrix, k), k, via_traces)
+
+
+def _companion(poly) -> IntMatrix:
+    """Companion matrix of ``poly`` = (1, c_1, ..., c_n): ones below the diagonal, -c_n..-c_1 down the last column."""
+    n = len(poly) - 1
+    return IntMatrix([[-poly[n - i] if j == n - 1 else int(j == i - 1) for j in range(n)] for i in range(n)])
 
 
 def _lefschetz_series(t: ToralAutomorphism, window: int):

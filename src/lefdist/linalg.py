@@ -339,7 +339,7 @@ def smith_transform(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     equals the rank.
     """
     if not isinstance(m, IntMatrix):
-        raise PreconditionError("smith_normal_form requires an IntMatrix")
+        raise PreconditionError("smith_transform requires an IntMatrix")
     a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
     cols = [[int(i == j) for j in range(nc)] for i in range(nc)]
@@ -458,10 +458,9 @@ def exterior_power(m: RationalMatrix | IntMatrix, i: int):
     """Induced matrix on the i-th exterior power, C(n,i) x C(n,i).
 
     Basis: i-element subsets of row/column indices in lexicographic order;
-    entry (I, J) is the minor det m[I, J].  The toral Lefschetz number does
-    not use it; it stays for ``GradedMap.from_toral``, whose exterior powers
-    keep the Selberg specialization independent of the mapping torus, and for
-    the verify linalg suite.
+    entry (I, J) is the minor det m[I, J].  No main path uses it: it is
+    ``verify``'s route to the alternating trace sum det(I - m), apart from
+    ``charpoly``, for the linalg suite and the Selberg specialization's classes.
     """
     if not m.is_square:
         raise PreconditionError("exterior_power requires a square matrix")

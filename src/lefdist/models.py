@@ -324,22 +324,19 @@ def nil_foliation(a: LieAlgebra) -> NilFoliationReport:
 class ConjugacyClassData:
     """One conjugacy class gamma: its Lefschetz number and centralizer volume.
 
-    ``lefschetz`` is given as a number or as a graded map, whose Lefschetz
-    number is taken when the class is built; only the identity may omit it.
+    Only the identity may omit the Lefschetz number (``None``).
     """
 
     label: str
-    lefschetz: Number | GradedMap | None
+    lefschetz: Number | None
     vol_centralizer: Number = Fraction(1)
     is_identity: bool = False
 
     def __post_init__(self):
-        if isinstance(self.lefschetz, GradedMap):
-            object.__setattr__(self, "lefschetz", lefschetz_number_graded(self.lefschetz))
-        elif self.lefschetz is not None:
+        if self.lefschetz is not None:
             object.__setattr__(self, "lefschetz", to_number(self.lefschetz))
         elif not self.is_identity:
-            raise PreconditionError(f"class {self.label!r}: a Lefschetz number or graded map is required")
+            raise PreconditionError(f"class {self.label!r}: a Lefschetz number is required")
         object.__setattr__(self, "vol_centralizer", to_number(self.vol_centralizer))
         if self.vol_centralizer <= 0:
             raise PreconditionError("centralizer volume must be positive")

@@ -115,6 +115,11 @@ def ce_dims_reversed_basis(a: lie_cohomology.LieAlgebra) -> tuple[int, ...]:
     return tuple(comb(n, i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(n + 1))
 
 
+def _exterior_trace_sum(m) -> int | Fraction:
+    """det(I - m) as sum_i (-1)^i tr Lambda^i m, from minors: no charpoly and no Bareiss on I - m."""
+    return sum((-1) ** i * exterior_power(m, i).trace() for i in range(m.rows + 1))
+
+
 # -- brute-force fixed-point count -------------------------------------------
 
 
@@ -163,8 +168,7 @@ def run_linalg_suite(seed: int) -> list[Check]:
         if det != 0:
             ok_det_snf &= math.prod(invs) == abs(det)
         lhs = determinant(IntMatrix.identity(n) - m)
-        rhs = sum((-1) ** i * exterior_power(m, i).trace() for i in range(n + 1))
-        ok_charpoly &= lhs == rhs
+        ok_charpoly &= lhs == _exterior_trace_sum(m)
         # the columns of C past the rank must be independent and in the kernel; the oracle's loop counts both
         kernel = [[row[j] for row in c.entries] for j in range(len(invs), n)]
         ok_rank &= all(sum(x * y for x, y in zip(row, v)) == 0 for row in m.entries for v in kernel)
@@ -267,7 +271,7 @@ def run_models_suite(seed: int) -> list[Check]:
     classes = [models.ConjugacyClassData("0", None, is_identity=True)]
     for k in range(1, window + 1):
         for kk in (k, -k):
-            classes.append(models.ConjugacyClassData(str(kk), lefschetz.GradedMap.from_toral(cat, kk)))
+            classes.append(models.ConjugacyClassData(str(kk), _exterior_trace_sum(cat.power(kk))))
     selberg = models.selberg_report(models.HomogeneousSpec(1, 0, tuple(classes), group_kind="R"))
     checks.append(
         Check(

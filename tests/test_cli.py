@@ -17,7 +17,8 @@ from lefdist import cli, lefschetz, verify
 from lefdist.cli import main
 from lefdist.curvature import MAX_GRID_NODES, flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
-from lefdist.linalg import to_number
+from lefdist.linalg import IntMatrix, to_number
+from toral_graded import toral_graded_map
 from wire_format import assert_numbers_read_back
 
 BIG = 10**400  # an integer too large for a float
@@ -562,6 +563,38 @@ class TestSelberg:
         d1 = json.dumps(json.loads(out1)["distribution"])
         d2 = json.dumps(json.loads(out2)["distribution"])
         assert d1 == d2
+
+    def test_a_matrix_class_matches_its_exterior_powers_as_a_graded_class(self, capsys, tmp_path):
+        # the matrix class takes L(F^3) from toral_lefschetz; the graded class lists the exterior
+        # powers of A^3, so the two routes meet only in the printed orbit terms
+        cat = lefschetz.ToralAutomorphism(IntMatrix([[2, 1], [1, 1]]))
+        classes = [
+            {"label": "e", "is_identity": True},
+            {"label": "3", "matrix": cat.matrix.to_json_obj()},
+            {"label": "g", "graded": [m.to_json_obj() for m in toral_graded_map(cat, 3).maps]},
+        ]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "classes": classes}))
+        rc, out, _ = run_cli(capsys, "selberg", "--input", str(path))
+        assert rc == 0
+        terms = {t["class"]: t["coeff_factors"]["lefschetz"] for t in json.loads(out)["distribution"]["orbit_terms"]}
+        assert terms == {"3": "-16", "g": "-16"}
+
+    def test_a_matrix_class_labelled_0_has_lefschetz_number_0(self, capsys, tmp_path):
+        # F^0 is the identity of the torus, L = det(I - I) = 0: an orbit term in an abstract group
+        classes = [{"label": "e", "is_identity": True}, {"label": "0", "matrix": [["2", "1"], ["1", "1"]]}]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "classes": classes}))
+        rc, out, _ = run_cli(capsys, "selberg", "--input", str(path))
+        assert rc == 0
+        assert json.loads(out)["distribution"]["orbit_terms"] == [
+            {"class": "0", "coeff_factors": {"lefschetz": "0", "vol_centralizer": "1"}}
+        ]
+        # under R the label names k = 0, the identity's place, whatever the identity is labelled
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "group_kind": "R", "classes": classes}))
+        rc, _, err = run_cli(capsys, "selberg", "--input", str(path))
+        assert rc == 1
+        assert err == "error: nontrivial class label 0 clashes with the identity\n"
 
     @pytest.mark.parametrize(
         "obj, field",

@@ -3,9 +3,11 @@
 A deletion that leaves a stale ``__all__`` entry fails here, not at a later
 ``from lefdist import *``.  Modules without ``__all__`` (``cli``, ``errors``,
 ``verify``) have nothing to check.  The package itself re-exports only the
-names of README's library example and the exception classes.
+names of README's library example and the exception classes, and only
+``linalg`` and ``verify`` name ``exterior_power``.
 """
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -17,6 +19,7 @@ import lefdist
 
 MODULES = ["lefdist"] + [f"lefdist.{m.name}" for m in pkgutil.iter_modules(lefdist.__path__)]
 README = pathlib.Path(__file__).parents[1] / "README.md"
+SRC = pathlib.Path(lefdist.__file__).parent
 EXCEPTIONS = {
     "EnumerationLimitError",
     "InconsistencyError",
@@ -54,3 +57,25 @@ def test_readme_library_example_runs():
     report = namespace["fixed_points_toral"](cat, 2)
     assert (report.count, report.denom) == (5, 5)
     assert {a[0].k: a[1] for a in namespace["mapping_torus"](cat, 5).atoms}[2] == -5
+
+
+def names_in(path: pathlib.Path) -> set[str]:
+    """Every identifier that the code of ``path`` binds, imports or reads, docstrings and comments aside."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_linalg_and_verify_name_exterior_power():
+    # the exterior-power traces are verify's route to det(I - m); a main path that took them up would
+    # leave that route nothing separate to check
+    naming = {p.stem for p in SRC.glob("*.py") if "exterior_power" in names_in(p)}
+    assert naming == {"linalg", "verify"}

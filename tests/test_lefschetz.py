@@ -22,6 +22,7 @@ from lefdist.lefschetz import (
 )
 from lefdist.linalg import IntMatrix, RationalMatrix, determinant, matrix_power, num_to_str, smith_transform
 from lefdist.verify import brute_force_fixed_point_count
+from toral_graded import toral_graded_map
 
 CAT = ToralAutomorphism(IntMatrix([[2, 1], [1, 1]]))
 MINUS_I = ToralAutomorphism(IntMatrix([[-1, 0], [0, -1]]))
@@ -72,7 +73,7 @@ class TestGradedLefschetz:
             assert lefschetz_number_graded(gm) == 2 - 2 * g
 
     def test_cat_map_graded(self):
-        gm = GradedMap.from_toral(CAT, 1)
+        gm = toral_graded_map(CAT, 1)
         assert lefschetz_number_graded(gm) == -1  # 1 - 3 + 1
 
     def test_h0_only(self):
@@ -97,6 +98,16 @@ class TestToralLefschetz:
 
     def test_cat_map_sequence(self):
         assert [toral_lefschetz(CAT, k) for k in range(1, 6)] == [-1, -5, -16, -45, -121]
+
+    def test_a_single_large_k_takes_logarithmically_many_products(self):
+        # the trace path powers the companion matrix by squaring, so k = 10^6 costs about 20 products;
+        # a quarter turn has A^4 = I, and the cat map's powers past 10^4 carry numbers of some 14,000 bits
+        quarter_turn = ToralAutomorphism(IntMatrix([[0, -1], [1, 0]]))
+        start = time.perf_counter()
+        assert toral_lefschetz(quarter_turn, 10**6) == 0
+        assert time.perf_counter() - start < 1
+        for k in (20000, -20000):
+            assert toral_lefschetz(CAT, k) == determinant(IntMatrix.identity(2) - matrix_power(CAT.matrix, k))
 
     @pytest.mark.parametrize(
         "path,skew", [("determinant", lambda d: d + 1), ("charpoly", lambda c: c + (1,))]

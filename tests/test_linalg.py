@@ -110,6 +110,12 @@ class TestSmithNormalForm:
     def test_zero(self):
         assert smith_normal_form(IntMatrix([[0, 0], [0, 0]])) == ()
 
+    def test_a_rational_matrix_is_refused_by_name(self):
+        # the refusal names the function that makes it, whether called directly or through the wrapper
+        for f in (smith_transform, smith_normal_form):
+            with pytest.raises(PreconditionError, match=r"^smith_transform requires an IntMatrix$"):
+                f(RationalMatrix([[1, 0], [0, 2]]))
+
     def test_det_equals_product_battery(self):
         rng = random.Random(SEED + 1)
         for _ in range(60):

@@ -7,7 +7,7 @@ import pytest
 from lefdist import models
 from lefdist.distributions import IDENTITY, LatticePoint, RealPoint, make
 from lefdist.errors import InconsistencyError, NotSimpleError, PreconditionError
-from lefdist.lefschetz import GradedMap, ToralAutomorphism, fixed_point_index, toral_lefschetz
+from lefdist.lefschetz import GradedMap, ToralAutomorphism, fixed_point_index, lefschetz_number_graded, toral_lefschetz
 from lefdist.lie_cohomology import GradedDims, abelian, catalog_algebra, heisenberg, nilpotent_battery, sl2
 from lefdist.linalg import IntMatrix, RationalMatrix, determinant, matrix_power
 from lefdist.models import (
@@ -23,6 +23,7 @@ from lefdist.models import (
     surface_suspension_traces,
     suspension,
 )
+from toral_graded import toral_graded_map
 
 CAT = ToralAutomorphism(IntMatrix([[2, 1], [1, 1]]))
 MINUS_I = ToralAutomorphism(IntMatrix([[-1, 0], [0, -1]]))
@@ -52,7 +53,7 @@ class TestMappingTorus:
         assert d.atoms == ((LatticePoint(0), Fraction(-2)),)
 
     def test_graded_map_source_matches_toral(self):
-        gm = GradedMap.from_toral(CAT, 1)
+        gm = toral_graded_map(CAT, 1)
         assert mapping_torus(gm, 3) == mapping_torus(CAT, 3)
 
     def test_negative_window_rejected(self):
@@ -60,7 +61,8 @@ class TestMappingTorus:
             mapping_torus(CAT, -1)
 
     def test_one_characteristic_polynomial_per_map(self, monkeypatch):
-        # the trace path reads charpoly(A) once for the whole window; the det path walks A^k
+        # the trace path reads charpoly(A) once for the whole window; the det path walks A^k.  A single
+        # k reads charpoly(A) once more, then that of C^k for the companion matrix C, never of any A^k
         from lefdist import lefschetz, linalg
 
         calls = []
@@ -68,7 +70,8 @@ class TestMappingTorus:
         d = mapping_torus(CAT, 40)
         assert calls == [CAT.matrix]
         assert dict(d.atoms)[LatticePoint(-40)] == toral_lefschetz(CAT, -40)
-        assert calls == [CAT.matrix] * 2
+        assert calls[:2] == [CAT.matrix] * 2 and len(calls) == 3
+        assert calls[2] == matrix_power(IntMatrix([[0, -1], [1, 3]]), -40) != CAT.power(-40)
 
     def test_atoms_match_classical_identity(self):
         from lefdist.lefschetz import verify_classical_lefschetz
@@ -313,7 +316,7 @@ class TestSelberg:
         for k in range(1, window + 1):
             for kk in (k, -k):
                 classes.append(
-                    ConjugacyClassData(str(kk), GradedMap.from_toral(CAT, kk))
+                    ConjugacyClassData(str(kk), lefschetz_number_graded(toral_graded_map(CAT, kk)))
                 )
         h = HomogeneousSpec(1, 0, tuple(classes), group_kind="R")
         assert selberg_report(h) == mapping_torus(CAT, window)
@@ -354,9 +357,5 @@ class TestSelberg:
             HomogeneousSpec(1, 0, classes)
 
     def test_nontrivial_class_needs_a_lefschetz_number(self):
-        with pytest.raises(PreconditionError, match="'g': a Lefschetz number or graded map is required"):
+        with pytest.raises(PreconditionError, match="'g': a Lefschetz number is required"):
             ConjugacyClassData("g", None)
-
-    def test_graded_map_lefschetz_agrees_with_toral(self):
-        c = ConjugacyClassData("3", GradedMap.from_toral(CAT, 3))
-        assert c.lefschetz == toral_lefschetz(CAT, 3)

@@ -490,8 +490,8 @@ def test_a_flow_that_drops_later_orbits_fails_the_linearity_check(monkeypatch):
 
 
 def test_a_mapping_torus_coefficient_off_by_one_fails_the_selberg_check(monkeypatch):
-    # mapping_torus takes L(F^k) from _lefschetz_series; the Selberg classes take it from the
-    # exterior traces of GradedMap.from_toral, so only their comparison sees the atom at k = 2
+    # mapping_torus takes L(F^k) from _lefschetz_series; verify's Selberg classes take it from
+    # verify._exterior_trace_sum of each A^k, so only their comparison sees the atom at k = 2
     series = models._lefschetz_series
 
     def mutant(t, window):
