@@ -36,9 +36,9 @@ from .curvature import (
 )
 from .distributions import AtomicDistribution
 from .errors import InconsistencyError, PreconditionError
-from .lefschetz import GradedMap, ToralAutomorphism, lefschetz_number_graded, toral_lefschetz
+from .lefschetz import GradedMap, ToralAutomorphism, _certainly_unprintable, lefschetz_number_graded, toral_lefschetz
 from .lie_cohomology import GradedDims, LieAlgebra, catalog_algebra
-from .linalg import IntMatrix, RationalMatrix, expect, num_to_str, read_int, to_float, to_number
+from .linalg import MAX_PRINTED_DIGITS, IntMatrix, RationalMatrix, expect, num_to_str, read_int, to_float, to_number
 from .models import (
     ClosedOrbitSpec,
     ConjugacyClassData,
@@ -216,6 +216,11 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
     if "matrix" in obj:
         t = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"], "class 'matrix'"))
         k = read_int(label, "class 'label'")
+        # vol's denominator has at most MAX_PRINTED_DIGITS digits, so past twice the cap L vol cannot be printed
+        if vol and _certainly_unprintable(t, k, spare=MAX_PRINTED_DIGITS):
+            raise PreconditionError(
+                f"class {label!r}: L(F^{k}) vol has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits"
+            )
         # F^0 is the identity: L = det(I - I) = 0, which toral_lefschetz refuses to take
         return ConjugacyClassData(label, toral_lefschetz(t, k) if k else 0, vol)
     if "graded" in obj:

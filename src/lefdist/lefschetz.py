@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import lcm, log10, prod
 
 import numpy as np
 
 from .errors import EnumerationLimitError, InconsistencyError, NotSimpleError, PreconditionError
 from .linalg import (
+    MAX_PRINTED_DIGITS,
     IntMatrix,
     RationalMatrix,
     charpoly,
@@ -39,6 +40,7 @@ from .linalg import (
     matrix_power,
     num_to_str,
     powers,
+    require_printable,
     smith_transform,
 )
 
@@ -114,10 +116,18 @@ def lefschetz_number_graded(g: GradedMap) -> Fraction:
 
 def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
     """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum."""
+    _nonzero(k)
+    return _lefschetz_of_power(matrix_power(t.matrix, k), k, _trace_path(t, k))
+
+
+def _nonzero(k: int):
     if k == 0:
         raise PreconditionError("k must be nonzero")
-    via_traces = sum(charpoly(matrix_power(_companion(charpoly(t.matrix)), k)))
-    return _lefschetz_of_power(matrix_power(t.matrix, k), k, via_traces)
+
+
+def _trace_path(t: ToralAutomorphism, k: int):
+    """The alternating exterior-trace sum of A^k for one k: sum(charpoly(C^k)), C the companion of charpoly(A)."""
+    return sum(charpoly(matrix_power(_companion(charpoly(t.matrix)), k)))
 
 
 def _companion(poly) -> IntMatrix:
@@ -128,10 +138,46 @@ def _companion(poly) -> IntMatrix:
 
 def _lefschetz_series(t: ToralAutomorphism, window: int):
     """(L(F^k), L(F^-k)) for k = 1..window: the det path on each A^k of the power walk, each checked
-    against the trace path of one ``charpoly(A)``."""
-    walk = powers(t.matrix, window)
-    for k, ((pos, neg), (tr_pos, tr_neg)) in enumerate(zip(walk, det_series(charpoly(t.matrix), window)), 1):
+    against the trace path of one ``charpoly(A)``.
+
+    Every value is printed, so none may have more than MAX_PRINTED_DIGITS digits.  A window whose
+    last value is certainly past the cap is refused before any work; otherwise the exact trace-path
+    values are checked before the walk.  |L(F^-k)| = |L(F^k)|, since |det A| = 1.
+    """
+    if _certainly_unprintable(t, window):
+        raise PreconditionError(
+            f"L(F^{window}) has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits"
+        )
+    traces = det_series(charpoly(t.matrix), window)
+    for k, (tr_pos, _) in enumerate(traces, 1):
+        require_printable(tr_pos, f"L(F^{k})")
+    for k, ((pos, neg), (tr_pos, tr_neg)) in enumerate(zip(powers(t.matrix, window), traces), 1):
         yield _lefschetz_of_power(pos, k, tr_pos), _lefschetz_of_power(neg, -k, tr_neg)
+
+
+def _certainly_unprintable(t: ToralAutomorphism, k: int, spare: int = 0) -> bool:
+    """True only when |L(F^k)| has more than MAX_PRINTED_DIGITS + ``spare`` decimal digits; decided
+    before any power of A, so a huge k costs nothing.  False when that is not certain.
+
+    With m the largest |a_ij|, |L(F^k)| <= (1 + (n m)^|k|)^n, which settles most k at once.
+    Otherwise take the float eigenvalues of A: L(F^k) = prod_i (1 - lambda_i^k), a factor with
+    |lambda_i| >= 1.01 is at least |lambda_i|^|k| / 101 and one with |lambda_i| <= 0.99 at least
+    1/100 (for k < 0 too, since |det A| = 1), so |L(F^k)| >= 10^(r |k| - 3n) with r the sum of
+    log10 |lambda_i| over |lambda_i| > 1, less 1% for the error of the floats.  An eigenvalue within
+    1% of the unit circle, where 1 - lambda^k can be small or zero, gives no bound.
+    """
+    n, cap = t.dim, MAX_PRINTED_DIGITS + spare
+    m = max(abs(x) for row in t.matrix.entries for x in row)
+    if n * m == 1 or abs(k) <= (cap / n - 0.31) / log10(n * m):
+        return False
+    try:
+        moduli = np.abs(np.linalg.eigvals(np.array(t.matrix.entries, dtype=float)))
+    except OverflowError:
+        return False
+    if np.any(np.abs(moduli - 1) < 0.01):
+        return False
+    rate = 0.99 * float(np.sum(np.log10(moduli[moduli > 1])))
+    return abs(k) > (cap + 3 * n) / rate
 
 
 def _lefschetz_of_power(ak, k: int, via_traces) -> int:
@@ -206,10 +252,14 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
     When det(A^k - I) = 0 the fixed-point set is infinite and the report is
     the explicit degenerate variant (no enumeration is attempted).
     """
-    if k == 0:
-        raise PreconditionError("k must be nonzero")
-    n = t.dim
-    b = t.power(k) - IntMatrix.identity(n)
+    _nonzero(k)
+    return _fixed_points_of_power(t.power(k), k)
+
+
+def _fixed_points_of_power(ak: IntMatrix, k: int) -> FixedPointReport:
+    """``fixed_points_toral`` of a given A^k."""
+    n = ak.rows
+    b = ak - IntMatrix.identity(n)
     det_b = determinant(b)
     if det_b == 0:
         return FixedPointReport(None, 1, np.zeros((0, n), dtype=np.int64), None, None)
@@ -259,14 +309,35 @@ class ClassicalCheck:
 
 
 def verify_classical_lefschetz(t: ToralAutomorphism, k: int) -> ClassicalCheck:
-    """Assert sum of classical indices (count x the one index) equals L(F^k); returns both sides."""
-    report = fixed_points_toral(t, k)
+    """Assert sum of classical indices (count x the one index) equals L(F^k); returns both sides.
+
+    One A^k serves the enumeration and the det path of L(F^k), which is checked against the trace path.
+    """
+    _nonzero(k)
+    ak = t.power(k)
+    report = _fixed_points_of_power(ak, k)
     if report.infinite:
         raise NotSimpleError(f"A^{k} has non-simple fixed points: det(A^k - I) = 0")
     lhs = report.count * report.index
-    rhs = toral_lefschetz(t, k)
+    rhs = _lefschetz_of_power(ak, k, _trace_path(t, k))
     if lhs != rhs:
         raise InconsistencyError(
             f"index sum {lhs} disagrees with Lefschetz number {rhs}"
         )
     return ClassicalCheck(lhs, rhs, report.count)
+
+
+def _classical_series(t: ToralAutomorphism, count: int):
+    """(fixed-point report, L(F^k), fixed_point_index(A^k)) for k = 1..count.
+
+    A^k comes from a walk of one product per step, and each one is handed to the enumeration,
+    to the det path of L(F^k), checked against ``det_series`` of one ``charpoly(A)``, and to
+    ``fixed_point_index``.  The index is None where the fixed points are not simple.
+    """
+    ak = t.matrix
+    for k, (via_traces, _) in enumerate(det_series(charpoly(t.matrix), count), 1):
+        if k > 1:
+            ak = ak @ t.matrix
+        report = _fixed_points_of_power(ak, k)
+        index = None if report.infinite else fixed_point_index(ak)
+        yield report, _lefschetz_of_power(ak, k, via_traces), index

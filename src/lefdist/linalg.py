@@ -23,6 +23,7 @@ strings (``"p"`` when q = 1), floats as ``"~<repr>"``, matrices as arrays of suc
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import isfinite, lcm
 from operator import mul
@@ -33,8 +34,10 @@ __all__ = [
     "RationalMatrix",
     "IntMatrix",
     "MAX_DECIMAL_EXPONENT",
+    "MAX_PRINTED_DIGITS",
     "to_number",
     "exact_number",
+    "require_printable",
     "read_int",
     "to_float",
     "expect",
@@ -52,6 +55,11 @@ __all__ = [
 
 # Fraction("1e999999999") would build 10**999999999; no float is above 1e309.
 MAX_DECIMAL_EXPONENT = 1000
+
+# Python's default limit on str(int): no output number has a numerator or denominator of more
+# decimal digits.  The sign is not a digit.
+MAX_PRINTED_DIGITS = sys.int_info.default_max_str_digits
+_PRINTED_BOUND = 10**MAX_PRINTED_DIGITS
 
 
 Number = Fraction | float
@@ -91,9 +99,18 @@ def num_to_str(x: Number | int) -> str:
     """The one number writer: "p/q" ("p" when q = 1) for an int or Fraction, "~<repr>" for a float."""
     if isinstance(x, float):
         return f"~{x!r}"
+    require_printable(x, "an output number")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def require_printable(x: Fraction | int, what: str):
+    """``x`` if ``num_to_str`` can write it; a PreconditionError naming ``what`` and MAX_PRINTED_DIGITS
+    when its numerator or denominator has more decimal digits than that."""
+    if abs(x.numerator) >= _PRINTED_BOUND or x.denominator >= _PRINTED_BOUND:
+        raise PreconditionError(f"{what} has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits")
+    return x
 
 
 def read_int(x, what: str) -> int:
@@ -138,13 +155,24 @@ class _Matrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
 
+    @classmethod
+    def _of_rows(cls, rows: tuple):
+        """A matrix of ``rows``, a tuple of equal-length tuples of the ring's entries, taken as they
+        are: no coercion and no shape check.  Only ring results that are built right come here."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- construction -----------------------------------------------------
     @classmethod
     def identity(cls, n: int):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        one, zero = cls._coerce(1), cls._coerce(0)
+        return cls._of_rows(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     # -- basic queries -----------------------------------------------------
     @property
@@ -173,7 +201,8 @@ class _Matrix:
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise PreconditionError("matrix shapes do not match")
-        return self._ring(other)([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        rows = tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
+        return IntMatrix._of_rows(rows) if self._ring(other) is IntMatrix else RationalMatrix(rows)
 
     def __matmul__(self, other):
         """(A / a)(B / b) = AB / (ab): one integer product over the two common denominators."""
@@ -181,9 +210,9 @@ class _Matrix:
             raise PreconditionError("matrix product requires cols(A) = rows(B)")
         (a, da), (b, db) = _integer_entries(self), _integer_entries(other)
         bt = list(zip(*b))
-        ab = [[sum(map(mul, row, col)) for col in bt] for row in a]
+        ab = tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
         if self._ring(other) is IntMatrix:
-            return IntMatrix(ab)
+            return IntMatrix._of_rows(ab)
         d = da * db
         return RationalMatrix([[Fraction(x, d) for x in row] for row in ab])
 
@@ -486,24 +515,27 @@ def charpoly(m: RationalMatrix | IntMatrix) -> tuple:
     block [[M, col], [row, a]] multiplies the coefficients of M's polynomial
     by the lower-triangular Toeplitz matrix with first column
     (1, -a, -row.col, -row.M.col, ..., -row.M^(r-1).col).  Only ring operations
-    are used, so an IntMatrix gives ints.  c_0 = 1 and c_i = (-1)^i tr Lambda^i m,
-    so sum(charpoly(m)) = det(I - m) without building any exterior power.
+    are used, so it runs on the integer matrix d m, d the lcm of m's
+    denominators, and c_i = c_i(d m) / d^i: ints for an IntMatrix, Fractions for
+    a RationalMatrix.  c_0 = 1 and c_i = (-1)^i tr Lambda^i m, so
+    sum(charpoly(m)) = det(I - m) without building any exterior power.
     """
     if not m.is_square:
         raise PreconditionError("charpoly requires a square matrix")
-    a = m.entries
-    one = m._coerce(1)
-    poly = [one]
+    a, d = _integer_entries(m)
+    poly = [1]
     for r in range(m.rows):
         # zip against the length-r column keeps row and M to the leading block
         col = [a[i][r] for i in range(r)]
-        toeplitz = [one, -a[r][r]]
+        toeplitz = [1, -a[r][r]]
         for t in range(r):
-            toeplitz.append(-sum(x * y for x, y in zip(a[r], col)))
+            toeplitz.append(-sum(map(mul, a[r], col)))
             if t + 1 < r:
-                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
+                col = [sum(map(mul, a[i], col)) for i in range(r)]
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return tuple(poly)
+    if isinstance(m, IntMatrix):
+        return tuple(poly)
+    return tuple(Fraction(c, d**i) for i, c in enumerate(poly))
 
 
 def det_series(poly, count: int) -> list[tuple]:

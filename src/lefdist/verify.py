@@ -196,14 +196,14 @@ def run_lefschetz_suite(seed: int) -> list[Check]:
     ok_count = ok_sum = ok_eps = True
     cases = 0
     for t in _gl2_battery():
-        for k in (1, 2, 3):
-            report = lefschetz.fixed_points_toral(t, k)
+        # one A^k per k for the enumeration, the det path and the index; the brute-force scan powers A^k itself
+        for k, (report, lefschetz_number, index) in enumerate(lefschetz._classical_series(t, 3), 1):
             if report.infinite:
                 continue
             cases += 1
             ok_count &= report.count == brute_force_fixed_point_count(t, k)
-            ok_sum &= report.count * report.index == lefschetz.toral_lefschetz(t, k)
-            ok_eps &= report.epsilon == lefschetz.fixed_point_index(t.power(k)) == report.index
+            ok_sum &= report.count * report.index == lefschetz_number
+            ok_eps &= report.epsilon == index == report.index
     checks.append(
         Check(
             "GL(2,Z) battery: SNF count equals brute-force enumeration",

@@ -17,7 +17,7 @@ from lefdist import cli, lefschetz, verify
 from lefdist.cli import main
 from lefdist.curvature import MAX_GRID_NODES, flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
-from lefdist.linalg import IntMatrix, to_number
+from lefdist.linalg import MAX_PRINTED_DIGITS, IntMatrix, matrix_power, to_number
 from toral_graded import toral_graded_map
 from wire_format import assert_numbers_read_back
 
@@ -118,6 +118,21 @@ class TestMappingTorus:
         rc, out, err = run_cli(capsys, "mapping-torus", "--matrix", "[[2,1],[1,1]]", "--window", "2")
         assert (rc, out) == (3, "")
         assert err == "internal error: determinant path gave -1, exterior-trace path gave 0\n"
+
+    @pytest.mark.parametrize(
+        "matrix, window",
+        [("[[2,1],[1,1]]", 10500), ("[[2,1],[1,1]]", BIG), ("[[100,1],[99,1]]", 2146)],
+        ids=["cat 10500", "cat BIG", "first past the cap"],
+    )
+    def test_a_value_past_the_printed_cap_is_refused_before_the_walk(self, capsys, matrix, window):
+        # the cat map at window 10500 walked every power, about 6 s, then exited 2 with Python's
+        # "Exceeds the limit (4300 digits)".  L(F^2146) of the second map is the first value of its
+        # series past the cap, which the exact check of the trace-path values finds
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "mapping-torus", "--matrix", matrix, "--window", str(window))
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err == f"error: L(F^{window}) has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits\n"
 
     def test_inexact_graded_entry_named_by_degree(self, capsys, tmp_path):
         path = tmp_path / "graded.json"
@@ -650,6 +665,43 @@ class TestSelberg:
         assert rc == 1
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("100000", f"class '100000': L(F^100000) vol has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"),
+            (str(-BIG), f"class '{-BIG}': L(F^{-BIG}) vol has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"),
+            # past the cap, but not by the bound: the exact coefficient is refused when it is written
+            ("10288", f"an output number has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"),
+        ],
+    )
+    def test_a_coefficient_past_the_printed_cap_is_refused(self, capsys, tmp_path, label, message):
+        # label 100000 took 0.33 s and exited 2 with Python's "Exceeds the limit (4300 digits)"
+        classes = [{"label": "0", "is_identity": True}, {"label": label, "matrix": [["2", "1"], ["1", "1"]]}]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "group_kind": "R", "classes": classes}))
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "selberg", "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: {message} decimal digits")
+
+    def test_every_coefficient_that_fits_is_printed(self, capsys, tmp_path):
+        # L(F^k) = -L_k^2 for the cat map at odd k, L_k the Lucas number: at k = 10767 it has 4500
+        # digits, and over vol = 1 / L_k the coefficient -L_k has 2250.  L(F^10287) is the last of the
+        # cat map's values with 4300 digits
+        lucas = matrix_power(IntMatrix([[1, 1], [1, 0]]), 10767).trace()
+        classes = [
+            {"label": "0", "is_identity": True},
+            {"label": "10767", "matrix": [["2", "1"], ["1", "1"]], "vol_centralizer": f"1/{lucas}"},
+            {"label": "10287", "matrix": [["2", "1"], ["1", "1"]]},
+        ]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "group_kind": "R", "classes": classes}))
+        rc, out, _ = run_cli(capsys, "selberg", "--input", str(path))
+        assert rc == 0
+        coeffs = {a["at"]: a["coeff"] for a in json.loads(out)["distribution"]["atoms"]}
+        assert coeffs["10767"] == str(-lucas) and len(coeffs["10287"]) == 1 + MAX_PRINTED_DIGITS
+
     def test_graded_class_not_array(self, capsys, tmp_path):
         classes = [{"label": "e", "is_identity": True}, {"label": "g", "graded": 5}]
         path = tmp_path / "spec.json"
@@ -1031,8 +1083,7 @@ VALID_INPUTS = {
 }
 
 
-# Small values only: a huge class label or a tiny flow length would make
-# unbounded work, which no cap bounds yet.
+# Small values only: a tiny flow length would make unbounded work, which no cap bounds yet.
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -1084,13 +1135,17 @@ def _paths(obj, prefix=()):
 @given(data=st.data())
 def test_loader_fuzz_exits_0_1_or_2(command, tmp_path, data):
     """Swap one value for one of another JSON kind, or, inside an array and not an object,
-    for any value, a nested copy or a shorter array.  Every run exits 0, 1 or 2; a number
+    for any value, a nested copy or a shorter array; a window may be BIG as well.  Every run exits 0, 1 or 2; a number
     swapped for a boolean or null never exits 0; an exit 2 names the field.  Every number an
     exit 0 prints reads back through its reader to the same string."""
     valid, flag, rest = VALID_INPUTS[command]
     path, old = data.draw(st.sampled_from(list(_paths(valid))))
-    # BIG, too large for a float, everywhere but in a class label, where it would ask for A^BIG
-    values = JSON_VALUES if path[-1] == "label" else st.one_of(JSON_VALUES, st.just(BIG))
+    # BIG is too large for a float, and as a class label or a window it asks for A^BIG or BIG multiples
+    values = st.one_of(JSON_VALUES, st.just(BIG))
+    rest = [
+        data.draw(st.sampled_from([arg, str(BIG)])) if prev == "--window" else arg
+        for prev, arg in zip([None, *rest], rest)
+    ]
     other_kind = values.filter(lambda v: _kind(v) is not _kind(old))
     if isinstance(path[-1], int) and not isinstance(old, dict):
         new = data.draw(st.one_of(other_kind, values, st.sampled_from(_array_swaps(old))))

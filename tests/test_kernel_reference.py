@@ -1,5 +1,5 @@
-"""The in-place curvature kernel, the integer-product ``@``, the Newton series and the packed
-fixed-point sort against the code they replaced.
+"""The in-place curvature kernel, the integer-product ``@``, the integer Berkowitz, the Newton
+series and the packed fixed-point sort against the code they replaced.
 
 ``roll_gaussian_curvature`` is a copy of the Brioschi kernel that took each
 derivative from two ``np.roll`` copies and built every term as a new array;
@@ -8,7 +8,9 @@ built its 2-D harmonics in place; ``fraction_sum_product`` is a copy of
 ``_Matrix.__matmul__`` before it multiplied integers over common
 denominators, summing ``Fraction`` products one by one.  They are kept here
 as the reference: the new code must give the same bits, the same entries and
-the same result type.  ``det_series`` is held to the Bareiss determinant of
+the same result type.  ``fraction_berkowitz`` is a copy of ``charpoly`` before
+it ran Berkowitz on the integer matrix d M, when a RationalMatrix took every
+step in ``Fraction``s.  ``det_series`` is held to the Bareiss determinant of
 I - M^k on each ``matrix_power``, the code that took every flow sign before
 it; the packed int64 keys of ``fixed_points_toral``
 are held to ``np.lexsort`` over the n columns.
@@ -194,6 +196,53 @@ def test_integral_and_empty_products_keep_the_ring(a, b):
     assert type(got) is type(ref) is type(a)._ring(a, b)
     assert (got.rows, got.cols, got.entries) == (ref.rows, ref.cols, ref.entries)
     assert all(type(x) is (int if type(got) is IntMatrix else Fraction) for row in got.entries for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(), st.integers(0, 3))
+def test_integer_results_are_built_from_int_rows(ab, k):
+    # @, -, identity and matrix_power(a, +-k) of IntMatrix operands skip the coercion; each result is
+    # the matrix the coercing constructor builds from its rows, and every entry is an int.  A result
+    # with a rational operand is built by its constructor as before: Fraction entries
+    a, b = ab
+    results = [a @ b, type(a).identity(a.rows), b - b]
+    if a.is_square:
+        # a unit upper-triangular matrix with a's entries above the diagonal has an integral inverse
+        unit = type(a)([[x if j > i else int(i == j) for j, x in enumerate(row)] for i, row in enumerate(a.entries)])
+        results += [matrix_power(a, k), matrix_power(unit, -k)]
+    for m in results:
+        ring = int if type(m) is IntMatrix else Fraction
+        assert m == type(m)(m.entries) and (m.rows, m.cols) == (len(m.entries), len(m.entries[0]) if m.entries else 0)
+        assert all(type(x) is ring for row in m.entries for x in row)
+        assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+
+
+# -- the Fraction Berkowitz ---------------------------------------------------------------------
+
+
+def fraction_berkowitz(m):
+    a = m.entries
+    one = m._coerce(1)
+    poly = [one]
+    for r in range(m.rows):
+        col = [a[i][r] for i in range(r)]
+        toeplitz = [one, -a[r][r]]
+        for t in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(a[r], col)))
+            if t + 1 < r:
+                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return tuple(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([IntMatrix, RationalMatrix]), st.data())
+def test_the_integer_berkowitz_gives_the_fraction_berkowitz(n, kind, data):
+    entry = INTS if kind is IntMatrix else RATIONALS
+    m = kind([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+    got, ref = charpoly(m), fraction_berkowitz(m)
+    assert got == ref
+    assert [type(c) for c in got] == [type(c) for c in ref]
 
 
 # -- the Newton series and the packed fixed-point keys -------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lefdist import lefschetz
+from lefdist import lefschetz, verify
 from lefdist.errors import InconsistencyError, NotSimpleError, PreconditionError
 from lefdist.lefschetz import (
     ENUMERATION_CAP,
@@ -20,7 +21,17 @@ from lefdist.lefschetz import (
     toral_lefschetz,
     verify_classical_lefschetz,
 )
-from lefdist.linalg import IntMatrix, RationalMatrix, determinant, matrix_power, num_to_str, smith_transform
+from lefdist.linalg import (
+    MAX_PRINTED_DIGITS,
+    IntMatrix,
+    RationalMatrix,
+    charpoly,
+    det_series,
+    determinant,
+    matrix_power,
+    num_to_str,
+    smith_transform,
+)
 from lefdist.verify import brute_force_fixed_point_count
 from toral_graded import toral_graded_map
 
@@ -263,6 +274,19 @@ class TestClassicalIdentity:
             f(CAT, 0)
 
 
+class TestOnePower:
+    @pytest.mark.parametrize("k", [3, -2, 14])
+    def test_the_classical_check_powers_a_once(self, monkeypatch, k):
+        calls = []
+        power = lefschetz.matrix_power
+        monkeypatch.setattr(lefschetz, "matrix_power", lambda m, j: calls.append((m, j)) or power(m, j))
+        chk = verify_classical_lefschetz(CAT, k)
+        assert chk.sum_of_indices == chk.lefschetz_number == toral_lefschetz(CAT, k)
+        del calls[-2:]  # toral_lefschetz's own two powers
+        # the other power is the trace path's C^k, C the companion matrix of charpoly(A)
+        assert [j for m, j in calls if m == CAT.matrix] == [k] and len(calls) == 2
+
+
 class TestBattery:
     """The GL(2,Z) entries-in-[-3,3] exhaustive cross-oracle battery."""
 
@@ -283,6 +307,33 @@ class TestBattery:
             if r.infinite:
                 continue
             assert r.epsilon == r.index
+
+    def test_one_power_and_one_charpoly_per_map(self, monkeypatch):
+        # the battery's series walks A^k by products and takes charpoly(A) once per map; the brute-force
+        # scan powers A^k itself, once per finite case.  The cat-map check adds toral_lefschetz and
+        # fixed_points_toral for the cat map at k = 1..5, and charpoly(C^k) of its companion matrix C
+        calls = Counter()
+        power, poly = lefschetz.matrix_power, lefschetz.charpoly
+        monkeypatch.setattr(lefschetz, "matrix_power", lambda m, k: calls.update([(m, k)]) or power(m, k))
+        monkeypatch.setattr(lefschetz, "charpoly", lambda m: calls.update([m]) or poly(m))
+        checks = verify.run_lefschetz_suite(1)
+        assert all(c.passed for c in checks)
+        battery = [t.matrix for t in verify._gl2_battery()]
+        companion = lefschetz._companion(charpoly(CAT.matrix))
+        cat_check = range(1, 6)
+        polys = Counter(battery) + Counter({CAT.matrix: 5}) + Counter(matrix_power(companion, k) for k in cat_check)
+        finite = [(a, k) for a in battery for k in (1, 2, 3) if determinant(matrix_power(a, k) - IntMatrix.identity(2))]
+        powers = Counter(finite) + Counter({(CAT.matrix, k): 2 for k in cat_check})
+        powers += Counter((companion, k) for k in cat_check)
+        assert Counter({key: c for key, c in calls.items() if isinstance(key, IntMatrix)}) == polys
+        assert Counter({key: c for key, c in calls.items() if isinstance(key, tuple)}) == powers
+
+    def test_the_series_gives_the_single_k_results(self):
+        for t in gl2_battery(2):
+            for k, (report, number, index) in enumerate(lefschetz._classical_series(t, 3), 1):
+                assert report == fixed_points_toral(t, k)
+                assert number == toral_lefschetz(t, k)
+                assert index == (None if report.infinite else fixed_point_index(t.power(k)))
 
     def test_negative_k_symmetry_det_one_even_dim(self):
         for t in gl2_battery():
@@ -405,3 +456,39 @@ def test_scan_past_the_cap_is_refused_at_once(k):
 def test_scan_just_under_the_cap_runs():
     # |det(cat^7 - I)| = 841 and 841^2 = 707,281 residues: the cap admits it
     assert brute_force_fixed_point_count(CAT, 7) == 841 == fixed_points_toral(CAT, 7).count
+
+
+# -- the cap on printed integers ---------------------------------------------------------------
+
+FAST = ToralAutomorphism(IntMatrix([[100, 1], [99, 1]]))  # |L(F^k)| reaches 10^4300 at k = 2146
+
+
+def test_the_series_checks_each_exact_value_before_the_walk():
+    first = next(k for k, (pos, _) in enumerate(det_series(charpoly(FAST.matrix), 2200), 1) if abs(pos) >= 10**4300)
+    assert first == 2146 and not lefschetz._certainly_unprintable(FAST, first)
+    start = time.perf_counter()
+    assert next(lefschetz._lefschetz_series(FAST, first - 1))[0] == toral_lefschetz(FAST, 1)
+    with pytest.raises(PreconditionError, match=f"L\\(F\\^{first}\\) has more than MAX_PRINTED_DIGITS = "):
+        next(lefschetz._lefschetz_series(FAST, first))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("k", [10**400, -(10**400)])
+def test_a_huge_power_is_certain_only_off_the_unit_circle(k):
+    assert lefschetz._certainly_unprintable(CAT, k) and lefschetz._certainly_unprintable(FAST, k)
+    # a quarter turn and cat + [1] keep an eigenvalue on the unit circle: L(F^k) is 0 or small at some k
+    quarter_turn = ToralAutomorphism(IntMatrix([[0, -1], [1, 0]]))
+    cat_plus_one = ToralAutomorphism(IntMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]))
+    assert not lefschetz._certainly_unprintable(quarter_turn, k)
+    assert not lefschetz._certainly_unprintable(cat_plus_one, k)
+    assert toral_lefschetz(quarter_turn, k) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 3, 4)).flatmap(small_unimodular), st.integers(1, 80), st.booleans(), st.integers(8, 60))
+def test_a_certain_refusal_is_never_printable(t, k, negative, digits):
+    # the bound at a cap of ``digits`` digits, where the exact value is cheap: it may miss a number past
+    # the cap, but a number it refuses has more digits than the cap
+    k = -k if negative else k
+    if lefschetz._certainly_unprintable(t, k, spare=digits - MAX_PRINTED_DIGITS):
+        assert abs(toral_lefschetz(t, k)) >= 10**digits

@@ -9,6 +9,7 @@ from lefdist import linalg
 from lefdist.errors import PreconditionError
 from lefdist.linalg import (
     MAX_DECIMAL_EXPONENT,
+    MAX_PRINTED_DIGITS,
     IntMatrix,
     RationalMatrix,
     determinant,
@@ -264,6 +265,18 @@ class TestSerialization:
         assert num_to_str(0.5) == "~0.5"
         assert to_number("-1/2") == Fraction(-1, 2)
         assert to_number("7") == 7
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_printed_cap_is_the_limit_of_str(self, sign):
+        # the cap refuses exactly the numbers that str() refuses: more than 4300 digits, the sign not counted
+        widest = sign * (10**MAX_PRINTED_DIGITS - 1)
+        assert MAX_PRINTED_DIGITS == 4300 and len(num_to_str(widest).lstrip("-")) == MAX_PRINTED_DIGITS
+        assert len(num_to_str(Fraction(widest, 10**MAX_PRINTED_DIGITS - 2)).lstrip("-")) == 2 * MAX_PRINTED_DIGITS + 1
+        for x in (widest + sign, Fraction(1, sign * 10**MAX_PRINTED_DIGITS)):
+            with pytest.raises(ValueError):
+                str(max(abs(x.numerator), x.denominator))
+            with pytest.raises(PreconditionError, match="an output number has more than MAX_PRINTED_DIGITS = 4300"):
+                num_to_str(x)
 
     @pytest.mark.parametrize(
         "text, expected",

@@ -98,13 +98,14 @@ def test_rank_nullity_check_can_fail(monkeypatch, mutant):
 
 
 def test_epsilon_check_can_fail(monkeypatch):
-    fixed_points = lefschetz.fixed_points_toral
+    # the enumeration of a given A^k, which the battery's series and fixed_points_toral both call
+    fixed_points = lefschetz._fixed_points_of_power
 
-    def flipped(t, k):
-        r = fixed_points(t, k)
+    def flipped(ak, k):
+        r = fixed_points(ak, k)
         return r if r.infinite else dataclasses.replace(r, epsilon=-r.epsilon)
 
-    monkeypatch.setattr(lefschetz, "fixed_points_toral", flipped)
+    monkeypatch.setattr(lefschetz, "_fixed_points_of_power", flipped)
     assert failed_checks(verify.run_lefschetz_suite(1)) == {"epsilon = (-1)^n * classical index (n = 2)"}
 
 
@@ -270,14 +271,16 @@ def test_a_rational_power_fails_the_ring_check(monkeypatch):
 
 
 def test_a_lefschetz_number_off_by_one_fails_the_cat_map_and_index_sum_checks(monkeypatch):
-    # L(F^2) + 1 for the maps of trace +-3 only, the cat map among them; count * index of the
-    # enumerated fixed points stays right, so the two checks that compare with it fail
-    toral_lefschetz = lefschetz.toral_lefschetz
+    # the det path of a given A^k, after its cross-check, gives L(F^5) + 1, and L(F^2) + 1 for A^2 of
+    # trace 11: the maps of trace +-3 and det -1.  The cat-map check reaches k = 5 and the battery
+    # k = 2; the mapping torus of the Selberg check reaches neither, since cat^2 has trace 7.
+    # count * index of the enumerated fixed points stays right, so the two checks that compare with it fail
+    lefschetz_of_power = lefschetz._lefschetz_of_power
 
-    def mutant(t, k):
-        return toral_lefschetz(t, k) + (k == 2 and abs(t.matrix.trace()) == 3)
+    def mutant(ak, k, via_traces):
+        return lefschetz_of_power(ak, k, via_traces) + (k == 5 or k == 2 and ak.trace() == 11)
 
-    monkeypatch.setattr(lefschetz, "toral_lefschetz", mutant)
+    monkeypatch.setattr(lefschetz, "_lefschetz_of_power", mutant)
     assert failed_checks(verify.run_suite("all", 1)) == {
         "cat map L(F^k), k=1..5, three ways",
         "GL(2,Z) battery: index sum equals Lefschetz number",

@@ -6,6 +6,8 @@ renaming one would break ``perfbench/run.py --trace 1``.  The first test
 resolves each name the same way, methods through the class ``__dict__``.
 The second makes, untraced, each call that ``perfbench/worker.py`` and
 ``perfbench/tests`` make on lefdist; those tests are not part of this suite.
+The third runs the benchmark's ``Tracer`` over ``verify`` and the classical
+check, as ``perfbench/run.py --trace 1`` does.
 """
 
 import importlib
@@ -14,17 +16,21 @@ import pathlib
 
 import pytest
 
-from lefdist import cli, lefschetz, linalg
+from lefdist import cli, lefschetz, linalg, verify
 from lefdist.lie_cohomology import LieAlgebra, cohomology_dims, heisenberg
 
 TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return list(tracing.TARGETS)
+    return tracing
+
+
+def _targets():
+    return list(_tracing().TARGETS)
 
 
 @pytest.mark.parametrize("qual", _targets())
@@ -47,3 +53,25 @@ def test_the_calls_perfbench_makes_still_work(capsys):
     rc = cli.main(["surface-suspension", "--genus", "2"])
     assert type(rc) is int and rc == 0
     assert capsys.readouterr().out.startswith("{")
+
+
+def test_a_traced_run_gives_the_untraced_results_and_counts_the_oracle():
+    # every stat lambda of a target that runs must accept its call, or the traced call raises; the
+    # prediction map says the brute-force oracle's calls and residues never drop to 0
+    t = lefschetz.ToralAutomorphism(linalg.IntMatrix([[2, 1], [1, 1]]))
+
+    def run():
+        return verify.run_suite("lefschetz", 1), lefschetz.verify_classical_lefschetz(t, 3)
+
+    untraced = run()
+    tracer = _tracing().Tracer()
+    tracer.enable(0)
+    try:
+        traced = run()
+    finally:
+        tracer.disable()
+    assert traced == untraced and all(c.passed for c in traced[0])
+    stats = tracer.summary()
+    assert stats["verify.brute_force_fixed_point_count.calls"] > 0
+    assert stats["verify.brute_force_fixed_point_count.residues"] > 0
+    assert not hasattr(verify.brute_force_fixed_point_count, "__wrapped__")  # disable() put the original back
