@@ -10,10 +10,17 @@ sum_i (-1)^i e_i(A^k) = det(I - A^k).  Over a window ``linalg.det_series``
 takes every e_i(A^k) from the one Berkowitz characteristic polynomial of A by
 Newton's identities; a single k reads charpoly(C^k), C the companion matrix
 of charpoly(A), in O(log |k|) products.  The det path runs Bareiss on
-I - A^k for every A^k of the power walk.  Both paths
+I - A^k for every A^k of the power walk.  The per-map series behind
+``verify``'s battery, ``_classical_series``, is shaped the same way: one
+product per step walks A^k, one ``det_series(charpoly(A), count)`` gives the
+trace path, and each A^k is handed to the Smith enumeration, to the det path
+and to :func:`fixed_point_index`; :func:`verify_classical_lefschetz` powers A
+once for its k.  Both paths
 and the fixed-point enumeration stay in integers: the fixed points are kept
 as one int64 array of numerators over a common denominator, and their
-``Fraction`` coordinates are built only when a caller asks for them.
+``Fraction`` coordinates are built only when a caller asks for them.  A
+mapping-torus window whose values would pass ``MAX_PRINTED_DIGITS`` is refused
+before its det walk.
 
 Sign conventions: the classical fixed-point index is sign det(I - J); the
 epsilon convention used for foliation distributions is sign det(J - I).

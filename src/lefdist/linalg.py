@@ -16,7 +16,8 @@ scaled by the lcm of its denominators, and each entry of the result is one
 ``Fraction``.
 
 The wire format lives here: ``to_number``, ``exact_number``, ``read_int`` and ``to_float`` read
-every input number, and ``num_to_str`` writes every output number: rationals as ``"p/q"``
+every input number, and ``num_to_str`` writes every output number, each part of at most
+``MAX_PRINTED_DIGITS`` decimal digits: rationals as ``"p/q"``
 strings (``"p"`` when q = 1), floats as ``"~<repr>"``, matrices as arrays of such strings.
 """
 
@@ -151,19 +152,20 @@ class _Matrix:
         rows = tuple(tuple(self._coerce(e) for e in row) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise PreconditionError("matrix rows must all have the same length")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
+        self._set_rows(rows)
 
     @classmethod
     def _of_rows(cls, rows: tuple):
         """A matrix of ``rows``, a tuple of equal-length tuples of the ring's entries, taken as they
         are: no coercion and no shape check.  Only ring results that are built right come here."""
         m = object.__new__(cls)
-        object.__setattr__(m, "entries", rows)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+        m._set_rows(rows)
         return m
+
+    def _set_rows(self, rows: tuple):
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
