@@ -8,19 +8,18 @@ torus builds; :func:`verify_classical_lefschetz` checks the third against them.
 The trace path builds no A^k: the alternating exterior-trace sum of A^k is
 sum_i (-1)^i e_i(A^k) = det(I - A^k).  Over a window ``linalg.det_series``
 takes every e_i(A^k) from the one Berkowitz characteristic polynomial of A by
-Newton's identities; a single k reads charpoly(C^k), C the companion matrix
-of charpoly(A), in O(log |k|) products.  The det path runs Bareiss on
-I - A^k for every A^k of the power walk.  The per-map series behind
-``verify``'s battery, ``_classical_series``, is shaped the same way: one
-product per step walks A^k, one ``det_series(charpoly(A), count)`` gives the
-trace path, and each A^k is handed to the Smith enumeration, to the det path
-and to :func:`fixed_point_index`; :func:`verify_classical_lefschetz` powers A
-once for its k.  Both paths
-and the fixed-point enumeration stay in integers: the fixed points are kept
-as one int64 array of numerators over a common denominator, and their
-``Fraction`` coordinates are built only when a caller asks for them.  A
-mapping-torus window whose values would pass ``MAX_PRINTED_DIGITS`` is refused
-before its det walk.
+Newton's identities, and the det path runs Bareiss on I - A^k for each A^k of
+``powers``; the mapping torus walks A^-k with a second ``powers`` of A^-1.
+``verify``'s per-map series, ``_classical_series``, hands each A^k of the same
+walk to the Smith enumeration, to the det path and to
+:func:`fixed_point_index`.  A single k, in :func:`toral_lefschetz` and
+:func:`verify_classical_lefschetz`, powers A once and reads charpoly(C^k), C
+the companion matrix of charpoly(A), in O(log |k|) products.  Both paths and
+the fixed-point enumeration stay in integers: the fixed points are kept as one
+int64 array of numerators over a common denominator, and their ``Fraction``
+coordinates are built only when a caller asks for them.  A mapping-torus
+window whose values would pass ``MAX_PRINTED_DIGITS`` is refused before its
+det walk.
 
 Sign conventions: the classical fixed-point index is sign det(I - J); the
 epsilon convention used for foliation distributions is sign det(J - I).
@@ -123,8 +122,7 @@ def lefschetz_number_graded(g: GradedMap) -> Fraction:
 
 def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
     """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum."""
-    _nonzero(k)
-    return _lefschetz_of_power(matrix_power(t.matrix, k), k, _trace_path(t, k))
+    return _power_and_lefschetz(t, k)[1]
 
 
 def _nonzero(k: int):
@@ -132,9 +130,12 @@ def _nonzero(k: int):
         raise PreconditionError("k must be nonzero")
 
 
-def _trace_path(t: ToralAutomorphism, k: int):
-    """The alternating exterior-trace sum of A^k for one k: sum(charpoly(C^k)), C the companion of charpoly(A)."""
-    return sum(charpoly(matrix_power(_companion(charpoly(t.matrix)), k)))
+def _power_and_lefschetz(t: ToralAutomorphism, k: int) -> tuple[IntMatrix, int]:
+    """A^k and L(F^k) for one k: the det path on A^k, checked against the trace path, sum(charpoly(C^k))
+    for C the companion matrix of charpoly(A)."""
+    _nonzero(k)
+    ak = matrix_power(t.matrix, k)
+    return ak, _lefschetz_of_power(ak, k, sum(charpoly(matrix_power(_companion(charpoly(t.matrix)), k))))
 
 
 def _companion(poly) -> IntMatrix:
@@ -144,8 +145,8 @@ def _companion(poly) -> IntMatrix:
 
 
 def _lefschetz_series(t: ToralAutomorphism, window: int):
-    """(L(F^k), L(F^-k)) for k = 1..window: the det path on each A^k of the power walk, each checked
-    against the trace path of one ``charpoly(A)``.
+    """(L(F^k), L(F^-k)) for k = 1..window: the det path on each A^k and A^-k of two power walks, each
+    checked against the trace path of one ``charpoly(A)``.
 
     Every value is printed, so none may have more than MAX_PRINTED_DIGITS digits.  A window whose
     last value is certainly past the cap is refused before any work; otherwise the exact trace-path
@@ -158,7 +159,8 @@ def _lefschetz_series(t: ToralAutomorphism, window: int):
     traces = det_series(charpoly(t.matrix), window)
     for k, (tr_pos, _) in enumerate(traces, 1):
         require_printable(tr_pos, f"L(F^{k})")
-    for k, ((pos, neg), (tr_pos, tr_neg)) in enumerate(zip(powers(t.matrix, window), traces), 1):
+    walks = zip(powers(t.matrix, window), powers(matrix_power(t.matrix, -1), window), traces)
+    for k, (pos, neg, (tr_pos, tr_neg)) in enumerate(walks, 1):
         yield _lefschetz_of_power(pos, k, tr_pos), _lefschetz_of_power(neg, -k, tr_neg)
 
 
@@ -318,15 +320,13 @@ class ClassicalCheck:
 def verify_classical_lefschetz(t: ToralAutomorphism, k: int) -> ClassicalCheck:
     """Assert sum of classical indices (count x the one index) equals L(F^k); returns both sides.
 
-    One A^k serves the enumeration and the det path of L(F^k), which is checked against the trace path.
+    One A^k serves the det path of L(F^k), which is checked against the trace path, and the enumeration.
     """
-    _nonzero(k)
-    ak = t.power(k)
+    ak, rhs = _power_and_lefschetz(t, k)
     report = _fixed_points_of_power(ak, k)
     if report.infinite:
         raise NotSimpleError(f"A^{k} has non-simple fixed points: det(A^k - I) = 0")
     lhs = report.count * report.index
-    rhs = _lefschetz_of_power(ak, k, _trace_path(t, k))
     if lhs != rhs:
         raise InconsistencyError(
             f"index sum {lhs} disagrees with Lefschetz number {rhs}"
@@ -337,14 +337,12 @@ def verify_classical_lefschetz(t: ToralAutomorphism, k: int) -> ClassicalCheck:
 def _classical_series(t: ToralAutomorphism, count: int):
     """(fixed-point report, L(F^k), fixed_point_index(A^k)) for k = 1..count.
 
-    A^k comes from a walk of one product per step, and each one is handed to the enumeration,
-    to the det path of L(F^k), checked against ``det_series`` of one ``charpoly(A)``, and to
-    ``fixed_point_index``.  The index is None where the fixed points are not simple.
+    Each A^k of ``powers`` is handed to the enumeration, to the det path of L(F^k), checked against
+    ``det_series`` of one ``charpoly(A)``, and to ``fixed_point_index``.  The index is None where the
+    fixed points are not simple.
     """
-    ak = t.matrix
-    for k, (via_traces, _) in enumerate(det_series(charpoly(t.matrix), count), 1):
-        if k > 1:
-            ak = ak @ t.matrix
+    traces = det_series(charpoly(t.matrix), count)
+    for k, (ak, (via_traces, _)) in enumerate(zip(powers(t.matrix, count), traces), 1):
         report = _fixed_points_of_power(ak, k)
         index = None if report.infinite else fixed_point_index(ak)
         yield report, _lefschetz_of_power(ak, k, via_traces), index

@@ -43,7 +43,7 @@ from operator import mul
 
 from .errors import InconsistencyError, InvalidLieAlgebraError, PreconditionError
 from .linalg import (
-    IntMatrix, RationalMatrix, _bareiss_echelon, _integer_entries, _inverse, exact_number, expect, num_to_str, read_int
+    IntMatrix, RationalMatrix, _bareiss_echelon, _integer_inverse, exact_number, expect, num_to_str, read_int
 )
 
 __all__ = [
@@ -419,7 +419,7 @@ def _carnot_rebase(a: LieAlgebra) -> LieAlgebra | None:
     basis = [b for layer in layers for b in layer]
     weight = [w for w, layer in enumerate(layers, 1) for _ in layer]
     try:
-        inverse, d = _integer_entries(_inverse(IntMatrix(basis)))  # d B^-1; x in e-coordinates is x B^-1 in the b_k
+        inverse, d = _integer_inverse(IntMatrix(basis))  # d B^-1; x in e-coordinates is x B^-1 in the b_k
     except PreconditionError:
         return None
     columns = list(zip(*inverse))

@@ -1,19 +1,19 @@
 """Exact rational and integer linear algebra.
 
 Everything here is arbitrary precision: matrices hold ``fractions.Fraction``
-or Python ``int`` entries, stored row-major in immutable tuples.  One
-forward-only fraction-free (Bareiss) elimination loop on integer rows serves
-every exact solve, and keeps intermediate entries at minor-determinant size:
-ranks and ``determinant`` read its pivots, while ``rank_kernel`` and inverses
-add one fraction-free back substitution on its echelon.  Integer callers hand
-it their rows as they are; rational callers first scale each row to integers.
-One Smith loop serves the Smith invariants and the column transform that
-parametrizes A x = 0 mod Z^n.  A k-series of matrix powers comes from one
-walk, ``powers``; a k-series of det(I - M^k) needs no power at all:
-``det_series`` takes it from the characteristic polynomial of M by Newton's
-identities.  A product multiplies integer matrices: each rational operand is
-scaled by the lcm of its denominators, and each entry of the result is one
-``Fraction``.
+or Python ``int`` entries, stored row-major in immutable tuples.  Every
+integer routine reads a matrix in one integer form, ``_integer_entries``:
+integer rows over d, the lcm of the denominators (d = 1 for an IntMatrix).
+One forward-only fraction-free (Bareiss) elimination loop on integer rows
+serves every exact solve, and keeps intermediate entries at minor-determinant
+size: ranks and ``determinant`` read its pivots, while ``rank_kernel`` and
+inverses add one fraction-free back substitution on its echelon.  One Smith
+loop serves the Smith invariants and the column transform that parametrizes
+A x = 0 mod Z^n.  ``powers(m, n)`` walks m^1..m^n with one product per step;
+a k-series of det(I - M^k) needs no power at all: ``det_series`` takes it
+from the characteristic polynomial of M by Newton's identities.  A product
+multiplies the integer forms of its operands, and each entry of the result
+is one ``Fraction``.
 
 The wire format lives here: ``to_number``, ``exact_number``, ``read_int`` and ``to_float`` read
 every input number, and ``num_to_str`` writes every output number, each part of at most
@@ -27,7 +27,7 @@ import itertools
 import sys
 from fractions import Fraction
 from math import isfinite, lcm
-from operator import mul
+from operator import matmul, mul
 
 from .errors import InconsistencyError, PreconditionError
 
@@ -263,16 +263,6 @@ def _integer_entries(m: _Matrix) -> tuple:
     return [[e.numerator * (d // e.denominator) for e in row] for row in m.entries], d
 
 
-def _scaled_rows(entries) -> tuple[list[list[int]], int]:
-    """Each rational row times the lcm of its denominators, and the product of those scalings."""
-    rows, scale = [], 1
-    for row in entries:
-        mult = lcm(*(e.denominator for e in row)) if row else 1
-        scale *= mult
-        rows.append([e.numerator * (mult // e.denominator) for e in row])
-    return rows, scale
-
-
 def _bareiss_echelon(rows) -> tuple[list[list[int]], list[int], int]:
     """Forward-only fraction-free (Bareiss) elimination of integer rows.
 
@@ -325,13 +315,10 @@ def determinant(m: RationalMatrix | IntMatrix):
     n = m.rows
     if n == 0:
         return 1 if isinstance(m, IntMatrix) else Fraction(1)
-    if isinstance(m, IntMatrix):
-        rows, scale = m.entries, 1
-    else:
-        rows, scale = _scaled_rows(m.entries)
-    rows, pivots, sign = _bareiss_echelon(rows)
+    a, d = _integer_entries(m)
+    rows, pivots, sign = _bareiss_echelon(a)
     det = sign * rows[n - 1][n - 1] if len(pivots) == n else 0
-    return det if isinstance(m, IntMatrix) else Fraction(det, scale)
+    return det if isinstance(m, IntMatrix) else Fraction(det, d**n)
 
 
 def _kernel(rows) -> tuple[list[int], int, list[list[int]]]:
@@ -357,7 +344,7 @@ def _kernel(rows) -> tuple[list[int], int, list[list[int]]]:
 
 def rank_kernel(m: RationalMatrix | IntMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Rank and the exact right kernel basis with one free variable set to 1 in each vector."""
-    pivots, d, basis = _kernel(m.entries if isinstance(m, IntMatrix) else _scaled_rows(m.entries)[0])
+    pivots, d, basis = _kernel(_integer_entries(m)[0])
     return len(pivots), [tuple(Fraction(x, d) for x in y) for y in basis]
 
 
@@ -436,20 +423,27 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     return smith_transform(m)[0]
 
 
-def _inverse(m: _Matrix) -> _Matrix:
-    """m^-1 is minus the left block of the kernel basis of [m | I], one vector per column of I.
+def _integer_inverse(m: _Matrix) -> tuple[list[list[int]], int]:
+    """Integer rows and d > 0 with m^-1 = rows / d.
 
-    A rational m has each row of [m | I] scaled to integers first, which leaves the kernel as it is.
-    On an integer m the last pivot d is +-det m; when |d| = 1 the inverse -y / d = -d y is integral.
+    With m = a / s (``_integer_entries``), a^-1 is minus the left block of the kernel basis of [a | I], one
+    vector per column of I, over the last pivot p = +-det a; so m^-1 = s a^-1, and the sign of p moves into the rows.
     """
+    a, s = _integer_entries(m)
     n = m.rows
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    pivots, d, basis = _kernel(rows if isinstance(m, IntMatrix) else _scaled_rows(rows)[0])
+    pivots, p, basis = _kernel([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise PreconditionError("matrix is singular, cannot invert")
-    if isinstance(m, IntMatrix) and abs(d) == 1:
-        return IntMatrix([[-d * y[i] for y in basis] for i in range(n)])
-    return RationalMatrix([[Fraction(-y[i], d) for y in basis] for i in range(n)])
+    f = -s if p > 0 else s
+    return [[f * y[i] for y in basis] for i in range(n)], abs(p)
+
+
+def _inverse(m: _Matrix) -> _Matrix:
+    """m^-1 in the ring rule of ``matrix_power``: an IntMatrix when m is one and det m = +-1."""
+    rows, d = _integer_inverse(m)
+    if isinstance(m, IntMatrix) and d == 1:
+        return IntMatrix._of_rows(tuple(map(tuple, rows)))
+    return RationalMatrix([[Fraction(x, d) for x in row] for row in rows])
 
 
 def matrix_power(m: RationalMatrix | IntMatrix, k: int):
@@ -475,14 +469,8 @@ def matrix_power(m: RationalMatrix | IntMatrix, k: int):
 
 
 def powers(m: RationalMatrix | IntMatrix, n: int):
-    """(m^k, m^-k) for k = 1..n, typed as ``matrix_power``'s: one product per step, one inverse in all."""
-    if n:
-        inverse = matrix_power(m, -1)
-        pos, neg = m, inverse
-        yield pos, neg
-        for _ in range(n - 1):
-            pos, neg = pos @ m, neg @ inverse
-            yield pos, neg
+    """m^k for k = 1..n, typed as ``matrix_power``'s: one product per step and no inverse."""
+    return itertools.accumulate(itertools.repeat(m, n), matmul)
 
 
 def exterior_power(m: RationalMatrix | IntMatrix, i: int):

@@ -11,8 +11,8 @@ nilpotent homogeneous foliations, and the Selberg-type report for bundles
 over homogeneous spaces.  A k-series of values det(I - M^k) and
 det(I - M^-k) (toral mapping-torus atoms, flow signs) takes them from the one
 characteristic polynomial of M by ``linalg.det_series``; the toral det path
-and the graded maps take their powers M^k and M^-k from one walk,
-``linalg.powers``.
+and the graded maps take their powers M^k from ``linalg.powers`` of M, and
+M^-k from a second ``powers`` of M^-1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .distributions import IDENTITY, AtomicDistribution, LatticePoint, OrbitTerm
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
 from .lefschetz import GradedMap, ToralAutomorphism, _lefschetz_series, lefschetz_number_graded
 from .lie_cohomology import GradedDims, LieAlgebra, _derived, cohomology_dims, is_nilpotent
-from .linalg import Number, RationalMatrix, charpoly, det_series, determinant, powers, read_int, to_number
+from .linalg import Number, RationalMatrix, charpoly, det_series, determinant, matrix_power, powers, read_int, to_number
 
 __all__ = [
     "MAX_FLOW_MULTIPLES",
@@ -52,30 +52,31 @@ def mapping_torus(source: ToralAutomorphism | GradedMap, window: int) -> AtomicD
 
     For a toral automorphism every L(F^k) gets the ring and det-vs-trace
     checks of :func:`toral_lefschetz` (which stay evaluable even when fixed
-    points degenerate): the det path walks the powers A^k, the trace path
-    reads one ``charpoly(A)``; chi(T^n) = 0.  For a graded cohomology map one
-    ``linalg.powers`` walk per degree runs in step, L(F^k) is the alternating
-    trace of the k-th powers and chi the alternating dimension sum.
+    points degenerate): the det path walks the powers A^k and A^-k, the trace
+    path reads one ``charpoly(A)``; chi(T^n) = 0.  For a graded cohomology map
+    L(F^k) is the alternating trace of the k-th powers and chi the alternating
+    dimension sum.  A window of 0 inverts nothing.
     """
     if window < 0:
         raise PreconditionError("window must be >= 0")
     if isinstance(source, ToralAutomorphism):
-        chi, series = 0, _lefschetz_series(source, window)
+        chi, series = 0, _lefschetz_series
     elif isinstance(source, GradedMap):
-        chi, series = source.euler_characteristic, _graded_series(source, window)
+        chi, series = source.euler_characteristic, _graded_series
     else:
         raise PreconditionError("source must be a ToralAutomorphism or a GradedMap")
     atoms = [(LatticePoint(0), Fraction(chi))]
-    for k, (pos, neg) in enumerate(series, 1):
+    for k, (pos, neg) in enumerate(series(source, window) if window else (), 1):
         atoms += [(LatticePoint(k), pos), (LatticePoint(-k), neg)]
     return make(atoms, group="Z")
 
 
 def _graded_series(g: GradedMap, window: int):
     """(L(F^k), L(F^-k)) for k = 1..window: alternating traces of the k-th powers of every degree."""
-    for step in zip(*(powers(m, window) for m in g.maps)):
-        pos, neg = zip(*step)
-        yield lefschetz_number_graded(GradedMap(pos)), lefschetz_number_graded(GradedMap(neg))
+    pos = zip(*(powers(m, window) for m in g.maps))
+    neg = zip(*(powers(matrix_power(m, -1), window) for m in g.maps))
+    for p, q in zip(pos, neg):
+        yield lefschetz_number_graded(GradedMap(p)), lefschetz_number_graded(GradedMap(q))
 
 
 # -- codimension-one flows ----------------------------------------------------

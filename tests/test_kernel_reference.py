@@ -26,6 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lefdist import linalg
 from lefdist.curvature import MetricGrid, gaussian_curvature, random_torus_metric
 from lefdist.errors import EnumerationLimitError, PreconditionError
 from lefdist.lefschetz import ToralAutomorphism, fixed_points_toral
@@ -268,6 +269,23 @@ def test_the_newton_series_gives_the_bareiss_determinant_of_each_power(m, count)
     for k, (pos, neg) in enumerate(series, 1):
         assert pos == determinant(identity - matrix_power(m, k))
         assert neg == determinant(identity - matrix_power(m, -k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([IntMatrix, RationalMatrix]), st.data())
+def test_the_integer_inverse_agrees_with_matrix_power(n, kind, data):
+    # rows over d > 0, with the sign of a negative last Bareiss pivot moved into the rows
+    entry = st.integers(-3, 3) if kind is IntMatrix else st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    m = kind([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+    if determinant(m) == 0:
+        with pytest.raises(PreconditionError, match="singular"):
+            linalg._integer_inverse(m)
+        return
+    rows, d = linalg._integer_inverse(m)
+    assert type(d) is int and d > 0 and all(type(x) is int for row in rows for x in row)
+    inverse = RationalMatrix([[Fraction(x, d) for x in row] for row in rows])
+    assert inverse.entries == matrix_power(m, -1).entries
+    assert m @ inverse == RationalMatrix.identity(n)
 
 
 def test_the_newton_series_of_a_unimodular_map_stays_in_ints():

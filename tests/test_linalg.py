@@ -205,28 +205,40 @@ class TestPowers:
     @settings(max_examples=80, deadline=None)
     @given(invertible_matrices(), st.integers(0, 7))
     def test_walk_matches_matrix_power(self, kind_m, n):
+        # m^-k is the walk of m^-1
         kind, m = kind_m
-        walk = list(powers(m, n))
-        assert len(walk) == n
-        for k, (pos, neg) in enumerate(walk, 1):
+        walk, back = list(powers(m, n)), list(powers(matrix_power(m, -1), n))
+        assert len(walk) == len(back) == n
+        for k, (pos, neg) in enumerate(zip(walk, back), 1):
             assert (type(pos), type(neg)) == POWER_TYPES[kind]
             # _Matrix equality compares the types too
             assert pos == matrix_power(m, k) and neg == matrix_power(m, -k)
 
     def test_one_inverse_in_all(self, monkeypatch):
+        # the walk takes no inverse; a mapping torus takes one per map for its whole window
+        from lefdist import lefschetz, models
+
         calls = []
-        power = linalg.matrix_power
-        monkeypatch.setattr(linalg, "matrix_power", lambda m, k: calls.append(k) or power(m, k))
-        assert len(list(powers(IntMatrix([[2, 1], [1, 1]]), 6))) == 6
-        assert calls == [-1]
+        for module in (lefschetz, models):
+            power = module.matrix_power
+            monkeypatch.setattr(module, "matrix_power", lambda m, k, power=power: calls.append(k) or power(m, k))
+        monkeypatch.setattr(linalg, "matrix_power", lambda m, k: pytest.fail("powers(m, n) inverted m"))
+        cat = IntMatrix([[2, 1], [1, 1]])
+        assert len(list(powers(cat, 6))) == 6
+        models.mapping_torus(lefschetz.ToralAutomorphism(cat), 6)
+        models.mapping_torus(lefschetz.GradedMap((IntMatrix.identity(1), RationalMatrix(cat.entries))), 6)
+        assert calls == [-1, -1, -1]
 
     def test_zero_steps_yield_nothing_and_invert_nothing(self, monkeypatch):
         monkeypatch.setattr(linalg, "matrix_power", lambda m, k: pytest.fail("powers(m, 0) inverted m"))
         assert list(powers(IntMatrix([[1, 2], [2, 4]]), 0)) == []
 
     def test_singular_raises(self):
+        # only the inverse, which the walk never takes, refuses a singular m
+        m = IntMatrix([[1, 2], [2, 4]])
+        assert list(powers(m, 3)) == [m, m @ m, m @ m @ m]
         with pytest.raises(PreconditionError, match="singular"):
-            next(powers(IntMatrix([[1, 2], [2, 4]]), 3))
+            matrix_power(m, -1)
 
 
 class TestExteriorPower:

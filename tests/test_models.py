@@ -52,6 +52,13 @@ class TestMappingTorus:
         d = mapping_torus(gm, 0)
         assert d.atoms == ((LatticePoint(0), Fraction(-2)),)
 
+    def test_a_singular_degree_is_inverted_only_inside_a_window(self):
+        # chi = 1 - 2; the singular degree 1 has no inverse, so only a window of 1 or more refuses it
+        gm = GradedMap((RationalMatrix.identity(1), RationalMatrix([[1, 2], [2, 4]])))
+        assert mapping_torus(gm, 0).atoms == ((LatticePoint(0), Fraction(-1)),)
+        with pytest.raises(PreconditionError, match="singular"):
+            mapping_torus(gm, 1)
+
     def test_graded_map_source_matches_toral(self):
         gm = toral_graded_map(CAT, 1)
         assert mapping_torus(gm, 3) == mapping_torus(CAT, 3)

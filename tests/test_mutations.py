@@ -410,14 +410,14 @@ def rebases(monkeypatch):
 
 
 def patch_inverse(monkeypatch, wrong):
-    """``lie_cohomology._inverse`` replaced by ``wrong`` of the true inverse's entries and B."""
-    inverse = linalg._inverse
-    monkeypatch.setattr(lie_cohomology, "_inverse", lambda m: linalg.RationalMatrix(wrong(inverse(m).entries, m)))
+    """``lie_cohomology._integer_inverse`` replaced by ``wrong`` of the true rows and d of B^-1 = rows / d, and B."""
+    inverse = linalg._integer_inverse
+    monkeypatch.setattr(lie_cohomology, "_integer_inverse", lambda m: wrong(*inverse(m), m))
 
 
 def test_a_transposed_inverse_is_refused_by_the_weight_check(monkeypatch, rebases):
     # B^T for B^-1 puts [b_i, b_j] on layers of the wrong weight, so both scrambles keep their basis
-    patch_inverse(monkeypatch, lambda inv, m: [list(col) for col in zip(*m.entries)])
+    patch_inverse(monkeypatch, lambda rows, d, m: ([list(col) for col in zip(*m.entries)], 1))
     assert failed_checks(verify.run_suite("cohomology", 1)) == set()
     assert rebases == [None, None]
 
@@ -425,7 +425,7 @@ def test_a_transposed_inverse_is_refused_by_the_weight_check(monkeypatch, rebase
 def test_an_inverse_that_loses_the_top_layer_fails_the_oracle_check(monkeypatch, rebases):
     # zero coordinates on b_n drop every bracket into the top layer: the weights still add up and
     # Jacobi still holds, so only the reversed-basis oracle, ranking the given basis, sees it
-    patch_inverse(monkeypatch, lambda inv, m: [list(row[:-1]) + [0] for row in inv])
+    patch_inverse(monkeypatch, lambda rows, d, m: ([row[:-1] + [0] for row in rows], d))
     assert failed_checks(verify.run_suite("cohomology", 1)) == {"reversed-basis CE oracle agrees (dim <= 6)"}
     assert rebases[0] is not None and rebases[1] is None
 
@@ -440,7 +440,8 @@ FILIFORM4_HEISENBERG1 = LieAlgebra(7, {
 def test_an_inverse_that_breaks_jacobi_exits_3(monkeypatch, capsys, tmp_path):
     # doubling one coordinate keeps every weight, but the rebased table fails validate
     assert cohomology_dims(FILIFORM4_HEISENBERG1).dims == (1, 4, 8, 11, 11, 8, 4, 1)
-    patch_inverse(monkeypatch, lambda inv, m: [[2 * x if c == 4 else x for c, x in enumerate(row)] for row in inv])
+    double = lambda row: [2 * x if c == 4 else x for c, x in enumerate(row)]
+    patch_inverse(monkeypatch, lambda rows, d, m: (list(map(double, rows)), d))
     with pytest.raises(InconsistencyError, match="the Carnot layers of a Lie algebra gave no Lie algebra"):
         cohomology_dims(FILIFORM4_HEISENBERG1)
     path = tmp_path / "algebra.json"
@@ -514,22 +515,20 @@ def test_a_corollary_check_that_always_passes_fails_the_corrupted_density_check(
 # -- the power walk ---------------------------------------------------------------------------
 
 
-def walk_without_the_inverse(m, n):
-    """``linalg.powers`` with its negative side multiplied by m: m^-1, then m^-1 m = I, then m, ..."""
-    if n:
-        pos, neg = m, linalg.matrix_power(m, -1)
-        yield pos, neg
-        for _ in range(n - 1):
-            pos, neg = pos @ m, neg @ m
-            yield pos, neg
+def walk_one_step_behind(m, n):
+    """``linalg.powers`` one step behind: I, m, ..., m^(n-1)."""
+    p = type(m).identity(m.rows)
+    for _ in range(n):
+        yield p
+        p = p @ m
 
 
 def test_a_walk_that_drifts_fails_the_goldens(monkeypatch):
-    # the toral det path and the graded maps walk their powers; the flows build none
+    # the toral det path and the graded maps walk their powers and those of the inverse; the flows build none
     import test_golden
 
     for module in (linalg, lefschetz, models):
-        monkeypatch.setattr(module, "powers", walk_without_the_inverse)
+        monkeypatch.setattr(module, "powers", walk_one_step_behind)
     walked = [(name, produce) for name, produce in test_golden.cases() if name.startswith("mapping_torus")]
     assert len(walked) == 9
     for name, produce in walked:
@@ -543,7 +542,7 @@ def test_a_walk_that_drifts_fails_the_goldens(monkeypatch):
 def test_a_rational_walk_fails_the_ring_check_in_the_mapping_torus(monkeypatch, capsys):
     # the det and trace paths of a RationalMatrix A^k still agree, so only the ring check sees it
     walk, rational = lefschetz.powers, lambda m: linalg.RationalMatrix(m.entries)
-    monkeypatch.setattr(lefschetz, "powers", lambda m, n: ((rational(p), rational(q)) for p, q in walk(m, n)))
+    monkeypatch.setattr(lefschetz, "powers", lambda m, n: map(rational, walk(m, n)))
     message = "A^1 of a unimodular A came back as RationalMatrix, not IntMatrix"
     with pytest.raises(InconsistencyError, match=re.escape(message)):
         mapping_torus(CAT, 3)
