@@ -216,13 +216,14 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
     if "matrix" in obj:
         t = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"], "class 'matrix'"))
         k = read_int(label, "class 'label'")
-        # vol's denominator has at most MAX_PRINTED_DIGITS digits, so past twice the cap L vol cannot be printed
-        if vol and _certainly_unprintable(t, k, spare=MAX_PRINTED_DIGITS):
+        c = ConjugacyClassData(label, 0, vol)  # every check of the class, before any power of A
+        # vol > 0 has a denominator of at most MAX_PRINTED_DIGITS digits, so past twice the cap L vol cannot be printed
+        if _certainly_unprintable(t, k, spare=MAX_PRINTED_DIGITS):
             raise PreconditionError(
                 f"class {label!r}: L(F^{k}) vol has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits"
             )
         # F^0 is the identity: L = det(I - I) = 0, which toral_lefschetz refuses to take
-        return ConjugacyClassData(label, toral_lefschetz(t, k) if k else 0, vol)
+        return dataclasses.replace(c, lefschetz=toral_lefschetz(t, k)) if k else c
     if "graded" in obj:
         return ConjugacyClassData(label, lefschetz_number_graded(_graded_from_json(obj["graded"])), vol)
     raise ValueError(f"class {label!r} needs 'lefschetz', 'matrix' or 'graded'")

@@ -17,9 +17,7 @@ walk to the Smith enumeration, to the det path and to
 the companion matrix of charpoly(A), in O(log |k|) products.  Both paths and
 the fixed-point enumeration stay in integers: the fixed points are kept as one
 int64 array of numerators over a common denominator, and their ``Fraction``
-coordinates are built only when a caller asks for them.  A mapping-torus
-window whose values would pass ``MAX_PRINTED_DIGITS`` is refused before its
-det walk.
+coordinates are built only when a caller asks for them.
 
 Sign conventions: the classical fixed-point index is sign det(I - J); the
 epsilon convention used for foliation distributions is sign det(J - I).
@@ -148,14 +146,9 @@ def _lefschetz_series(t: ToralAutomorphism, window: int):
     """(L(F^k), L(F^-k)) for k = 1..window: the det path on each A^k and A^-k of two power walks, each
     checked against the trace path of one ``charpoly(A)``.
 
-    Every value is printed, so none may have more than MAX_PRINTED_DIGITS digits.  A window whose
-    last value is certainly past the cap is refused before any work; otherwise the exact trace-path
-    values are checked before the walk.  |L(F^-k)| = |L(F^k)|, since |det A| = 1.
+    Every value is printed, so none may have more than MAX_PRINTED_DIGITS digits: the exact
+    trace-path values are checked before the walk.  |L(F^-k)| = |L(F^k)|, since |det A| = 1.
     """
-    if _certainly_unprintable(t, window):
-        raise PreconditionError(
-            f"L(F^{window}) has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits"
-        )
     traces = det_series(charpoly(t.matrix), window)
     for k, (tr_pos, _) in enumerate(traces, 1):
         require_printable(tr_pos, f"L(F^{k})")

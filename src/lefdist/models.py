@@ -22,9 +22,12 @@ from fractions import Fraction
 
 from .distributions import IDENTITY, AtomicDistribution, LatticePoint, OrbitTerm, RealPoint, make
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
-from .lefschetz import GradedMap, ToralAutomorphism, _lefschetz_series, lefschetz_number_graded
+from .lefschetz import GradedMap, ToralAutomorphism, _certainly_unprintable, _lefschetz_series, lefschetz_number_graded
 from .lie_cohomology import GradedDims, LieAlgebra, _derived, cohomology_dims, is_nilpotent
-from .linalg import Number, RationalMatrix, charpoly, det_series, determinant, matrix_power, powers, read_int, to_number
+from .linalg import (
+    MAX_PRINTED_DIGITS, Number, RationalMatrix, charpoly, det_series, determinant, matrix_power, powers, read_int,
+    to_number,
+)
 
 __all__ = [
     "MAX_FLOW_MULTIPLES",
@@ -52,19 +55,25 @@ def mapping_torus(source: ToralAutomorphism | GradedMap, window: int) -> AtomicD
 
     For a toral automorphism every L(F^k) gets the ring and det-vs-trace
     checks of :func:`toral_lefschetz` (which stay evaluable even when fixed
-    points degenerate): the det path walks the powers A^k and A^-k, the trace
-    path reads one ``charpoly(A)``; chi(T^n) = 0.  For a graded cohomology map
-    L(F^k) is the alternating trace of the k-th powers and chi the alternating
-    dimension sum.  A window of 0 inverts nothing.
+    points degenerate); chi(T^n) = 0.  A toral window whose last value is
+    certainly past MAX_PRINTED_DIGITS is refused first, then one past
+    MAX_TORUS_WINDOW.  For a graded cohomology map L(F^k) is the alternating
+    trace of the k-th powers and chi the alternating dimension sum.
     """
     if window < 0:
         raise PreconditionError("window must be >= 0")
     if isinstance(source, ToralAutomorphism):
+        if _certainly_unprintable(source, window):
+            raise PreconditionError(
+                f"L(F^{window}) has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits"
+            )
         chi, series = 0, _lefschetz_series
     elif isinstance(source, GradedMap):
         chi, series = source.euler_characteristic, _graded_series
     else:
         raise PreconditionError("source must be a ToralAutomorphism or a GradedMap")
+    if window > MAX_TORUS_WINDOW:
+        raise PreconditionError(f"window {window} is more than MAX_TORUS_WINDOW = {MAX_TORUS_WINDOW}")
     atoms = [(LatticePoint(0), Fraction(chi))]
     for k, (pos, neg) in enumerate(series(source, window) if window else (), 1):
         atoms += [(LatticePoint(k), pos), (LatticePoint(-k), neg)]
@@ -137,6 +146,12 @@ class ClosedOrbitSpec:
 # take about 8 ms for a dense 3x3 rational P on a 2-vCPU Xeon.  Test and benchmark flows
 # have at most 133.
 MAX_FLOW_MULTIPLES = 200
+
+# Each k of a mapping-torus window costs two products and two determinants, however little it
+# prints, and a map with an eigenvalue on the unit circle gets no bound from MAX_PRINTED_DIGITS:
+# the quarter turn [[0,-1],[1,0]] takes about 0.45 s at the cap on a 2-vCPU Xeon.  The cap sits
+# above the cat map's last printable window, 10287, so the digit cap still refuses 10288.
+MAX_TORUS_WINDOW = 12000
 
 
 def flow_distribution(
@@ -391,7 +406,10 @@ def selberg_report(h: HomogeneousSpec) -> AtomicDistribution:
             if k in labels:
                 raise PreconditionError(f"class labels {labels[k]!r} and {c.label!r} both name k = {k}")
             labels[k] = c.label
-            atoms.append((LatticePoint(k), c.lefschetz * c.vol_centralizer))
+            try:
+                atoms.append((LatticePoint(k), c.lefschetz * c.vol_centralizer))
+            except OverflowError:  # an exact L(F^k) past the float range times an inexact volume
+                raise ValueError(f"atom at {LatticePoint(k)}: the coefficient is past the float range") from None
         return make(atoms, group="Z")
     atoms = [(IDENTITY, identity_coeff)]
     terms = tuple(OrbitTerm(c.label, c.lefschetz, c.vol_centralizer) for c in nontrivial)

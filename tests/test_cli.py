@@ -18,6 +18,7 @@ from lefdist.cli import main
 from lefdist.curvature import MAX_GRID_NODES, flat_torus_grid, sphere_grid
 from lefdist.lie_cohomology import MAX_ALGEBRA_DIM
 from lefdist.linalg import MAX_PRINTED_DIGITS, IntMatrix, matrix_power, to_number
+from lefdist.models import MAX_TORUS_WINDOW
 from toral_graded import toral_graded_map
 from wire_format import assert_numbers_read_back
 
@@ -133,6 +134,20 @@ class TestMappingTorus:
         assert time.perf_counter() - start < 1
         assert (rc, out) == (1, "")
         assert err == f"error: L(F^{window}) has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits\n"
+
+    @pytest.mark.parametrize("window", [MAX_TORUS_WINDOW + 1, 200_000])
+    @pytest.mark.parametrize("source", ["[[0,-1],[1,0]]", "[[1,1],[0,1]]", "graded"])
+    def test_a_window_past_the_cap_is_refused_before_the_walk(self, capsys, tmp_path, source, window):
+        # an eigenvalue on the unit circle gives the digit cap no bound: the quarter turn at window
+        # 200,000 ran 10.4 s and wrote 18.6 MB, and the shear at 50,000 ran 2.2 s
+        path = tmp_path / "graded.json"
+        path.write_text(json.dumps({"graded": [[["1"]], [["0", "-1"], ["1", "0"]], [["1"]]]}))
+        args = ["--input", str(path)] if source == "graded" else ["--matrix", source]
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "mapping-torus", *args, "--window", str(window))
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err == f"error: window {window} is more than MAX_TORUS_WINDOW = {MAX_TORUS_WINDOW}\n"
 
     def test_inexact_graded_entry_named_by_degree(self, capsys, tmp_path):
         path = tmp_path / "graded.json"
@@ -684,6 +699,31 @@ class TestSelberg:
         assert time.perf_counter() - start < 1
         assert (rc, out) == (1, "")
         assert err.startswith(f"error: {message} decimal digits")
+
+    def test_a_zero_volume_class_is_refused_before_its_number(self, capsys, tmp_path):
+        # label 20000000 ran for over 100 s, building A^k, before the volume was checked
+        classes = [
+            {"label": "0", "is_identity": True},
+            {"label": "20000000", "matrix": [["2", "1"], ["1", "1"]], "vol_centralizer": "0"},
+        ]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "group_kind": "R", "classes": classes}))
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "selberg", "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert (rc, out, err) == (1, "", "error: centralizer volume must be positive\n")
+
+    def test_a_coefficient_past_the_float_range_names_its_atom(self, capsys, tmp_path):
+        # |L(F^2000)| of the cat map has 836 digits; times an inexact volume it has no float
+        classes = [
+            {"label": "0", "is_identity": True},
+            {"label": "2000", "matrix": [["2", "1"], ["1", "1"]], "vol_centralizer": "~0.5"},
+        ]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"vol_quotient": "1", "chi_x": 0, "group_kind": "R", "classes": classes}))
+        rc, out, err = run_cli(capsys, "selberg", "--input", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "input error: atom at 2000: the coefficient is past the float range\n"
 
     def test_every_coefficient_that_fits_is_printed(self, capsys, tmp_path):
         # L(F^k) = -L_k^2 for the cat map at odd k, L_k the Lucas number: at k = 10767 it has 4500

@@ -59,6 +59,12 @@ class TestMappingTorus:
         with pytest.raises(PreconditionError, match="singular"):
             mapping_torus(gm, 1)
 
+    def test_the_window_cap_admits_its_own_value(self):
+        gm = GradedMap((RationalMatrix([[1]]),))
+        assert len(mapping_torus(gm, models.MAX_TORUS_WINDOW).atoms) == 1 + 2 * models.MAX_TORUS_WINDOW
+        with pytest.raises(PreconditionError, match="MAX_TORUS_WINDOW"):
+            mapping_torus(gm, models.MAX_TORUS_WINDOW + 1)
+
     def test_graded_map_source_matches_toral(self):
         gm = toral_graded_map(CAT, 1)
         assert mapping_torus(gm, 3) == mapping_torus(CAT, 3)
