@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lefdist import linalg
+from lefdist import lefschetz, linalg, models
 from lefdist.errors import PreconditionError
 from lefdist.linalg import (
     MAX_DECIMAL_EXPONENT,
@@ -216,8 +216,6 @@ class TestPowers:
 
     def test_one_inverse_in_all(self, monkeypatch):
         # the walk takes no inverse; a mapping torus takes one per map for its whole window
-        from lefdist import lefschetz, models
-
         calls = []
         for module in (lefschetz, models):
             power = module.matrix_power
