@@ -12,8 +12,9 @@ the same result type.  ``fraction_berkowitz`` is a copy of ``charpoly`` before
 it ran Berkowitz on the integer matrix d M, when a RationalMatrix took every
 step in ``Fraction``s.  ``det_series`` is held to the Bareiss determinant of
 I - M^k on each ``matrix_power``, the code that took every flow sign before
-it; the packed int64 keys of ``fixed_points_toral``
-are held to ``np.lexsort`` over the n columns.
+it; ``_integer_inverse`` is held to ``matrix_power(m, -1)`` and to m m^-1 = I;
+the packed int64 keys of ``fixed_points_toral`` are held to ``np.lexsort``
+over the n columns.
 """
 
 import math
