@@ -36,7 +36,7 @@ from .curvature import (
 )
 from .distributions import AtomicDistribution
 from .errors import InconsistencyError, PreconditionError
-from .lefschetz import GradedMap, ToralAutomorphism, _certainly_unprintable, lefschetz_number_graded, toral_lefschetz
+from .lefschetz import GradedMap, ToralAutomorphism, _refuse_unprintable, lefschetz_number_graded, toral_lefschetz
 from .lie_cohomology import GradedDims, LieAlgebra, catalog_algebra
 from .linalg import MAX_PRINTED_DIGITS, IntMatrix, RationalMatrix, expect, num_to_str, read_int, to_float, to_number
 from .models import (
@@ -218,10 +218,7 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
         k = read_int(label, "class 'label'")
         c = ConjugacyClassData(label, 0, vol)  # every check of the class, before any power of A
         # vol > 0 has a denominator of at most MAX_PRINTED_DIGITS digits, so past twice the cap L vol cannot be printed
-        if _certainly_unprintable(t, k, spare=MAX_PRINTED_DIGITS):
-            raise PreconditionError(
-                f"class {label!r}: L(F^{k}) vol has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits"
-            )
+        _refuse_unprintable(t, k, f"class {label!r}: L(F^{k}) vol", spare=MAX_PRINTED_DIGITS)
         # F^0 is the identity: L = det(I - I) = 0, which toral_lefschetz refuses to take
         return dataclasses.replace(c, lefschetz=toral_lefschetz(t, k)) if k else c
     if "graded" in obj:

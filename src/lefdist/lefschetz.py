@@ -147,19 +147,19 @@ def _lefschetz_series(t: ToralAutomorphism, window: int):
     checked against the trace path of one ``charpoly(A)``.
 
     Every value is printed, so none may have more than MAX_PRINTED_DIGITS digits: the exact
-    trace-path values are checked before the walk.  |L(F^-k)| = |L(F^k)|, since |det A| = 1.
+    trace-path values are checked as they come, and the first past the cap is refused before the
+    walk.  |L(F^-k)| = |L(F^k)|, since |det A| = 1.
     """
-    traces = det_series(charpoly(t.matrix), window)
-    for k, (tr_pos, _) in enumerate(traces, 1):
-        require_printable(tr_pos, f"L(F^{k})")
+    series = enumerate(det_series(charpoly(t.matrix), window), 1)
+    traces = [(require_printable(tr_pos, f"L(F^{k})"), tr_neg) for k, (tr_pos, tr_neg) in series]
     walks = zip(powers(t.matrix, window), powers(matrix_power(t.matrix, -1), window), traces)
     for k, (pos, neg, (tr_pos, tr_neg)) in enumerate(walks, 1):
         yield _lefschetz_of_power(pos, k, tr_pos), _lefschetz_of_power(neg, -k, tr_neg)
 
 
-def _certainly_unprintable(t: ToralAutomorphism, k: int, spare: int = 0) -> bool:
-    """True only when |L(F^k)| has more than MAX_PRINTED_DIGITS + ``spare`` decimal digits; decided
-    before any power of A, so a huge k costs nothing.  False when that is not certain.
+def _refuse_unprintable(t: ToralAutomorphism, k: int, what: str, spare: int = 0):
+    """``require_printable``'s error, naming ``what``, only when |L(F^k)| certainly has more than
+    MAX_PRINTED_DIGITS + ``spare`` decimal digits; decided before any power of A, so a huge k costs nothing.
 
     With m the largest |a_ij|, |L(F^k)| <= (1 + (n m)^|k|)^n, which settles most k at once.
     Otherwise take the float eigenvalues of A: L(F^k) = prod_i (1 - lambda_i^k), a factor with
@@ -171,15 +171,16 @@ def _certainly_unprintable(t: ToralAutomorphism, k: int, spare: int = 0) -> bool
     n, cap = t.dim, MAX_PRINTED_DIGITS + spare
     m = max(abs(x) for row in t.matrix.entries for x in row)
     if n * m == 1 or abs(k) <= (cap / n - 0.31) / log10(n * m):
-        return False
+        return
     try:
         moduli = np.abs(np.linalg.eigvals(np.array(t.matrix.entries, dtype=float)))
     except OverflowError:
-        return False
+        return
     if np.any(np.abs(moduli - 1) < 0.01):
-        return False
+        return
     rate = 0.99 * float(np.sum(np.log10(moduli[moduli > 1])))
-    return abs(k) > (cap + 3 * n) / rate
+    if abs(k) > (cap + 3 * n) / rate:
+        raise PreconditionError(f"{what} has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits")
 
 
 def _lefschetz_of_power(ak, k: int, via_traces) -> int:

@@ -10,10 +10,10 @@ size: ranks and ``determinant`` read its pivots, while ``rank_kernel`` and
 inverses add one fraction-free back substitution on its echelon.  One Smith
 loop serves the Smith invariants and the column transform that parametrizes
 A x = 0 mod Z^n.  ``powers(m, n)`` walks m^1..m^n with one product per step;
-a k-series of det(I - M^k) needs no power at all: ``det_series`` takes it
-from the characteristic polynomial of M by Newton's identities.  A product
-multiplies the integer forms of its operands, and each entry of the result
-is one ``Fraction``.
+a k-series of det(I - M^k) or of tr M^k needs no power at all: ``det_series``
+and ``_trace_series`` read it, one k at a time, from the power sums of the
+characteristic polynomial of M by Newton's identities.  A product multiplies
+the integer forms of its operands, and each entry of the result is one ``Fraction``.
 
 The wire format lives here: ``to_number``, ``exact_number``, ``read_int`` and ``to_float`` read
 every input number, and ``num_to_str`` writes every output number, each part of at most
@@ -528,12 +528,12 @@ def charpoly(m: RationalMatrix | IntMatrix) -> tuple:
     return tuple(Fraction(c, d**i) for i, c in enumerate(poly))
 
 
-def det_series(poly, count: int) -> list[tuple]:
-    """(det(I - M^k), det(I - M^-k)) for k = 1..count, from ``poly`` = ``charpoly(M)`` alone.
+def det_series(poly, count: int):
+    """(det(I - M^k), det(I - M^-k)) for k = 1..count, from ``poly`` = ``charpoly(M)`` alone, one k at a time.
 
     Let d be the lcm of the denominators of the coefficients c_i, so that
     N = d M has the monic integer characteristic polynomial sum_i c_i d^i x^(n-i).
-    Newton's recurrence gives the power sums p_m = tr N^m for m <= n count.
+    Newton's recurrence gives the power sums p_m = tr N^m, and step k extends them only to m = n k.
     The coefficients f_i = (-1)^i e_i of det(x I - N^k) follow from
     p_k, p_2k, ..., p_nk by Newton's identities i f_i = -sum_j f_(i-j) p_jk,
     and det(d^k I - N^k) = sum_i f_i d^(k(n-i)) = d^(kn) det(I - M^k).  The
@@ -544,9 +544,22 @@ def det_series(poly, count: int) -> list[tuple]:
     the negative side), else a ``Fraction``.  The degree n is len(poly) - 1.
     """
     d, a = _integer_charpoly(poly)
-    n = len(a) - 1
-    p = _power_sums(a, n * count)
-    return [_dets_of_power(p[k::k], d, a, k) for k in range(1, count + 1)]
+    p = [len(a) - 1]
+    for k in range(1, count + 1):
+        _power_sums(a, p, p[0] * k)  # p_0 = n
+        yield _dets_of_power(p[k::k], d, a, k)
+
+
+def _trace_series(poly, count: int):
+    """(tr M^k, tr M^-k) for k = 1..count, one k at a time: tr M^k = p_k / d^k with N = d M as in ``det_series``,
+    and tr M^-k the same from charpoly(M^-1), ``poly`` reversed over c_n.  A singular M is refused at the start."""
+    d, a = _integer_charpoly(poly)
+    e, b = _integer_charpoly([Fraction(c, poly[-1]) for c in reversed(poly)])
+    p, q = [len(a) - 1], [len(b) - 1]
+    for k in range(1, count + 1):
+        _power_sums(a, p, k)
+        _power_sums(b, q, k)
+        yield Fraction(p[k], d**k), Fraction(q[k], e**k)
 
 
 def _integer_charpoly(poly) -> tuple[int, list[int]]:
@@ -560,14 +573,12 @@ def _integer_charpoly(poly) -> tuple[int, list[int]]:
     return d, a
 
 
-def _power_sums(a, top: int) -> list[int]:
-    """p_m = tr N^m for m = 0..top, N with the monic integer characteristic polynomial a, by Newton's recurrence."""
+def _power_sums(a, p: list, top: int):
+    """Extend ``p`` = [p_0 = n, ...] in place to p_m = tr N^m, m <= top, N of monic integer charpoly a, by Newton."""
     n = len(a) - 1
-    p = [n]
-    for m in range(1, top + 1):
+    for m in range(len(p), top + 1):
         s = sum(a[i] * p[m - i] for i in range(1, min(m, n + 1)))
         p.append(-s - m * a[m] if m <= n else -s)
-    return p
 
 
 def _dets_of_power(q, d: int, a, k: int) -> tuple:

@@ -8,11 +8,11 @@ Families: mapping tori of toral automorphisms or graded cohomology maps,
 codimension-one flows with prescribed closed orbits, suspensions over compact
 groups, the genus-g hyperbolic surface suspension with its degreewise traces,
 nilpotent homogeneous foliations, and the Selberg-type report for bundles
-over homogeneous spaces.  A k-series of values det(I - M^k) and
-det(I - M^-k) (toral mapping-torus atoms, flow signs) takes them from the one
-characteristic polynomial of M by ``linalg.det_series``; the toral det path
-and the graded maps take their powers M^k from ``linalg.powers`` of M, and
-M^-k from a second ``powers`` of M^-1.
+over homogeneous spaces.  A k-series reads the power sums of one
+characteristic polynomial, one k at a time: det(I - M^k) and det(I - M^-k)
+(toral mapping-torus atoms, flow signs) from ``linalg.det_series``, and the
+traces of a graded map's degrees from ``linalg._trace_series``.  Only the toral
+det path builds powers: A^k from ``linalg.powers`` of A, A^-k from that of A^-1.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from fractions import Fraction
 
 from .distributions import IDENTITY, AtomicDistribution, LatticePoint, OrbitTerm, RealPoint, make
 from .errors import InconsistencyError, NotSimpleError, PreconditionError
-from .lefschetz import GradedMap, ToralAutomorphism, _certainly_unprintable, _lefschetz_series, lefschetz_number_graded
+from .lefschetz import GradedMap, ToralAutomorphism, _lefschetz_series, _refuse_unprintable
 from .lie_cohomology import GradedDims, LieAlgebra, _derived, cohomology_dims, is_nilpotent
 from .linalg import (
-    MAX_PRINTED_DIGITS, Number, RationalMatrix, charpoly, det_series, determinant, matrix_power, powers, read_int,
-    to_number,
+    Number, RationalMatrix, _trace_series, charpoly, det_series, determinant, read_int, require_printable, to_number,
 )
 
 __all__ = [
@@ -63,10 +62,7 @@ def mapping_torus(source: ToralAutomorphism | GradedMap, window: int) -> AtomicD
     if window < 0:
         raise PreconditionError("window must be >= 0")
     if isinstance(source, ToralAutomorphism):
-        if _certainly_unprintable(source, window):
-            raise PreconditionError(
-                f"L(F^{window}) has more than MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS} decimal digits"
-            )
+        _refuse_unprintable(source, window, f"L(F^{window})")
         chi, series = 0, _lefschetz_series
     elif isinstance(source, GradedMap):
         chi, series = source.euler_characteristic, _graded_series
@@ -81,11 +77,11 @@ def mapping_torus(source: ToralAutomorphism | GradedMap, window: int) -> AtomicD
 
 
 def _graded_series(g: GradedMap, window: int):
-    """(L(F^k), L(F^-k)) for k = 1..window: alternating traces of the k-th powers of every degree."""
-    pos = zip(*(powers(m, window) for m in g.maps))
-    neg = zip(*(powers(matrix_power(m, -1), window) for m in g.maps))
-    for p, q in zip(pos, neg):
-        yield lefschetz_number_graded(GradedMap(p)), lefschetz_number_graded(GradedMap(q))
+    """(L(F^k), L(F^-k)) for k = 1..window: alternating sums of ``_trace_series``, each checked as it comes."""
+    degrees = zip(*(_trace_series(charpoly(m), window) for m in g.maps))
+    for k, traces in enumerate(degrees, 1):
+        pos, neg = (sum((-1) ** i * t for i, t in enumerate(side)) for side in zip(*traces))
+        yield require_printable(pos, f"L(F^{k})"), require_printable(neg, f"L(F^{-k})")
 
 
 # -- codimension-one flows ----------------------------------------------------
@@ -147,10 +143,10 @@ class ClosedOrbitSpec:
 # have at most 133.
 MAX_FLOW_MULTIPLES = 200
 
-# Each k of a mapping-torus window costs two products and two determinants, however little it
-# prints, and a map with an eigenvalue on the unit circle gets no bound from MAX_PRINTED_DIGITS:
-# the quarter turn [[0,-1],[1,0]] takes about 0.45 s at the cap on a 2-vCPU Xeon.  The cap sits
-# above the cat map's last printable window, 10287, so the digit cap still refuses 10288.
+# A map with an eigenvalue on the unit circle gets no bound from MAX_PRINTED_DIGITS.  The cap bounds
+# the steps of a window, not their size: on a 2-vCPU Xeon the quarter turn takes 0.45 s at the cap,
+# but [[1000001,1000000,0],[1,1,0],[0,0,1]], whose every L is 0, takes 17 s at window 3000 as its
+# powers grow.  The cap is above the cat map's last printable window 10287, which the digit cap ends.
 MAX_TORUS_WINDOW = 12000
 
 

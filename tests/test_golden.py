@@ -12,8 +12,8 @@ on three unimodular scrambles from the benchmark's nil_scrambled recipe
 (filiform:12, heisenberg:5 + abelian:1, and the non-stratifiable L_5,6 +
 abelian:1, whose brackets are [e1,e2] = e3, [e1,e3] = e4, [e1,e4] = e5 and
 [e2,e3] = e5),
-`mapping-torus --input` with a rational graded map (negative powers invert)
-at windows 4 and 60,
+`mapping-torus --input` with a rational graded map (its negative powers are
+those of the inverse) at windows 4 and 60,
 the default `verify --suite all` report, and the reports that pin how atoms
 merge: `flow` with exact lengths 1 and 3/2 that meet at 3, inexact lengths
 and near-duplicates 5e-9 apart (kept apart by default; merged, with an exact
@@ -40,6 +40,7 @@ graded files before every k-series took its powers from one incremental walk,
 the three scrambles before `cohomology_dims` ranked a scrambled algebra in its Carnot layers,
 the dense rational flow before the flow signs came from one characteristic polynomial per map,
 the 8x8 selberg file before a `matrix` class took its number from `toral_lefschetz`,
+all three graded files before a graded map took its traces from power sums of characteristic polynomials,
 the others before the exact
 elimination kernels were merged; any byte that changes is a regression.
 Inputs live in ``tests/golden/inputs/``.  Rewrite the outputs only when an

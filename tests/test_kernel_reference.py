@@ -12,13 +12,15 @@ the same result type.  ``fraction_berkowitz`` is a copy of ``charpoly`` before
 it ran Berkowitz on the integer matrix d M, when a RationalMatrix took every
 step in ``Fraction``s.  ``det_series`` is held to the Bareiss determinant of
 I - M^k on each ``matrix_power``, the code that took every flow sign before
-it; ``_integer_inverse`` is held to ``matrix_power(m, -1)`` and to m m^-1 = I;
+it, and ``_trace_series`` to the traces of each ``matrix_power``, the walk
+that took every graded mapping-torus value before it; ``_integer_inverse`` is held to ``matrix_power(m, -1)`` and to m m^-1 = I;
 the packed int64 keys of ``fixed_points_toral`` are held to ``np.lexsort``
 over the n columns.
 """
 
 import math
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -265,7 +267,7 @@ def invertible(draw):
 @given(invertible(), st.integers(1, 6))
 def test_the_newton_series_gives_the_bareiss_determinant_of_each_power(m, count):
     identity = type(m).identity(m.rows)
-    series = det_series(charpoly(m), count)
+    series = list(det_series(charpoly(m), count))
     assert len(series) == count
     for k, (pos, neg) in enumerate(series, 1):
         assert pos == determinant(identity - matrix_power(m, k))
@@ -291,21 +293,42 @@ def test_the_integer_inverse_agrees_with_matrix_power(n, kind, data):
 
 def test_the_newton_series_of_a_unimodular_map_stays_in_ints():
     cat = IntMatrix([[2, 1], [1, 1]])
-    series = det_series(charpoly(cat), 5)
+    series = list(det_series(charpoly(cat), 5))
     assert series == [(-1, -1), (-5, -5), (-16, -16), (-45, -45), (-121, -121)]
     assert all(type(x) is int for pair in series for x in pair)
     m = RationalMatrix([[2, 0], [0, Fraction(1, 2)]])
-    assert det_series(charpoly(m), 2) == [(Fraction(-1, 2), Fraction(-1, 2)), (Fraction(-9, 4), Fraction(-9, 4))]
+    assert list(det_series(charpoly(m), 2)) == [(Fraction(-1, 2), Fraction(-1, 2)), (Fraction(-9, 4), Fraction(-9, 4))]
 
 
 def test_a_padded_characteristic_polynomial_is_read_at_its_own_degree():
     # det_series reads n from the polynomial; a stray coefficient is a different map, never dropped
     cat = IntMatrix([[2, 1], [1, 1]])
-    assert det_series(charpoly(cat) + (1,), 1) == [(0, 0)]
+    assert list(det_series(charpoly(cat) + (1,), 1)) == [(0, 0)]
     with pytest.raises(PreconditionError, match="monic"):
-        det_series((2, 1), 1)
+        list(det_series((2, 1), 1))
     with pytest.raises(PreconditionError, match="singular"):
-        det_series(charpoly(IntMatrix([[1, 2], [2, 4]])), 1)
+        list(det_series(charpoly(IntMatrix([[1, 2], [2, 4]])), 1))
+
+
+def test_the_series_yields_its_first_step_at_once():
+    # step k extends the power sums only to n k, so a long window costs nothing until it is read
+    start = time.perf_counter()
+    assert next(det_series(charpoly(IntMatrix([[2, 1], [1, 1]])), 10**6)) == (-1, -1)
+    assert time.perf_counter() - start < 0.1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([IntMatrix, RationalMatrix]), st.integers(1, 6), st.data())
+def test_the_trace_series_gives_the_trace_of_each_power(n, kind, count, data):
+    # the walk of matrix_power that the graded mapping torus took before is the reference
+    entry = st.integers(-3, 3) if kind is IntMatrix else st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    m = kind([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+    if determinant(m) == 0:
+        with pytest.raises(PreconditionError, match="matrix is singular, cannot invert"):
+            list(linalg._trace_series(charpoly(m), count))
+        return
+    series = list(linalg._trace_series(charpoly(m), count))
+    assert series == [(matrix_power(m, k).trace(), matrix_power(m, -k).trace()) for k in range(1, count + 1)]
 
 
 @settings(max_examples=30, deadline=None)

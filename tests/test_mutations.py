@@ -524,19 +524,23 @@ def walk_one_step_behind(m, n):
 
 
 def test_a_walk_that_drifts_fails_the_goldens(monkeypatch):
-    # the toral det path and the graded maps walk their powers and those of the inverse; the flows build none
+    # the toral det path walks its powers and those of the inverse; the graded maps and the flows take
+    # their values from the characteristic polynomial and build none
     import test_golden
 
-    for module in (linalg, lefschetz, models):
+    for module in (linalg, lefschetz):
         monkeypatch.setattr(module, "powers", walk_one_step_behind)
     walked = [(name, produce) for name, produce in test_golden.cases() if name.startswith("mapping_torus")]
-    assert len(walked) == 9
+    changed = set()
     for name, produce in walked:
         try:
-            out = produce()
+            same = produce() == (test_golden.GOLDEN / name).read_bytes()
         except AssertionError:  # a nonzero exit fails the golden too: the toral det path disagrees
-            continue
-        assert out != (test_golden.GOLDEN / name).read_bytes(), name
+            same = False
+        if not same:
+            changed.add(name)
+    assert len(walked) == 9
+    assert changed == {name for name, _ in walked if "graded" not in name}
 
 
 def test_a_rational_walk_fails_the_ring_check_in_the_mapping_torus(monkeypatch, capsys):
@@ -564,27 +568,24 @@ def product_without_the_right_denominator():
     return namespace["__matmul__"]
 
 
-def test_a_product_that_drops_a_denominator_fails_the_graded_goldens(monkeypatch):
+def test_a_product_that_drops_a_denominator_fails_the_product_oracle(monkeypatch):
     import test_golden
+    import test_kernel_reference
 
     monkeypatch.setattr(linalg._Matrix, "__matmul__", product_without_the_right_denominator())
     # an integer product is untouched; M^-1 = I M^-1 of diag(2, 1/2) comes out as diag(1, 4)
     assert CAT.power(3) == linalg.IntMatrix([[13, 8], [8, 5]])
     assert linalg.matrix_power(linalg.RationalMatrix([[2, 0], [0, Fraction(1, 2)]]), -1).entries == ((1, 0), (0, 4))
-    changed = set()
+    # diag(2, 3) diag(1/2, 1/3) is I, and the mutant makes it 6 I
+    a, b = linalg.IntMatrix([[2, 0], [0, 3]]), linalg.RationalMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    with pytest.raises(AssertionError):
+        test_kernel_reference.test_integral_and_empty_products_keep_the_ring(a, b)
+    # no golden multiplies rational matrices: the toral and selberg ones multiply integers, the graded
+    # maps and the flows take their values from the characteristic polynomial, and verify's checks
+    # multiply no rational matrix
     for name, produce in test_golden.cases():
         if name.startswith(("mapping_torus", "flow", "selberg", "verify")):
-            try:
-                same = produce() == (test_golden.GOLDEN / name).read_bytes()
-            except AssertionError:  # a nonzero exit fails the golden too
-                same = False
-            if not same:
-                changed.add(name)
-    # every golden with a rational product: the graded walks.  The toral and selberg ones multiply
-    # integers, and the flows and verify's checks multiply no rational matrix
-    assert changed == {
-        "mapping_torus_graded.json", "mapping_torus_graded_window60.json", "mapping_torus_graded_floats.json",
-    }
+            assert produce() == (test_golden.GOLDEN / name).read_bytes(), name
 
 
 # -- the vanishing check of nil_foliation ------------------------------------------------------
