@@ -144,8 +144,8 @@ class TestMappingTorus:
     def test_a_window_stops_at_its_first_unprintable_value(self, capsys, tmp_path, source, first, window):
         # the rotation block keeps the eigenvalue bound from deciding, and the exact series stops at its
         # first value past the cap: at window 4000 the toral map built every power sum of the window
-        # first, 29.7 s and 395 MB.  The graded map walked its rational powers to the end of the window,
-        # 7.34 s, and was refused only when the report was written, naming no k.  Now they take about
+        # first, 22 s and 395 MB.  The graded map walked its rational powers to the end of the window,
+        # about 7 s, and was refused only when the report was written, naming no k.  Now they take about
         # 0.3 s and 0.8 s on a 2-vCPU Xeon; the graded one reduces two Fractions of some 9000 bits per k
         path = tmp_path / "graded.json"
         path.write_text(json.dumps({"graded": [[["1"]], [["2", "1", "0"], ["1", "1", "1/2"], ["0", "1/3", "1"]], [["1"]]]}))
