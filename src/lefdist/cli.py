@@ -79,6 +79,15 @@ def _load_json(path: str) -> dict:
     return expect(_parse_json(text, path), dict, f"{path}: the top level")
 
 
+def _one_source(obj: dict, what: str, fields, needs: str) -> str:
+    """The one of ``fields``, alternative sources of one value, that ``obj`` gives; two or none are refused."""
+    given = [f for f in fields if f in obj]
+    if len(given) != 1:
+        refusal = f"gives both {given[0]!r} and {given[1]!r}; give one" if given else f"needs {needs}"
+        raise ValueError(f"{what} {refusal}")
+    return given[0]
+
+
 def _graded_from_json(maps) -> GradedMap:
     maps = expect(maps, list, "'graded'")
     return GradedMap(tuple(RationalMatrix.from_json_obj(m, f"'graded' degree {i}") for i, m in enumerate(maps)))
@@ -99,18 +108,11 @@ def _wrap(model: str, distribution: AtomicDistribution, metadata: dict, traces=N
 
 
 def _cmd_mapping_torus(args) -> dict:
-    if args.matrix is not None:
-        obj = {"matrix": _parse_json(args.matrix, "--matrix")}
+    obj = _load_json(args.input) if args.matrix is None else {"matrix": _parse_json(args.matrix, "--matrix")}
+    if _one_source(obj, "input JSON", ("matrix", "graded"), "a 'matrix' or 'graded' field") == "matrix":
+        source, desc = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"], "'matrix'")), "toral"
     else:
-        obj = _load_json(args.input)
-    if "matrix" in obj:
-        source = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"], "'matrix'"))
-        desc = "toral"
-    elif "graded" in obj:
-        source = _graded_from_json(obj["graded"])
-        desc = "graded"
-    else:
-        raise ValueError("input JSON needs a 'matrix' or 'graded' field")
+        source, desc = _graded_from_json(obj["graded"]), "graded"
     window = read_int(args.window, "--window")
     d = mapping_torus(source, window)
     meta = {
@@ -124,8 +126,7 @@ def _cmd_mapping_torus(args) -> dict:
 def _orbit_from_json(idx: int, obj: dict) -> ClosedOrbitSpec:
     """Orbit ``idx`` of a flow input; an invalid (not a missing) field's error names the orbit."""
     length = obj["length"]
-    if "return_map" not in obj and "signs" not in obj:
-        raise ValueError("orbit needs a 'return_map' or 'signs' field")
+    _one_source(obj, "orbit", ("return_map", "signs"), "a 'return_map' or 'signs' field")
     try:
         length = to_number(length, "orbit 'length'")
         if "return_map" in obj:
@@ -208,12 +209,15 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
     if type(label := obj["label"]) not in (str, int):
         raise ValueError(f"class 'label' must be a JSON string or integer, got {label!r:.40}")
     label = str(label)
+    what, sources, needs = f"class {label!r}", ("lefschetz", "matrix", "graded"), "'lefschetz', 'matrix' or 'graded'"
     if expect(obj.get("is_identity", False), bool, "class 'is_identity'"):
+        _one_source(obj, what, ("is_identity", *sources), needs)
         return ConjugacyClassData(label, None, is_identity=True)
     vol = to_number(obj.get("vol_centralizer", 1), "class 'vol_centralizer'")
-    if "lefschetz" in obj:
+    field = _one_source(obj, what, sources, needs)
+    if field == "lefschetz":
         return ConjugacyClassData(label, to_number(obj["lefschetz"], "class 'lefschetz'"), vol)
-    if "matrix" in obj:
+    if field == "matrix":
         t = ToralAutomorphism(IntMatrix.from_json_obj(obj["matrix"], "class 'matrix'"))
         k = read_int(label, "class 'label'")
         c = ConjugacyClassData(label, 0, vol)  # every check of the class, before any power of A
@@ -221,9 +225,7 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
         _refuse_unprintable(t, k, f"class {label!r}: L(F^{k}) vol", spare=MAX_PRINTED_DIGITS)
         # F^0 is the identity: L = det(I - I) = 0, which toral_lefschetz refuses to take
         return dataclasses.replace(c, lefschetz=toral_lefschetz(t, k)) if k else c
-    if "graded" in obj:
-        return ConjugacyClassData(label, lefschetz_number_graded(_graded_from_json(obj["graded"])), vol)
-    raise ValueError(f"class {label!r} needs 'lefschetz', 'matrix' or 'graded'")
+    return ConjugacyClassData(label, lefschetz_number_graded(_graded_from_json(obj["graded"])), vol)
 
 
 def _cmd_selberg(args) -> dict:

@@ -9,9 +9,9 @@ The trace path builds no A^k: the alternating exterior-trace sum of A^k is
 sum_i (-1)^i e_i(A^k) = det(I - A^k).  Over a window ``linalg.det_series``
 takes every e_i(A^k) from the one Berkowitz characteristic polynomial of A by
 Newton's identities, and the det path runs Bareiss on I - A^k for each A^k of
-``powers``; the mapping torus walks A^-k with a second ``powers`` of A^-1.
-``verify``'s per-map series, ``_classical_series``, hands each A^k of the same
-walk to the Smith enumeration, to the det path and to
+one ``powers`` walk, ``_lefschetz_series``, and builds no A^-k.  The mapping
+torus reads that walk, and so does ``verify``'s per-map series,
+``_classical_series``, which hands each A^k to the Smith enumeration and to
 :func:`fixed_point_index`.  A single k, in :func:`toral_lefschetz` and
 :func:`verify_classical_lefschetz`, powers A once and reads charpoly(C^k), C
 the companion matrix of charpoly(A), in O(log |k|) products.  Both paths and
@@ -142,19 +142,19 @@ def _companion(poly) -> IntMatrix:
     return IntMatrix([[-poly[n - i] if j == n - 1 else int(j == i - 1) for j in range(n)] for i in range(n)])
 
 
-def _lefschetz_series(t: ToralAutomorphism, window: int):
-    """(L(F^k), L(F^-k)) for k = 1..window: the det path on each A^k and A^-k of two power walks, each
-    checked against the trace path of one ``charpoly(A)``.
-
-    Every value is printed, so none may have more than MAX_PRINTED_DIGITS digits: the exact
-    trace-path values are checked as they come, and the first past the cap is refused before the
-    walk.  |L(F^-k)| = |L(F^k)|, since |det A| = 1.
+def _lefschetz_series(t: ToralAutomorphism, count: int):
+    """(A^k, L(F^k), L(F^-k)) for k = 1..count: the det path on each A^k of one ``powers`` walk, ring-checked,
+    and L(F^-k) = det(I - A^-k) = (-1)^n det(A)^k L(F^k), det A from the det path's own ``determinant``;
+    both sides are checked against ``det_series`` of one ``charpoly(A)``, and no A^-k is built.  Every
+    value is printed, so none may have more than MAX_PRINTED_DIGITS digits (|L(F^-k)| = |L(F^k)|): the
+    exact trace-path values are checked as they come, and the first past the cap is refused before the walk.
     """
-    series = enumerate(det_series(charpoly(t.matrix), window), 1)
+    n, det = t.dim, determinant(t.matrix)
+    series = enumerate(det_series(charpoly(t.matrix), count), 1)
     traces = [(require_printable(tr_pos, f"L(F^{k})"), tr_neg) for k, (tr_pos, tr_neg) in series]
-    walks = zip(powers(t.matrix, window), powers(matrix_power(t.matrix, -1), window), traces)
-    for k, (pos, neg, (tr_pos, tr_neg)) in enumerate(walks, 1):
-        yield _lefschetz_of_power(pos, k, tr_pos), _lefschetz_of_power(neg, -k, tr_neg)
+    for k, (ak, (tr_pos, tr_neg)) in enumerate(zip(powers(t.matrix, count), traces), 1):
+        pos = _lefschetz_of_power(ak, k, tr_pos)
+        yield ak, pos, _agree((-1) ** n * det**k * pos, tr_neg)
 
 
 def _refuse_unprintable(t: ToralAutomorphism, k: int, what: str, spare: int = 0):
@@ -186,11 +186,13 @@ def _refuse_unprintable(t: ToralAutomorphism, k: int, what: str, spare: int = 0)
 def _lefschetz_of_power(ak, k: int, via_traces) -> int:
     """det(I - A^k) of a given A^k, ring-checked and cross-checked against ``via_traces``, the
     alternating exterior-trace sum sum_i (-1)^i tr Lambda^i A^k from the trace path."""
-    via_det = determinant(IntMatrix.identity(ak.rows) - _integral(ak, k))
+    return _agree(determinant(IntMatrix.identity(ak.rows) - _integral(ak, k)), via_traces)
+
+
+def _agree(via_det, via_traces):
+    """``via_det`` when the det and trace paths gave the same number; else ``InconsistencyError``."""
     if via_det != via_traces:
-        raise InconsistencyError(
-            f"determinant path gave {via_det}, exterior-trace path gave {via_traces}"
-        )
+        raise InconsistencyError(f"determinant path gave {via_det}, exterior-trace path gave {via_traces}")
     return via_det
 
 
@@ -329,14 +331,9 @@ def verify_classical_lefschetz(t: ToralAutomorphism, k: int) -> ClassicalCheck:
 
 
 def _classical_series(t: ToralAutomorphism, count: int):
-    """(fixed-point report, L(F^k), fixed_point_index(A^k)) for k = 1..count.
-
-    Each A^k of ``powers`` is handed to the enumeration, to the det path of L(F^k), checked against
-    ``det_series`` of one ``charpoly(A)``, and to ``fixed_point_index``.  The index is None where the
-    fixed points are not simple.
-    """
-    traces = det_series(charpoly(t.matrix), count)
-    for k, (ak, (via_traces, _)) in enumerate(zip(powers(t.matrix, count), traces), 1):
+    """(fixed-point report, L(F^k), fixed_point_index(A^k)) for k = 1..count: each A^k of ``_lefschetz_series``,
+    with its checked L(F^k), is handed to the enumeration and to ``fixed_point_index``, which is None where
+    the fixed points are not simple."""
+    for k, (ak, number, _) in enumerate(_lefschetz_series(t, count), 1):
         report = _fixed_points_of_power(ak, k)
-        index = None if report.infinite else fixed_point_index(ak)
-        yield report, _lefschetz_of_power(ak, k, via_traces), index
+        yield report, number, None if report.infinite else fixed_point_index(ak)

@@ -12,7 +12,7 @@ over homogeneous spaces.  A k-series reads the power sums of one
 characteristic polynomial, one k at a time: det(I - M^k) and det(I - M^-k)
 (toral mapping-torus atoms, flow signs) from ``linalg.det_series``, and the
 traces of a graded map's degrees from ``linalg._trace_series``.  Only the toral
-det path builds powers: A^k from ``linalg.powers`` of A, A^-k from that of A^-1.
+det path builds powers: A^k from ``linalg.powers`` of A, and no A^-k.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def mapping_torus(source: ToralAutomorphism | GradedMap, window: int) -> AtomicD
     if window > MAX_TORUS_WINDOW:
         raise PreconditionError(f"window {window} is more than MAX_TORUS_WINDOW = {MAX_TORUS_WINDOW}")
     atoms = [(LatticePoint(0), Fraction(chi))]
-    for k, (pos, neg) in enumerate(series(source, window) if window else (), 1):
+    for k, (*_, pos, neg) in enumerate(series(source, window) if window else (), 1):
         atoms += [(LatticePoint(k), pos), (LatticePoint(-k), neg)]
     return make(atoms, group="Z")
 
@@ -143,10 +143,10 @@ class ClosedOrbitSpec:
 # have at most 133.
 MAX_FLOW_MULTIPLES = 200
 
-# A map with an eigenvalue on the unit circle gets no bound from MAX_PRINTED_DIGITS.  The cap bounds
-# the steps of a window, not their size: on a 2-vCPU Xeon the quarter turn takes 0.55 s at the cap,
-# but [[1000001,1000000,0],[1,1,0],[0,0,1]], whose every L is 0, takes 13 s at window 3000 as its
-# powers grow.  The cap is above the cat map's last printable window, 10287: the digit cap refuses 10288.
+# A map with an eigenvalue on the unit circle gets no bound from MAX_PRINTED_DIGITS, and the cap bounds the
+# steps of a window, not their size: on a 2-vCPU Xeon the quarter turn takes 0.4 s at the cap, but the 8x8
+# companion of x^8 - x - 1 takes 37 s there, and [[1000001,1000000,0],[1,1,0],[0,0,1]], whose every L is 0,
+# 11 s at window 3000.  The cap is above the cat map's last printable window, 10287: the digit cap refuses 10288.
 MAX_TORUS_WINDOW = 12000
 
 

@@ -1283,3 +1283,41 @@ def test_missing_alternative_named_without_quotes(capsys, tmp_path, command, obj
     rc, _, err = run_cli(capsys, command, "--input", str(path), *VALID_INPUTS[command][2])
     assert rc == 2
     assert err == f"input error: {message}\n"
+
+
+IDENTITY_CLASS = {"label": "e", "is_identity": True}
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("flow", {"orbits": [{"length": "1", "signs": {"1": 1}},
+                             {"length": "2", "return_map": [["2"]], "signs": {"1": 1}}]},
+         "orbit gives both 'return_map' and 'signs'; give one"),
+        ("mapping-torus", {"matrix": [["2", "1"], ["1", "1"]], "graded": GRADED},
+         "input JSON gives both 'matrix' and 'graded'; give one"),
+        ("selberg", {"vol_quotient": "1", "chi_x": 0, "classes": [
+            IDENTITY_CLASS, {"label": "1", "lefschetz": "7", "matrix": [["2", "1"], ["1", "1"]]}]},
+         "class '1' gives both 'lefschetz' and 'matrix'; give one"),
+        ("selberg", {"vol_quotient": "1", "chi_x": 0, "classes": [
+            {"label": "e", "is_identity": True, "graded": [[["1"]]]}, {"label": "g", "lefschetz": "1"}]},
+         "class 'e' gives both 'is_identity' and 'graded'; give one"),
+    ],
+    ids=["orbit", "mapping-torus", "selberg-class", "identity-class"],
+)
+def test_two_alternatives_are_refused_by_name(capsys, tmp_path, command, obj, message):
+    # each object gives two sources of one value; neither is kept silently
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run_cli(capsys, command, "--input", str(path), *VALID_INPUTS[command][2])
+    assert (rc, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
+def test_an_identity_class_may_say_it_is_not_one(capsys, tmp_path):
+    # "is_identity": false gives no source
+    classes = [IDENTITY_CLASS, {"label": "g", "is_identity": False, "lefschetz": "1"}]
+    obj = {"vol_quotient": "1", "chi_x": 0, "classes": classes}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(capsys, "selberg", "--input", str(path))[0] == 0

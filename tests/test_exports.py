@@ -4,7 +4,8 @@ A deletion that leaves a stale ``__all__`` entry fails here, not at a later
 ``from lefdist import *``.  Modules without ``__all__`` (``cli``, ``errors``,
 ``verify``) have nothing to check.  The package itself re-exports only the
 names of README's library example and the exception classes, and only
-``linalg`` and ``verify`` name ``exterior_power``.
+``linalg`` and ``verify`` name ``exterior_power``.  No module imports a name
+that it never reads, so an import left behind by a deletion fails here too.
 """
 
 import ast
@@ -79,3 +80,23 @@ def test_only_linalg_and_verify_name_exterior_power():
     # leave that route nothing separate to check
     naming = {p.stem for p in SRC.glob("*.py") if "exterior_power" in names_in(p)}
     assert naming == {"linalg", "verify"}
+
+
+def imported_but_never_read(path: pathlib.Path) -> set[str]:
+    """The names that ``path`` binds by an import and never loads; an ``__all__`` entry counts as a read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return imported - read
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    # a deletion that leaves its import behind fails here instead of lingering
+    assert imported_but_never_read(path) == set()

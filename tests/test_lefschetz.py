@@ -469,10 +469,20 @@ def test_the_series_checks_each_exact_value_before_the_walk():
     assert first == 2146
     lefschetz._refuse_unprintable(FAST, first, f"L(F^{first})")  # the bound is not certain here
     start = time.perf_counter()
-    assert next(lefschetz._lefschetz_series(FAST, first - 1))[0] == toral_lefschetz(FAST, 1)
+    _, pos, neg = next(lefschetz._lefschetz_series(FAST, first - 1))
+    assert (pos, neg) == (toral_lefschetz(FAST, 1), toral_lefschetz(FAST, -1))
     with pytest.raises(PreconditionError, match=f"L\\(F\\^{first}\\) has more than MAX_PRINTED_DIGITS = "):
         next(lefschetz._lefschetz_series(FAST, first))
     assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 3, 4)).flatmap(small_unimodular))
+def test_the_series_reads_each_negative_power_from_the_positive_one(t):
+    # the series builds no A^-k; the minors of each A^-k, the route it replaced, are the oracle
+    for k, (ak, pos, neg) in enumerate(lefschetz._lefschetz_series(t, 6), 1):
+        assert ak == matrix_power(t.matrix, k)
+        assert neg == verify._exterior_trace_sum(matrix_power(t.matrix, -k))
 
 
 @pytest.mark.parametrize("k", [10**400, -(10**400)])

@@ -215,19 +215,17 @@ class TestPowers:
             assert pos == matrix_power(m, k) and neg == matrix_power(m, -k)
 
     def test_one_inverse_in_all(self, monkeypatch):
-        # the walk takes no inverse; a toral mapping torus takes one for its whole window, and a graded
-        # one none: it takes its traces from the characteristic polynomial of each degree
-        calls = []
-        power = lefschetz.matrix_power
-        monkeypatch.setattr(lefschetz, "matrix_power", lambda m, k: calls.append(k) or power(m, k))
+        # the walk takes no inverse, and neither mapping torus takes one: the toral one reads each
+        # L(F^-k) from L(F^k), and a graded one takes its traces from the characteristic polynomial of
+        # each degree
         monkeypatch.setattr(linalg, "matrix_power", lambda m, k: pytest.fail("powers(m, n) inverted m"))
+        monkeypatch.setattr(lefschetz, "matrix_power", lambda m, k: pytest.fail("a toral mapping torus powered A"))
+        monkeypatch.setattr(linalg, "_integer_inverse", lambda m: pytest.fail("a mapping torus inverted"))
         cat = IntMatrix([[2, 1], [1, 1]])
         assert len(list(powers(cat, 6))) == 6
-        models.mapping_torus(lefschetz.ToralAutomorphism(cat), 6)
-        assert calls == [-1]
-        monkeypatch.setattr(linalg, "_integer_inverse", lambda m: pytest.fail("a graded mapping torus inverted"))
-        models.mapping_torus(lefschetz.GradedMap((IntMatrix.identity(1), RationalMatrix(cat.entries))), 6)
-        assert calls == [-1]
+        graded = lefschetz.GradedMap((IntMatrix.identity(1), RationalMatrix(cat.entries)))
+        assert len(models.mapping_torus(lefschetz.ToralAutomorphism(cat), 6).atoms) == 12
+        assert len(models.mapping_torus(graded, 6).atoms) == 13
 
     def test_zero_steps_yield_nothing_and_invert_nothing(self, monkeypatch):
         monkeypatch.setattr(linalg, "matrix_power", lambda m, k: pytest.fail("powers(m, 0) inverted m"))

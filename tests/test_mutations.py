@@ -274,17 +274,75 @@ def test_a_lefschetz_number_off_by_one_fails_the_cat_map_and_index_sum_checks(mo
     # the det path of a given A^k, after its cross-check, gives L(F^5) + 1, and L(F^2) + 1 for A^2 of
     # trace 11: the maps of trace +-3 and det -1.  The cat-map check reaches k = 5 and the battery
     # k = 2; the mapping torus of the Selberg check reaches neither, since cat^2 has trace 7.
-    # count * index of the enumerated fixed points stays right, so the two checks that compare with it fail
+    # In the battery's walk L(F^-2) = (-1)^n det(A)^2 L(F^2) then disagrees with the trace path's -9,
+    # so the run stops there, one step before the index-sum check
     lefschetz_of_power = lefschetz._lefschetz_of_power
 
     def mutant(ak, k, via_traces):
         return lefschetz_of_power(ak, k, via_traces) + (k == 5 or k == 2 and ak.trace() == 11)
 
     monkeypatch.setattr(lefschetz, "_lefschetz_of_power", mutant)
+    with pytest.raises(InconsistencyError, match="^determinant path gave -8, exterior-trace path gave -9$"):
+        verify.run_suite("all", 1)
+    # the same L(F^2) + 1 applied after the walk's checks reaches the battery's comparison with the
+    # count * index of the enumerated fixed points, which stays right
+    series = lefschetz._lefschetz_series
+
+    def after_the_walk(t, count):
+        for k, (ak, pos, neg) in enumerate(series(t, count), 1):
+            yield ak, pos + (k == 2 and ak.trace() == 11), neg
+
+    monkeypatch.setattr(lefschetz, "_lefschetz_of_power", lambda ak, k, via: lefschetz_of_power(ak, k, via) + (k == 5))
+    monkeypatch.setattr(lefschetz, "_lefschetz_series", after_the_walk)
     assert failed_checks(verify.run_suite("all", 1)) == {
         "cat map L(F^k), k=1..5, three ways",
         "GL(2,Z) battery: index sum equals Lefschetz number",
     }
+
+
+def series_without_the_sign_of_n():
+    """``lefschetz._lefschetz_series`` rebuilt from its source with L(F^-k) = det(A)^k L(F^k): the
+    factor (-1)^n dropped, which is right for even n only."""
+    source = inspect.getsource(lefschetz._lefschetz_series)
+    sign = "(-1) ** n * det**k * pos"
+    assert source.count(sign) == 1
+    namespace = dict(vars(lefschetz))
+    exec(source.replace(sign, "det**k * pos"), namespace)
+    return namespace["_lefschetz_series"]
+
+
+def test_a_negative_side_without_the_sign_of_n_fails_the_odd_toral_goldens(monkeypatch, capsys):
+    import test_golden
+
+    monkeypatch.setattr(models, "_lefschetz_series", series_without_the_sign_of_n())
+    failed = set()
+    for name, produce in test_golden.cases():
+        if name.startswith("mapping_torus_n"):
+            try:
+                assert produce() == (test_golden.GOLDEN / name).read_bytes()
+            except AssertionError:
+                failed.add(name)
+                assert capsys.readouterr().err.startswith("internal error: determinant path gave ")
+    assert failed == {"mapping_torus_n3.json", "mapping_torus_n5.json"}
+
+
+def det_series_with_a_wrong_negative_side():
+    """``linalg.det_series`` rebuilt from its source over a ``_dets_of_power`` rebuilt with the sign of
+    det(I - M^-k) flipped where M^-k is integral."""
+    source = inspect.getsource(linalg._dets_of_power)
+    neg = "neg = sign * num * ank if"
+    assert source.count(neg) == 1
+    namespace = dict(vars(linalg))
+    exec(source.replace(neg, "neg = -sign * num * ank if"), namespace)
+    exec(inspect.getsource(linalg.det_series), namespace)
+    return namespace["det_series"]
+
+
+def test_a_wrong_negative_trace_path_exits_3_on_a_toral_mapping_torus(monkeypatch, capsys):
+    # the walk's negative side comes from the det path's L(F^k), so it disagrees with the trace path
+    monkeypatch.setattr(lefschetz, "det_series", det_series_with_a_wrong_negative_side())
+    assert cli.main(["mapping-torus", "--matrix", "[[2,1],[1,1]]", "--window", "3"]) == 3
+    assert capsys.readouterr().err == "internal error: determinant path gave -1, exterior-trace path gave 1\n"
 
 
 # -- verify's brute-force and quadrature oracles -----------------------------------------------
@@ -499,8 +557,8 @@ def test_a_mapping_torus_coefficient_off_by_one_fails_the_selberg_check(monkeypa
     series = models._lefschetz_series
 
     def mutant(t, window):
-        for k, (pos, neg) in enumerate(series(t, window), 1):
-            yield pos + (k == 2), neg
+        for k, (ak, pos, neg) in enumerate(series(t, window), 1):
+            yield ak, pos + (k == 2), neg
 
     monkeypatch.setattr(models, "_lefschetz_series", mutant)
     assert failed_checks(verify.run_suite("all", 1)) == {"Selberg G=R specialization equals mapping torus"}
@@ -524,7 +582,7 @@ def walk_one_step_behind(m, n):
 
 
 def test_a_walk_that_drifts_fails_the_goldens(monkeypatch):
-    # the toral det path walks its powers and those of the inverse; the graded maps and the flows take
+    # the toral det path walks the powers of A and builds no A^-k; the graded maps and the flows take
     # their values from the characteristic polynomial and build none
     import test_golden
 
