@@ -144,9 +144,9 @@ class ClosedOrbitSpec:
 MAX_FLOW_MULTIPLES = 200
 
 # A map with an eigenvalue on the unit circle gets no bound from MAX_PRINTED_DIGITS, and the cap bounds the
-# steps of a window, not their size: on a 2-vCPU Xeon the quarter turn takes 0.4 s at the cap, but the 8x8
+# steps of a window, not their size: on a 2-vCPU Xeon the quarter turn takes 0.45 s at the cap, but the 8x8
 # companion of x^8 - x - 1 takes 37 s there, and [[1000001,1000000,0],[1,1,0],[0,0,1]], whose every L is 0,
-# 11 s at window 3000.  The cap is above the cat map's last printable window, 10287: the digit cap refuses 10288.
+# 11-12 s at window 3000.  The cap is above the cat map's last printable window, 10287: the digit cap refuses 10288.
 MAX_TORUS_WINDOW = 12000
 
 
