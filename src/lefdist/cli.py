@@ -223,8 +223,7 @@ def _class_from_json(obj: dict) -> ConjugacyClassData:
         c = ConjugacyClassData(label, 0, vol)  # every check of the class, before any power of A
         # vol > 0 has a denominator of at most MAX_PRINTED_DIGITS digits, so past twice the cap L vol cannot be printed
         _refuse_unprintable(t, k, f"class {label!r}: L(F^{k}) vol", spare=MAX_PRINTED_DIGITS)
-        # F^0 is the identity: L = det(I - I) = 0, which toral_lefschetz refuses to take
-        return dataclasses.replace(c, lefschetz=toral_lefschetz(t, k)) if k else c
+        return dataclasses.replace(c, lefschetz=toral_lefschetz(t, k))
     return ConjugacyClassData(label, lefschetz_number_graded(_graded_from_json(obj["graded"])), vol)
 
 

@@ -13,11 +13,14 @@ one ``powers`` walk, ``_lefschetz_series``, and builds no A^-k.  The mapping
 torus reads that walk, and so does ``verify``'s per-map series,
 ``_classical_series``, which hands each A^k to the Smith enumeration and to
 :func:`fixed_point_index`.  A single k, in :func:`toral_lefschetz` and
-:func:`verify_classical_lefschetz`, powers A once and reads charpoly(C^k), C
-the companion matrix of charpoly(A), in O(log |k|) products.  Both paths and
-the fixed-point enumeration stay in integers: the fixed points are kept as one
-int64 array of numerators over a common denominator, and their ``Fraction``
-coordinates are built only when a caller asks for them.
+:func:`verify_classical_lefschetz`, powers A once and reads p = charpoly(C^|k|),
+C the companion matrix of charpoly(A), in O(log |k|) products and no inverse of
+C; for k < 0 it applies the c_n rule of ``det_series``, det(I - C^-|k|) =
+sum(p) p[-1].  Every k in Z is taken: A^0 = I gives L(F^0) = det(I - I) = 0,
+the Euler characteristic of the torus, and an infinite fixed-point set.  Both
+paths and the fixed-point enumeration stay in integers: the fixed points are
+kept as one int64 array of numerators over a common denominator, and their
+``Fraction`` coordinates are built only when a caller asks for them.
 
 Sign conventions: the classical fixed-point index is sign det(I - J); the
 epsilon convention used for foliation distributions is sign det(J - I).
@@ -119,21 +122,17 @@ def lefschetz_number_graded(g: GradedMap) -> Fraction:
 
 
 def toral_lefschetz(t: ToralAutomorphism, k: int) -> int:
-    """L(F^k) = det(I - A^k), cross-checked against the exterior-trace sum."""
+    """L(F^k) = det(I - A^k) at any integer k, cross-checked against the exterior-trace sum; L(F^0) = 0."""
     return _power_and_lefschetz(t, k)[1]
 
 
-def _nonzero(k: int):
-    if k == 0:
-        raise PreconditionError("k must be nonzero")
-
-
 def _power_and_lefschetz(t: ToralAutomorphism, k: int) -> tuple[IntMatrix, int]:
-    """A^k and L(F^k) for one k: the det path on A^k, checked against the trace path, sum(charpoly(C^k))
-    for C the companion matrix of charpoly(A)."""
-    _nonzero(k)
+    """A^k and L(F^k) for one k: the det path on A^k, checked against the trace path, which reads
+    p = charpoly(C^|k|) for C the companion matrix of charpoly(A): det(I - C^|k|) = sum(p), and for k < 0
+    det(I - C^-|k|) = sum(p) p[-1], since p[-1] = (-1)^n det(C^|k|) = +-1 (the c_n rule of ``det_series``)."""
     ak = matrix_power(t.matrix, k)
-    return ak, _lefschetz_of_power(ak, k, sum(charpoly(matrix_power(_companion(charpoly(t.matrix)), k))))
+    p = charpoly(matrix_power(_companion(charpoly(t.matrix)), abs(k)))
+    return ak, _lefschetz_of_power(ak, k, sum(p) * (p[-1] if k < 0 else 1))
 
 
 def _companion(poly) -> IntMatrix:
@@ -255,9 +254,8 @@ def fixed_points_toral(t: ToralAutomorphism, k: int) -> FixedPointReport:
     """All solutions of A^k x = x on the torus, with both index conventions.
 
     When det(A^k - I) = 0 the fixed-point set is infinite and the report is
-    the explicit degenerate variant (no enumeration is attempted).
+    the explicit degenerate variant (no enumeration is attempted), as at k = 0.
     """
-    _nonzero(k)
     return _fixed_points_of_power(t.power(k), k)
 
 

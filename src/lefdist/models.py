@@ -123,9 +123,8 @@ class ClosedOrbitSpec:
 
         ``det`` is det(I - P^k), from the caller (``flow_distribution``), and
         det(P^k - I) = (-1)^n det(I - P^k); the ``signs`` route ignores it.
+        k = 0 is not special: on the ``return_map`` route P^0 = I, and det(I - I) = 0 is refused as not simple.
         """
-        if k == 0:
-            raise PreconditionError("k must be nonzero")
         if self.signs is not None:
             try:
                 return self.signs[k]

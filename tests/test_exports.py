@@ -6,6 +6,8 @@ A deletion that leaves a stale ``__all__`` entry fails here, not at a later
 names of README's library example and the exception classes, and only
 ``linalg`` and ``verify`` name ``exterior_power``.  No module imports a name
 that it never reads, so an import left behind by a deletion fails here too.
+README states each cap, and ``CARNOT_GATE_ROWS``, exactly once as
+`` `NAME = value` ``, with the value that its module defines.
 """
 
 import ast
@@ -100,3 +102,28 @@ def imported_but_never_read(path: pathlib.Path) -> set[str]:
 def test_no_module_imports_a_name_it_never_reads(path):
     # a deletion that leaves its import behind fails here instead of lingering
     assert imported_but_never_read(path) == set()
+
+
+CAP_NAME = r"MAX_[A-Z_]+|ENUMERATION_CAP|CARNOT_GATE_ROWS"
+
+
+def defined_caps() -> dict[str, tuple[str, int]]:
+    """Each cap that a module of ``lefdist`` assigns at top level, with that module's name and the value."""
+    caps = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"lefdist.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and re.fullmatch(CAP_NAME, target.id):
+                    assert target.id not in caps, f"{target.id} is defined twice"
+                    caps[target.id] = (path.stem, getattr(module, target.id))
+    return caps
+
+
+def test_readme_states_each_cap_once_with_its_value():
+    # `10^6` reads as 10**6; a module prefix, where given, must be the module that defines the cap
+    stated = re.findall(rf"`(?:(\w+)\.)?({CAP_NAME}) = (\d+)(?:\^(\d+))?`", README.read_text(encoding="utf-8"))
+    caps = defined_caps()
+    assert len(caps) == 8
+    readme = sorted((name, module or caps.get(name, ("?",))[0], int(v) ** int(e or 1)) for module, name, v, e in stated)
+    assert readme == sorted((name, module, value) for name, (module, value) in caps.items())

@@ -103,9 +103,10 @@ class TestToralLefschetz:
     def test_minus_identity(self):
         assert toral_lefschetz(MINUS_I, 1) == 4
 
-    def test_k_zero_rejected(self):
-        with pytest.raises(PreconditionError):
-            toral_lefschetz(CAT, 0)
+    def test_k_zero_is_the_euler_characteristic_of_the_torus(self):
+        # A^0 = I on both paths: det(I - I) and sum(charpoly(C^0)) = sum(charpoly(I))
+        for t in (CAT, MINUS_I, ToralAutomorphism(IntMatrix([[0, -1, 0], [2, 0, 1], [3, 1, 2]]))):
+            assert toral_lefschetz(t, 0) == 0
 
     def test_cat_map_sequence(self):
         assert [toral_lefschetz(CAT, k) for k in range(1, 6)] == [-1, -5, -16, -45, -121]
@@ -269,9 +270,15 @@ class TestClassicalIdentity:
             verify_classical_lefschetz(ToralAutomorphism(IntMatrix.identity(2)), 1)
 
     @pytest.mark.parametrize("f", [fixed_points_toral, toral_lefschetz, verify_classical_lefschetz])
-    def test_zero_power_refused(self, f):
-        with pytest.raises(PreconditionError, match="k must be nonzero"):
-            f(CAT, 0)
+    def test_zero_power_is_the_identity(self, f):
+        # F^0 = id through the ordinary code: every point is fixed, none is simple, and L(F^0) = det(I - I) = 0
+        if f is verify_classical_lefschetz:
+            with pytest.raises(NotSimpleError, match=r"A\^0 has non-simple fixed points"):
+                f(CAT, 0)
+        elif f is toral_lefschetz:
+            assert f(CAT, 0) == 0
+        else:
+            assert f(CAT, 0).infinite
 
 
 class TestOnePower:
@@ -285,6 +292,20 @@ class TestOnePower:
         assert chk.sum_of_indices == chk.lefschetz_number == expected
         # the other power is the trace path's C^k, C the companion matrix of charpoly(A)
         assert [j for m, j in calls if m == CAT.matrix] == [k] and len(calls) == 2
+
+    def test_a_single_negative_k_never_inverts_the_companion_matrix(self, monkeypatch):
+        # the det path keeps A^k itself; the trace path powers C only to |k| and reads k < 0 by the c_n rule
+        three = ToralAutomorphism(IntMatrix([[0, -1, 0], [2, 0, 1], [3, 1, 2]]))
+        calls = []
+        power = lefschetz.matrix_power
+        monkeypatch.setattr(lefschetz, "matrix_power", lambda m, j: calls.append((m, j)) or power(m, j))
+        for t, k in ((CAT, -1), (CAT, -40), (three, -3), (three, -25)):
+            calls.clear()
+            assert toral_lefschetz(t, k) == verify._exterior_trace_sum(power(t.matrix, k))
+            assert [j for m, j in calls if m != t.matrix] == [-k]
+        calls.clear()
+        verify_classical_lefschetz(CAT, -2)
+        assert sorted(j for _, j in calls) == [-2, 2]
 
 
 class TestBattery:
@@ -483,6 +504,13 @@ def test_the_series_reads_each_negative_power_from_the_positive_one(t):
     for k, (ak, pos, neg) in enumerate(lefschetz._lefschetz_series(t, 6), 1):
         assert ak == matrix_power(t.matrix, k)
         assert neg == verify._exterior_trace_sum(matrix_power(t.matrix, -k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 3, 4)).flatmap(small_unimodular), st.integers(-6, 6))
+def test_a_single_k_matches_the_minors_of_its_power(t, k):
+    # every k in Z, k = 0 included; the oracle takes the minors of A^k, with A^-1 from the integer inverse
+    assert toral_lefschetz(t, k) == verify._exterior_trace_sum(matrix_power(t.matrix, k))
 
 
 @pytest.mark.parametrize("k", [10**400, -(10**400)])

@@ -82,7 +82,7 @@ class TestMappingTorus:
 
     def test_one_characteristic_polynomial_per_map(self, monkeypatch):
         # the trace path reads charpoly(A) once for the whole window; the det path walks A^k.  A single
-        # k reads charpoly(A) once more, then that of C^k for the companion matrix C, never of any A^k
+        # k reads charpoly(A) once more, then that of C^|k| for the companion matrix C, never of any A^k
         from lefdist import lefschetz, linalg
 
         calls = []
@@ -91,7 +91,7 @@ class TestMappingTorus:
         assert calls == [CAT.matrix]
         assert dict(d.atoms)[LatticePoint(-40)] == toral_lefschetz(CAT, -40)
         assert calls[:2] == [CAT.matrix] * 2 and len(calls) == 3
-        assert calls[2] == matrix_power(IntMatrix([[0, -1], [1, 3]]), -40) != CAT.power(-40)
+        assert calls[2] == matrix_power(IntMatrix([[0, -1], [1, 3]]), 40) != CAT.power(40)
 
     def test_atoms_match_classical_identity(self):
         from lefdist.lefschetz import verify_classical_lefschetz
@@ -178,6 +178,11 @@ class TestFlow:
         monkeypatch.setattr(linalg._Matrix, "__matmul__", lambda a, b: pytest.fail("a flow multiplied matrices"))
         d = flow_distribution([ClosedOrbitSpec(1, return_map=p)], 30)
         assert {int(point.x): c for point, c in d.atoms} == expected
+
+    def test_the_zeroth_multiple_is_not_simple(self):
+        # P^0 = I: the caller's det(I - I) = 0 is refused like any other non-simple multiple
+        with pytest.raises(NotSimpleError, match="k=0"):
+            ClosedOrbitSpec(1, return_map=DIAG_2_HALF).sign(0, "orbit 0", 0)
 
     def test_unchecked_signs(self):
         orbit = ClosedOrbitSpec(1, signs={1: -1, -1: -1, 2: 1, -2: 1})
